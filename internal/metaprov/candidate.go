@@ -116,13 +116,11 @@ func (c Candidate) Apply(prog *ndlog.Program) (*meta.Patch, error) {
 // extract turns a completed tree into a candidate (the missing-tuple
 // branch of Fig. 5): solve the constraint pool, fill pending constant
 // changes and tuple insertions from the satisfying assignment, and check
-// syntactic validity of the patched program. The solver is a parameter so
-// stream workers extract with goroutine-local solvers (solver.Solver
-// accumulates Stats); results are identical for any solver with the same
-// backtrack bound.
-func (ex *Explorer) extract(t *Tree, sv *solver.Solver) (Candidate, bool) {
+// syntactic validity of the patched program. The solve starts from the
+// bindings the pool propagated while the tree grew.
+func (ex *Explorer) extract(t *Tree) (Candidate, bool) {
 	start := time.Now()
-	asg, ok := sv.Solve(t.Pool)
+	asg, ok := ex.Solver.Solve(t.Pool)
 	ex.solveNanos.Add(int64(time.Since(start)))
 	if !ok {
 		return Candidate{}, false
@@ -161,7 +159,7 @@ func (ex *Explorer) extract(t *Tree, sv *solver.Solver) (Candidate, bool) {
 	if _, err := meta.Apply(ex.Model.Prog, changes); err != nil {
 		return Candidate{}, false
 	}
-	return Candidate{Changes: changes, Cost: t.Cost, Tree: t.Root}.cached(), true
+	return Candidate{Changes: changes, Cost: t.Cost, Tree: t.Root()}.cached(), true
 }
 
 // checkDeferred grounds untranslatable guards with the assignment and

@@ -29,10 +29,12 @@ const (
 	obAssign               // thread one assignment
 )
 
-// obligation is one unexpanded vertex plus the context needed to expand it.
+// obligation is one unexpanded vertex plus the context needed to expand
+// it. Obligations are immutable once queued: forks of a tree share them,
+// and stream workers expand sibling forks concurrently.
 type obligation struct {
 	kind   obKind
-	vertex *Vertex
+	vertex int32 // ID of the tree vertex the expansion attaches under
 	goal   Goal
 	rule   *ndlog.Rule
 	inst   string
@@ -40,7 +42,7 @@ type obligation struct {
 	predIx int
 	selIx  int
 	asgIx  int
-	env    map[string]string // rule variable -> solver variable
+	env    map[string]string // rule variable -> solver variable; read-only
 	depth  int
 	// frozen marks obligations inside a repurposed rule (head change or
 	// copy): only the "keep" alternatives are explored, so those repairs
@@ -70,12 +72,23 @@ type Explorer struct {
 	// sequential Explore path ignores it.
 	Workers int
 
-	// steps counts vertex expansions and solveNanos accumulates
-	// constraint-solving wall time (the Figure 9a breakdown). Both are
-	// atomics — stream workers solve concurrently — read via Stats().
+	// steps counts vertex expansions and solveNanos accumulates wall time
+	// spent in the constraint back-end (the Figure 9a breakdown): pre-fork
+	// checks against a pool's bindings, propagation as constraints are
+	// added, pruning verdicts and extraction solves. Both are atomics —
+	// stream workers solve concurrently — read via Stats().
 	steps      atomic.Int64
 	solveNanos atomic.Int64
+
+	// audit, when set by a test, sees every pool a pruning verdict is
+	// taken on, together with that verdict — including the pools of
+	// citations the pre-fork check would have skipped.
+	audit func(p *solver.Pool, sat bool)
 }
+
+// pruner bounds the search a pruning verdict may spend on a pool that
+// propagation alone does not decide; extraction uses Explorer.Solver.
+var pruner = solver.Solver{MaxBacktracks: 1500}
 
 // Stats is a consistent snapshot of the explorer's search counters.
 type Stats struct {
@@ -138,7 +151,7 @@ func (ex *Explorer) ExploreContext(ctx context.Context, goal Goal) ([]Candidate,
 			break // heap is cost-ordered: everything else is too expensive
 		}
 		if cur.Complete() {
-			if c, ok := ex.extract(cur, ex.Solver); ok && em.admit(c) {
+			if c, ok := ex.extract(cur); ok && em.admit(c) {
 				out = append(out, c)
 			}
 			continue
@@ -153,34 +166,60 @@ func (ex *Explorer) ExploreContext(ctx context.Context, goal Goal) ([]Candidate,
 
 // rootTree wraps a goal into the search's root tree.
 func (ex *Explorer) rootTree(goal Goal) *Tree {
-	root := &Vertex{Kind: VNExist, Label: goal.String()}
-	t := &Tree{Root: root, Pool: solver.NewPool()}
+	t := &Tree{Pool: solver.NewPool()}
+	root := t.attach(-1, VNExist, goal.String())
 	t.todos = []*obligation{{kind: obGoal, vertex: root, goal: goal, depth: 0}}
 	return t
 }
 
 // expandStep performs one QUERY(v) expansion of the tree's head obligation
-// and returns the surviving forks: per-fork step cost added, cutoff
-// filtered, and quickSat pruned. It depends only on the tree and the
-// explorer's read-only model/history, so stream workers run it
-// speculatively on trees the committed search may never reach.
+// and returns the surviving forks. Every fork is charged the step cost
+// plus the cost of the change it makes; one that would pass the cutoff, or
+// whose constraints contradict the pool, is dropped where it would have
+// been built. The expansion depends only on the tree and the explorer's
+// read-only model/history, so stream workers run it speculatively on trees
+// the committed search may never reach.
 func (ex *Explorer) expandStep(cur *Tree) []*Tree {
-	// The obligation stays in cur.todos while forking so each fork's
-	// vertex re-pointing covers it; forkFor pops it per fork.
-	ob := cur.todos[0]
-	forks := ex.expand(cur, ob)
-	kept := forks[:0]
-	for _, next := range forks {
-		next.Cost += cost.ExpandStep
-		if next.Cost > ex.Cutoff {
-			continue
-		}
-		if !ex.quickSat(next) {
-			continue
-		}
-		kept = append(kept, next)
+	if !ex.affords(cur, 0) {
+		return nil
 	}
-	return kept
+	return ex.expand(cur, cur.todos[0])
+}
+
+// affords reports whether a fork of t that makes a change of cost c stays
+// within the cutoff.
+func (ex *Explorer) affords(t *Tree, c float64) bool {
+	return t.Cost+c+cost.ExpandStep <= ex.Cutoff
+}
+
+// fork forks t for a change of the given kind, or returns nil when the
+// change would take the fork past the cutoff — so it is never built.
+func (ex *Explorer) fork(t *Tree, change cost.Kind) *Tree {
+	if c := cost.Of(change); ex.affords(t, c) {
+		return t.forkFor(c)
+	}
+	return nil
+}
+
+// constrain adds constraints to a fork's pool and reports whether the pool
+// can still be satisfied. A fork that adds nothing needs no verdict: its
+// parent's holds.
+func (ex *Explorer) constrain(n *Tree, cs ...solver.Constraint) bool {
+	start := time.Now()
+	n.Pool.Add(cs...)
+	return ex.verdict(n, start)
+}
+
+// verdict takes the pruning verdict on a fork's pool and charges the time
+// since start — the propagation that preceded it included — to constraint
+// solving.
+func (ex *Explorer) verdict(n *Tree, start time.Time) bool {
+	ok := pruner.Sat(n.Pool)
+	ex.solveNanos.Add(int64(time.Since(start)))
+	if ex.audit != nil {
+		ex.audit(n.Pool, ok)
+	}
+	return ok
 }
 
 // emitter holds the order-sensitive part of the search state: frontier
@@ -241,15 +280,6 @@ func (em *emitter) admit(c Candidate) bool {
 	return true
 }
 
-// quickSat prunes forks whose constraint pool is already unsatisfiable.
-func (ex *Explorer) quickSat(t *Tree) bool {
-	start := time.Now()
-	s := solver.Solver{MaxBacktracks: 1500}
-	_, ok := s.Solve(t.Pool)
-	ex.solveNanos.Add(int64(time.Since(start)))
-	return ok
-}
-
 // expand implements QUERY(v) (§3.5): it returns one forked tree per
 // individually-sufficient choice for the obligation.
 func (ex *Explorer) expand(t *Tree, ob *obligation) []*Tree {
@@ -278,10 +308,8 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 		if len(r.Head.Args) != len(ob.goal.Args) {
 			continue
 		}
-		n, obn := t.forkFor()
-		v := &Vertex{Kind: VNDerive, Label: fmt.Sprintf("%s via %s", ob.goal, r.ID)}
-		vt := obn.vertex
-		vt.Children = append(vt.Children, v)
+		n := t.forkFor(0)
+		v := n.attach(ob.vertex, VNDerive, fmt.Sprintf("%s via %s", ob.goal, r.ID))
 		n.todos = append(n.todos, &obligation{
 			kind: obRule, vertex: v, goal: ob.goal, rule: r, depth: ob.depth,
 		})
@@ -299,56 +327,55 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 				continue
 			}
 			// (a) Change the rule's head table in place.
-			n, obn := t.forkFor()
-			mod := r.Clone()
-			mod.Head.Table = ob.goal.Table
-			n.changes = append(n.changes, meta.SetHeadTable{RuleID: r.ID, Old: r.Head.Table, New: ob.goal.Table})
-			n.Cost += cost.Of(cost.ChangeVariable)
-			v := &Vertex{Kind: VNMetaExist, Label: fmt.Sprintf("head of %s -> %s", r.ID, ob.goal.Table)}
-			vt := obn.vertex
-			vt.Children = append(vt.Children, v)
-			n.todos = append(n.todos, &obligation{
-				kind: obRule, vertex: v, goal: ob.goal, rule: mod, depth: ob.depth, frozen: true,
-			})
-			out = append(out, n)
+			if n := ex.fork(t, cost.ChangeVariable); n != nil {
+				mod := r.Clone()
+				mod.Head.Table = ob.goal.Table
+				n.changes = append(n.changes, meta.SetHeadTable{RuleID: r.ID, Old: r.Head.Table, New: ob.goal.Table})
+				v := n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("head of %s -> %s", r.ID, ob.goal.Table))
+				n.todos = append(n.todos, &obligation{
+					kind: obRule, vertex: v, goal: ob.goal, rule: mod, depth: ob.depth, frozen: true,
+				})
+				out = append(out, n)
+			}
 
 			// (b) Copy the rule with the head table replaced.
-			n2, obn2 := t.forkFor()
-			cp := r.Clone()
-			cp.ID = r.ID + "~" + ob.goal.Table
-			cp.Head.Table = ob.goal.Table
-			n2.changes = append(n2.changes, meta.AddRule{Rule: cp})
-			n2.Cost += cost.Of(cost.CopyRule)
-			v2 := &Vertex{Kind: VNMetaExist, Label: fmt.Sprintf("copy %s with head %s", r.ID, ob.goal.Table)}
-			vt2 := obn2.vertex
-			vt2.Children = append(vt2.Children, v2)
-			n2.todos = append(n2.todos, &obligation{
-				kind: obRule, vertex: v2, goal: ob.goal, rule: cp, depth: ob.depth, frozen: true,
-			})
-			out = append(out, n2)
+			if n := ex.fork(t, cost.CopyRule); n != nil {
+				cp := r.Clone()
+				cp.ID = r.ID + "~" + ob.goal.Table
+				cp.Head.Table = ob.goal.Table
+				n.changes = append(n.changes, meta.AddRule{Rule: cp})
+				v := n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("copy %s with head %s", r.ID, ob.goal.Table))
+				n.todos = append(n.todos, &obligation{
+					kind: obRule, vertex: v, goal: ob.goal, rule: cp, depth: ob.depth, frozen: true,
+				})
+				out = append(out, n)
+			}
 		}
 	}
 	// Manual insertion of the missing tuple itself. Goal columns that are
 	// completely unconstrained become wildcards in the inserted tuple
 	// (e.g. a flow entry matching any source).
-	n, obn := t.forkFor()
-	vt := obn.vertex
+	n := ex.fork(t, cost.InsertBaseTuple)
+	if n == nil {
+		return out
+	}
 	vars := make([]string, len(ob.goal.Args))
 	fixed := make([]*ndlog.Value, len(ob.goal.Args))
+	var cs []solver.Constraint
 	for i, g := range ob.goal.Args {
-		if g.Var != "" && !poolMentions(n.Pool, g.Var) {
+		if g.Var != "" && !n.Pool.Mentions(g.Var) {
 			w := ndlog.Wild()
 			fixed[i] = &w
 			continue
 		}
 		vars[i] = n.freshVar(fmt.Sprintf("ins.%s.%d", ob.goal.Table, i))
-		n.Pool.Add(solver.Eq(solver.V(vars[i]), g))
+		cs = append(cs, solver.Eq(solver.V(vars[i]), g))
 	}
-	n.pInserts = append(n.pInserts, pendingInsert{Table: ob.goal.Table, Vars: vars, Fixed: fixed})
-	vt.Children = append(vt.Children, &Vertex{Kind: VInsertBase,
-		Label: fmt.Sprintf("insert %s", ob.goal)})
-	n.Cost += cost.Of(cost.InsertBaseTuple)
-	out = append(out, n)
+	if ex.constrain(n, cs...) {
+		n.pInserts = append(n.pInserts, pendingInsert{Table: ob.goal.Table, Vars: vars, Fixed: fixed})
+		n.attach(ob.vertex, VInsertBase, fmt.Sprintf("insert %s", ob.goal))
+		out = append(out, n)
+	}
 	return out
 }
 
@@ -356,20 +383,21 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 // then queues obligations for every body predicate, selection, and
 // assignment — the joint, cross-precondition treatment of §3.4.
 func (ex *Explorer) expandRule(t *Tree, ob *obligation) []*Tree {
-	n, obn := t.forkFor()
-	v := obn.vertex
+	n := t.forkFor(0)
+	v := ob.vertex
 	r := ob.rule
 	inst := n.nextInst(r.ID)
-	env := make(map[string]string)
+	env := instantiate(r, inst)
 
 	// Unify head arguments with the goal terms.
+	var cs []solver.Constraint
 	for i, ha := range r.Head.Args {
 		gt := ob.goal.Args[i]
 		switch a := ha.(type) {
 		case *ndlog.Var:
-			n.Pool.Add(solver.Eq(solver.V(sv(n, env, inst, a.Name)), gt))
+			cs = append(cs, solver.Eq(solver.V(env[a.Name]), gt))
 		case *ndlog.ConstExpr:
-			n.Pool.Add(solver.Eq(solver.C(a.Val), gt))
+			cs = append(cs, solver.Eq(solver.C(a.Val), gt))
 		case *ndlog.Agg:
 			return nil // cannot target aggregate heads
 		default:
@@ -381,25 +409,25 @@ func (ex *Explorer) expandRule(t *Tree, ob *obligation) []*Tree {
 			})
 		}
 	}
+	if !ex.constrain(n, cs...) {
+		return nil
+	}
 	for i, b := range r.Body {
-		pv := &Vertex{Kind: VNExist, Label: b.String()}
-		v.Children = append(v.Children, pv)
+		pv := n.attach(v, VNExist, b.String())
 		n.todos = append(n.todos, &obligation{
 			kind: obPred, vertex: pv, rule: r, inst: inst, pred: b, predIx: i,
 			env: env, depth: ob.depth, frozen: ob.frozen,
 		})
 	}
 	for i := range r.Sels {
-		svx := &Vertex{Kind: VSelTrue, Label: r.Sels[i].String()}
-		v.Children = append(v.Children, svx)
+		svx := n.attach(v, VSelTrue, r.Sels[i].String())
 		n.todos = append(n.todos, &obligation{
 			kind: obSel, vertex: svx, rule: r, inst: inst, selIx: i,
 			env: env, depth: ob.depth, frozen: ob.frozen,
 		})
 	}
 	for i := range r.Assigns {
-		av := &Vertex{Kind: VSelTrue, Label: r.Assigns[i].String()}
-		v.Children = append(v.Children, av)
+		av := n.attach(v, VSelTrue, r.Assigns[i].String())
 		n.todos = append(n.todos, &obligation{
 			kind: obAssign, vertex: av, rule: r, inst: inst, asgIx: i,
 			env: env, depth: ob.depth, frozen: ob.frozen,
@@ -418,35 +446,30 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 	if limit <= 0 {
 		limit = 16
 	}
+	// Only satisfiable citations count toward the limit; this keeps the
+	// fan-out focused on tuples consistent with the goal. A tuple is tested
+	// against the tree's bindings before anything is forked for it: most
+	// of the history contradicts a value the pool has already fixed.
 	kept := 0
-	for _, h := range hist {
-		if kept >= limit {
+	for i := 0; kept < limit; i++ {
+		if i = ex.nextCitable(t, ob, hist, i); i == len(hist) {
 			break
 		}
-		if len(h.Args) != len(f.Args) {
-			continue
-		}
-		n, obn := t.forkFor()
-		if !bindTuple(n, ob, h) {
-			continue
-		}
-		// Only satisfiable citations count toward the limit; this keeps
-		// the fan-out focused on tuples consistent with the goal.
-		if !ex.quickSat(n) {
+		n := t.forkFor(0)
+		if !ex.cite(n, ob, hist[i]) {
 			continue
 		}
 		kept++
-		obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VExist, Label: h.String()})
+		n.attach(ob.vertex, VExist, hist[i].String())
 		out = append(out, n)
 	}
 	if ex.Model.IsDerived(f.Table) {
 		// Recursive sub-goal (bounded).
 		if ob.depth < ex.MaxDepth {
-			n, obn := t.forkFor()
 			sub := Goal{Table: f.Table}
 			ok := true
 			for _, a := range f.Args {
-				term, tok := argTerm(n, ob.env, ob.inst, a)
+				term, tok := argTerm(ob.env, a)
 				if !tok {
 					ok = false
 					break
@@ -454,8 +477,8 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 				sub.Args = append(sub.Args, term)
 			}
 			if ok {
-				gv := &Vertex{Kind: VNExist, Label: sub.String()}
-				obn.vertex.Children = append(obn.vertex.Children, gv)
+				n := t.forkFor(0)
+				gv := n.attach(ob.vertex, VNExist, sub.String())
 				n.todos = append(n.todos, &obligation{kind: obGoal, vertex: gv, goal: sub, depth: ob.depth + 1})
 				out = append(out, n)
 			}
@@ -464,39 +487,53 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 		// Base table with no usable historical tuple: propose inserting
 		// one (Appendix D: "If no such event exists in the original
 		// execution, the algorithm will insert a base event").
-		n, obn := t.forkFor()
-		vars := make([]string, len(f.Args))
-		ok := true
+		terms := make([]solver.Term, len(f.Args))
 		for i, a := range f.Args {
-			vars[i] = n.freshVar(fmt.Sprintf("ins.%s.%d", f.Table, i))
-			term, tok := argTerm(n, ob.env, ob.inst, a)
-			if !tok {
-				ok = false
-				break
+			var ok bool
+			if terms[i], ok = argTerm(ob.env, a); !ok {
+				return out
 			}
-			n.Pool.Add(solver.Eq(solver.V(vars[i]), term))
 		}
-		if ok {
+		n := ex.fork(t, cost.InsertBaseTuple)
+		if n == nil {
+			return out
+		}
+		vars := make([]string, len(terms))
+		cs := make([]solver.Constraint, len(terms))
+		for i, term := range terms {
+			vars[i] = n.freshVar(fmt.Sprintf("ins.%s.%d", f.Table, i))
+			cs[i] = solver.Eq(solver.V(vars[i]), term)
+		}
+		if ex.constrain(n, cs...) {
 			n.pInserts = append(n.pInserts, pendingInsert{Table: f.Table, Vars: vars})
-			obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VInsertBase, Label: "insert " + f.String()})
-			n.Cost += cost.Of(cost.InsertBaseTuple)
+			n.attach(ob.vertex, VInsertBase, "insert "+f.String())
 			out = append(out, n)
 		}
 	}
 	return out
 }
 
-// bindTuple unifies a historical tuple with the obligation's predicate,
-// adding equality constraints for variables and consistency checks for
-// constants. It returns false when the tuple cannot match.
-func bindTuple(t *Tree, ob *obligation, h ndlog.Tuple) bool {
-	for i, a := range ob.pred.Args {
+// nextCitable returns the index of the first tuple at or after i that the
+// obligation's predicate could cite, or len(hist): the tuple has the
+// predicate's arity, matches its constants, and contradicts no value the
+// tree's pool has already bound one of its variables to.
+func (ex *Explorer) nextCitable(t *Tree, ob *obligation, hist []ndlog.Tuple, i int) int {
+	start := time.Now()
+	for i < len(hist) && !ex.citable(t, ob, hist[i]) {
+		i++
+	}
+	ex.solveNanos.Add(int64(time.Since(start)))
+	return i
+}
+
+func (ex *Explorer) citable(t *Tree, ob *obligation, h ndlog.Tuple) bool {
+	args := ob.pred.Args
+	if len(h.Args) != len(args) {
+		return false
+	}
+	for i, a := range args {
 		switch a := a.(type) {
 		case *ndlog.Var:
-			if a.Name == "_" {
-				continue
-			}
-			t.Pool.Add(solver.Eq(solver.V(sv(t, ob.env, ob.inst, a.Name)), solver.C(h.Args[i])))
 		case *ndlog.ConstExpr:
 			if !a.Val.Matches(h.Args[i]) {
 				return false
@@ -505,7 +542,33 @@ func bindTuple(t *Tree, ob *obligation, h ndlog.Tuple) bool {
 			return false
 		}
 	}
+	for i, a := range args {
+		v, isVar := a.(*ndlog.Var)
+		if !isVar || v.Name == "_" {
+			continue
+		}
+		if val, bound := t.Pool.Value(ob.env[v.Name]); bound && !val.Equal(h.Args[i]) {
+			// Under audit, fork anyway so the skipped pool is seen too.
+			if ex.audit != nil && ex.cite(t.forkFor(0), ob, h) {
+				panic("metaprov: pre-fork check rejected a satisfiable citation of " + h.String())
+			}
+			return false
+		}
+	}
 	return true
+}
+
+// cite binds the variables of the obligation's predicate to a citable
+// tuple's values in the fork's pool and reports whether the pool can still
+// be satisfied.
+func (ex *Explorer) cite(n *Tree, ob *obligation, h ndlog.Tuple) bool {
+	start := time.Now()
+	for i, a := range ob.pred.Args {
+		if v, isVar := a.(*ndlog.Var); isVar && v.Name != "_" {
+			n.Pool.Add(solver.Eq(solver.V(ob.env[v.Name]), solver.C(h.Args[i])))
+		}
+	}
+	return ex.verdict(n, start)
 }
 
 // expandSel forks the selection's alternatives: keep it (thread the
@@ -517,18 +580,19 @@ func (ex *Explorer) expandSel(t *Tree, ob *obligation) []*Tree {
 	var out []*Tree
 
 	// (a) Keep the selection: add it to the pool (or defer).
-	n, obn := t.forkFor()
-	lt, lok := argTerm(n, ob.env, ob.inst, s.Left)
-	rt, rok := argTerm(n, ob.env, ob.inst, s.Right)
-	if lok && rok {
-		n.Pool.Add(solver.Cmp(lt, s.Op, rt))
-	} else {
+	lt, lok := argTerm(ob.env, s.Left)
+	rt, rok := argTerm(ob.env, s.Right)
+	translated := lok && rok
+	n := t.forkFor(0)
+	if !translated {
 		n.deferred = append(n.deferred, deferredCheck{rule: r, sel: s, env: ob.env})
 	}
-	obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VMetaExist, Label: "holds: " + s.String()})
-	out = append(out, n)
+	if !translated || ex.constrain(n, solver.Cmp(lt, s.Op, rt)) {
+		n.attach(ob.vertex, VMetaExist, "holds: "+s.String())
+		out = append(out, n)
+	}
 
-	if ob.frozen || !lok || !rok {
+	if ob.frozen || !translated {
 		return out // frozen or untranslatable: no symbolic repairs here
 	}
 
@@ -545,7 +609,10 @@ func (ex *Explorer) expandSel(t *Tree, ob *obligation) []*Tree {
 		if !isConst {
 			continue
 		}
-		n, obn := t.forkFor()
+		n := ex.fork(t, cost.ChangeConstant)
+		if n == nil {
+			continue
+		}
 		cv := n.freshVar("const." + ob.inst)
 		var l, rr solver.Term
 		if side.path[len(side.path)-1] == 'L' {
@@ -553,12 +620,11 @@ func (ex *Explorer) expandSel(t *Tree, ob *obligation) []*Tree {
 		} else {
 			l, rr = side.oth, solver.V(cv)
 		}
-		n.Pool.Add(solver.Cmp(l, s.Op, rr))
-		n.Pool.Add(solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val)))
+		if !ex.constrain(n, solver.Cmp(l, s.Op, rr), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val))) {
+			continue
+		}
 		n.pConsts = append(n.pConsts, pendingConst{RuleID: r.ID, Path: side.path, Old: c.Val, Var: cv})
-		n.Cost += cost.Of(cost.ChangeConstant)
-		obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-			Label: fmt.Sprintf("Const(%s,%s) changed", r.ID, side.path)})
+		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Const(%s,%s) changed", r.ID, side.path))
 		out = append(out, n)
 	}
 
@@ -567,24 +633,21 @@ func (ex *Explorer) expandSel(t *Tree, ob *obligation) []*Tree {
 		if op == s.Op {
 			continue
 		}
-		n, obn := t.forkFor()
-		lt2, _ := argTerm(n, ob.env, ob.inst, s.Left)
-		rt2, _ := argTerm(n, ob.env, ob.inst, s.Right)
-		n.Pool.Add(solver.Cmp(lt2, op, rt2))
+		n := ex.fork(t, cost.ChangeOperator)
+		if n == nil || !ex.constrain(n, solver.Cmp(lt, op, rt)) {
+			continue
+		}
 		n.changes = append(n.changes, meta.SetOper{RuleID: r.ID, SelIdx: ob.selIx, Old: s.Op, New: op, Sel: s.String()})
-		n.Cost += cost.Of(cost.ChangeOperator)
-		obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-			Label: fmt.Sprintf("Oper(%s,%d)=%s", r.ID, ob.selIx, op)})
+		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Oper(%s,%d)=%s", r.ID, ob.selIx, op))
 		out = append(out, n)
 	}
 
 	// (d) Delete the selection.
-	n, obn = t.forkFor()
-	n.changes = append(n.changes, meta.DropSel{RuleID: r.ID, SelIdx: ob.selIx, Sel: s.String()})
-	n.Cost += cost.Of(cost.DeleteSelection)
-	obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-		Label: fmt.Sprintf("Sel(%s,%d) deleted", r.ID, ob.selIx)})
-	out = append(out, n)
+	if n := ex.fork(t, cost.DeleteSelection); n != nil {
+		n.changes = append(n.changes, meta.DropSel{RuleID: r.ID, SelIdx: ob.selIx, Sel: s.String()})
+		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Sel(%s,%d) deleted", r.ID, ob.selIx))
+		out = append(out, n)
+	}
 	return out
 }
 
@@ -597,19 +660,20 @@ func (ex *Explorer) expandAssign(t *Tree, ob *obligation) []*Tree {
 	var out []*Tree
 
 	// (a) Keep.
-	n, obn := t.forkFor()
-	rhs, ok := argTerm(n, ob.env, ob.inst, a.Expr)
-	if ok {
-		n.Pool.Add(solver.Eq(solver.V(sv(n, ob.env, ob.inst, a.Var)), rhs))
-	} else {
+	target := solver.V(ob.env[a.Var])
+	rhs, ok := argTerm(ob.env, a.Expr)
+	n := t.forkFor(0)
+	if !ok {
 		n.deferred = append(n.deferred, deferredCheck{
 			rule: r,
 			sel:  &ndlog.Selection{Left: &ndlog.Var{Name: a.Var}, Op: ndlog.OpEq, Right: a.Expr},
 			env:  ob.env,
 		})
 	}
-	obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VMetaExist, Label: "holds: " + a.String()})
-	out = append(out, n)
+	if !ok || ex.constrain(n, solver.Eq(target, rhs)) {
+		n.attach(ob.vertex, VMetaExist, "holds: "+a.String())
+		out = append(out, n)
+	}
 
 	if ob.frozen {
 		return out
@@ -617,34 +681,25 @@ func (ex *Explorer) expandAssign(t *Tree, ob *obligation) []*Tree {
 
 	// (b) Constant RHS: change the constant.
 	if c, isConst := a.Expr.(*ndlog.ConstExpr); isConst {
-		n, obn := t.forkFor()
-		cv := n.freshVar("aconst." + ob.inst)
-		n.Pool.Add(solver.Eq(solver.V(sv(n, ob.env, ob.inst, a.Var)), solver.V(cv)))
-		n.Pool.Add(solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val)))
-		n.pConsts = append(n.pConsts, pendingConst{
-			RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx), Old: c.Val, Var: cv,
-		})
-		n.Cost += cost.Of(cost.ChangeConstant)
-		obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-			Label: fmt.Sprintf("Const(%s,assign/%d) changed", r.ID, ob.asgIx)})
-		out = append(out, n)
+		if n := ex.fork(t, cost.ChangeConstant); n != nil {
+			cv := n.freshVar("aconst." + ob.inst)
+			if ex.constrain(n, solver.Eq(target, solver.V(cv)), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val))) {
+				n.pConsts = append(n.pConsts, pendingConst{
+					RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx), Old: c.Val, Var: cv,
+				})
+				n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Const(%s,assign/%d) changed", r.ID, ob.asgIx))
+				out = append(out, n)
+			}
+		}
 
 		// (c) Substitute a body variable for the constant (Q5's fix).
 		for _, bv := range bodyVars(r) {
 			if bv == a.Var {
 				continue
 			}
-			n, obn := t.forkFor()
-			n.Pool.Add(solver.Eq(solver.V(sv(n, ob.env, ob.inst, a.Var)),
-				solver.V(sv(n, ob.env, ob.inst, bv))))
-			n.changes = append(n.changes, meta.SetExpr{
-				RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx),
-				Old: a.Expr.String(), New: &ndlog.Var{Name: bv},
-			})
-			n.Cost += cost.Of(cost.ChangeVariable)
-			obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-				Label: fmt.Sprintf("Assign(%s,%d) := %s", r.ID, ob.asgIx, bv)})
-			out = append(out, n)
+			if n := ex.substitute(t, ob, bv); n != nil {
+				out = append(out, n)
+			}
 		}
 	}
 	// (d) Variable RHS: substitute a different body variable.
@@ -653,36 +708,36 @@ func (ex *Explorer) expandAssign(t *Tree, ob *obligation) []*Tree {
 			if bv == a.Var || bv == vexpr.Name {
 				continue
 			}
-			n, obn := t.forkFor()
-			n.Pool.Add(solver.Eq(solver.V(sv(n, ob.env, ob.inst, a.Var)),
-				solver.V(sv(n, ob.env, ob.inst, bv))))
-			n.changes = append(n.changes, meta.SetExpr{
-				RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx),
-				Old: a.Expr.String(), New: &ndlog.Var{Name: bv},
-			})
-			n.Cost += cost.Of(cost.ChangeVariable)
-			obn.vertex.Children = append(obn.vertex.Children, &Vertex{Kind: VNMetaExist,
-				Label: fmt.Sprintf("Assign(%s,%d) := %s", r.ID, ob.asgIx, bv)})
-			out = append(out, n)
+			if n := ex.substitute(t, ob, bv); n != nil {
+				out = append(out, n)
+			}
 		}
 	}
 	return out
+}
+
+// substitute forks the tree with the obligation's assignment reading body
+// variable bv instead of its right-hand side, or returns nil when that
+// passes the cutoff or contradicts the pool.
+func (ex *Explorer) substitute(t *Tree, ob *obligation, bv string) *Tree {
+	r := ob.rule
+	a := r.Assigns[ob.asgIx]
+	n := ex.fork(t, cost.ChangeVariable)
+	if n == nil || !ex.constrain(n, solver.Eq(solver.V(ob.env[a.Var]), solver.V(ob.env[bv]))) {
+		return nil
+	}
+	n.changes = append(n.changes, meta.SetExpr{
+		RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx),
+		Old: a.Expr.String(), New: &ndlog.Var{Name: bv},
+	})
+	n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Assign(%s,%d) := %s", r.ID, ob.asgIx, bv))
+	return n
 }
 
 // hasAggHead reports whether a rule's head contains an aggregate.
 func hasAggHead(r *ndlog.Rule) bool {
 	for _, a := range r.Head.Args {
 		if _, ok := a.(*ndlog.Agg); ok {
-			return true
-		}
-	}
-	return false
-}
-
-// poolMentions reports whether a variable occurs in any pool constraint.
-func poolMentions(p *solver.Pool, name string) bool {
-	for _, c := range p.Constraints {
-		if c.L.Var == name || c.R.Var == name {
 			return true
 		}
 	}
@@ -706,24 +761,43 @@ func bodyVars(r *ndlog.Rule) []string {
 	return out
 }
 
-// sv returns (allocating if needed) the solver variable for a rule
-// variable within an instantiation.
-func sv(t *Tree, env map[string]string, inst, name string) string {
-	if v, ok := env[name]; ok {
-		return v
+// instantiate names the solver variable of every variable the rule
+// mentions, for one instantiation of the rule. The map is complete when it
+// is returned and never written again: the instantiation's obligations and
+// deferred checks share it, across forks that stream workers expand
+// concurrently.
+func instantiate(r *ndlog.Rule, inst string) map[string]string {
+	var names []string
+	for _, a := range r.Head.Args {
+		names = a.Vars(names)
 	}
-	v := inst + ":" + name
-	env[name] = v
-	return v
+	for _, b := range r.Body {
+		for _, a := range b.Args {
+			names = a.Vars(names)
+		}
+	}
+	for _, s := range r.Sels {
+		names = s.Right.Vars(s.Left.Vars(names))
+	}
+	for _, a := range r.Assigns {
+		names = a.Expr.Vars(append(names, a.Var))
+	}
+	env := make(map[string]string, len(names))
+	for _, name := range names {
+		if _, ok := env[name]; !ok {
+			env[name] = inst + ":" + name
+		}
+	}
+	return env
 }
 
 // argTerm translates a rule expression into a solver term: variables,
 // constants, and var±const forms translate exactly; anything else is
 // untranslatable (ok=false) and must be deferred.
-func argTerm(t *Tree, env map[string]string, inst string, e ndlog.Expr) (solver.Term, bool) {
+func argTerm(env map[string]string, e ndlog.Expr) (solver.Term, bool) {
 	switch e := e.(type) {
 	case *ndlog.Var:
-		return solver.V(sv(t, env, inst, e.Name)), true
+		return solver.V(env[e.Name]), true
 	case *ndlog.ConstExpr:
 		return solver.C(e.Val), true
 	case *ndlog.Binary:
@@ -737,7 +811,7 @@ func argTerm(t *Tree, env map[string]string, inst string, e ndlog.Expr) (solver.
 			if e.Op == ndlog.OpSub {
 				off = -off
 			}
-			return solver.VOff(sv(t, env, inst, v.Name), off), true
+			return solver.VOff(env[v.Name], off), true
 		}
 		return solver.Term{}, false
 	}

@@ -1,0 +1,19 @@
+package metaprov
+
+import "repro/internal/solver"
+
+// Bridges for the external tests and benchmarks of this package, which
+// need the scenarios (and so cannot live inside it).
+
+// Audit installs fn to see every pool a pruning verdict is taken on, with
+// that verdict.
+func (ex *Explorer) Audit(fn func(p *solver.Pool, sat bool)) { ex.audit = fn }
+
+// RootTree wraps a goal into the search's root tree.
+func (ex *Explorer) RootTree(g Goal) *Tree { return ex.rootTree(g) }
+
+// ExpandStep expands the tree's head obligation.
+func (ex *Explorer) ExpandStep(t *Tree) []*Tree { return ex.expandStep(t) }
+
+// Fork forks the tree as a change-free expansion does.
+func (t *Tree) Fork() *Tree { return t.forkFor(0) }

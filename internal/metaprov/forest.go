@@ -10,8 +10,11 @@ package metaprov
 import (
 	"container/heap"
 	"fmt"
+	"slices"
+	"strconv"
 	"strings"
 
+	"repro/internal/cost"
 	"repro/internal/meta"
 	"repro/internal/ndlog"
 	"repro/internal/solver"
@@ -136,17 +139,24 @@ type pendingInsert struct {
 type deferredCheck struct {
 	rule *ndlog.Rule
 	sel  *ndlog.Selection
-	env  map[string]string // rule var -> solver var
+	env  map[string]string // rule var -> solver var; read-only
 }
 
-// Tree is one (partial or complete) meta-provenance tree: the vertex tree
-// for display, the constraint pool, accumulated changes, and the pending
+// Tree is one (partial or complete) meta-provenance tree: the vertices
+// grown so far, the constraint pool, accumulated changes, and the pending
 // obligations that still need expansion.
+//
+// Forking happens thousands of times per search, so everything a fork
+// inherits is shared rather than copied: the vertices are a linked log the
+// fork appends to, obligations are immutable, the pool shares its
+// constraint list, and the small slices are clipped so an append in the
+// fork reallocates instead of writing into the parent's array.
 type Tree struct {
-	Root *Vertex
 	Pool *solver.Pool
 	Cost float64
 
+	verts    *vertexLog // newest vertex first; shared with the trees forked from this one
+	nverts   int32
 	todos    []*obligation
 	changes  []meta.Change
 	pConsts  []pendingConst
@@ -162,67 +172,68 @@ type Tree struct {
 	seq uint64
 }
 
+// vertexLog records one vertex being attached under a parent. Vertex IDs
+// count up from 0 (the root, whose parent is -1) in attachment order, so a
+// fork's ID for a vertex equals its parent tree's.
+type vertexLog struct {
+	prev   *vertexLog
+	parent int32
+	kind   VertexKind
+	label  string
+}
+
 // Complete reports whether the tree has no unexpanded vertices.
 func (t *Tree) Complete() bool { return len(t.todos) == 0 }
 
-// fork deep-copies the tree's mutable state, including the vertex tree;
-// obligation back-pointers are re-mapped onto the copied vertices so each
-// fork grows independently.
-func (t *Tree) fork() *Tree {
-	vmap := make(map[*Vertex]*Vertex)
-	n := &Tree{
-		Root:    t.Root.clone(vmap),
-		Pool:    t.Pool.Clone(),
-		Cost:    t.Cost,
-		varSeq:  t.varSeq,
-		instSeq: t.instSeq,
-	}
-	n.todos = make([]*obligation, len(t.todos))
-	for i, ob := range t.todos {
-		ob2 := *ob
-		if mapped, ok := vmap[ob.vertex]; ok {
-			ob2.vertex = mapped
-		}
-		n.todos[i] = &ob2
-	}
-	n.changes = append([]meta.Change(nil), t.changes...)
-	n.pConsts = append([]pendingConst(nil), t.pConsts...)
-	n.pInserts = append([]pendingInsert(nil), t.pInserts...)
-	n.deferred = append([]deferredCheck(nil), t.deferred...)
-	return n
+// attach adds a vertex under parent and returns its ID.
+func (t *Tree) attach(parent int32, kind VertexKind, label string) int32 {
+	t.verts = &vertexLog{prev: t.verts, parent: parent, kind: kind, label: label}
+	t.nverts++
+	return t.nverts - 1
 }
 
-// forkFor forks the tree while its head obligation is still in todos,
-// then pops that obligation from the fork and returns it: its vertex
-// pointer now references the fork's own copy, so children attach to the
-// right tree.
-func (t *Tree) forkFor() (*Tree, *obligation) {
-	n := t.fork()
-	ob := n.todos[0]
-	n.todos = n.todos[1:]
-	return n, ob
+// Root materialises the vertex tree, children in attachment order.
+func (t *Tree) Root() *Vertex {
+	vs := make([]Vertex, t.nverts)
+	parents := make([]int32, t.nverts)
+	i := t.nverts
+	for l := t.verts; l != nil; l = l.prev {
+		i--
+		vs[i].Kind, vs[i].Label = l.kind, l.label
+		parents[i] = l.parent
+	}
+	for i := 1; i < len(vs); i++ {
+		p := &vs[parents[i]]
+		p.Children = append(p.Children, &vs[i])
+	}
+	return &vs[0]
 }
 
-// clone deep-copies the vertex tree, recording the old-to-new mapping.
-func (v *Vertex) clone(vmap map[*Vertex]*Vertex) *Vertex {
-	c := &Vertex{Kind: v.Kind, Label: v.Label}
-	vmap[v] = c
-	for _, ch := range v.Children {
-		c.Children = append(c.Children, ch.clone(vmap))
-	}
-	return c
+// forkFor returns a copy of the tree with its head obligation popped,
+// charged one expansion step plus the cost c of the change the fork makes,
+// and ready to grow independently of the tree and of its other forks.
+func (t *Tree) forkFor(c float64) *Tree {
+	n := *t
+	n.Cost = t.Cost + c + cost.ExpandStep
+	n.Pool = t.Pool.Clone()
+	n.todos = slices.Clip(t.todos[1:])
+	n.changes = slices.Clip(t.changes)
+	n.pConsts = slices.Clip(t.pConsts)
+	n.pInserts = slices.Clip(t.pInserts)
+	n.deferred = slices.Clip(t.deferred)
+	return &n
 }
 
 // freshVar allocates a new solver variable name.
 func (t *Tree) freshVar(hint string) string {
 	t.varSeq++
-	return fmt.Sprintf("%s~%d", hint, t.varSeq)
+	return hint + "~" + strconv.Itoa(t.varSeq)
 }
 
 // nextInst allocates a rule-instantiation ID.
 func (t *Tree) nextInst(rule string) string {
 	t.instSeq++
-	return fmt.Sprintf("%s#%d", rule, t.instSeq)
+	return rule + "#" + strconv.Itoa(t.instSeq)
 }
 
 // treeHeap orders trees by (cost, unexpanded-vertex count, admission

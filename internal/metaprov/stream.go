@@ -4,8 +4,6 @@ import (
 	"context"
 	"runtime"
 	"sync"
-
-	"repro/internal/solver"
 )
 
 // ExploreStream runs the forest search concurrently and streams repair
@@ -15,11 +13,11 @@ import (
 //
 //   - Workers (Explorer.Workers of them, default GOMAXPROCS) claim partial
 //     trees from a shared frontier in frontier order and expand them
-//     speculatively: QUERY(v) plus the per-fork quickSat prune for partial
-//     trees, constraint-pool extraction (with a goroutine-local solver)
-//     for complete ones. Expansion depends only on the claimed tree and
-//     the explorer's read-only model/history, so any interleaving computes
-//     the same results.
+//     speculatively: QUERY(v) plus the per-fork satisfiability prune for
+//     partial trees, constraint-pool extraction for complete ones.
+//     Expansion depends only on the claimed tree and the explorer's
+//     read-only model/history, so any interleaving computes the same
+//     results.
 //
 //   - A single commit loop retires those results in the frontier's strict
 //     total order — (cost, unexpanded count, admission seq) — exactly as
@@ -112,14 +110,6 @@ func (ex *Explorer) commitLoop(ctx context.Context, f *frontier, em *emitter, ou
 // streamWorker claims trees and posts their speculative expansions until
 // the frontier closes.
 func (ex *Explorer) streamWorker(f *frontier) {
-	// Per-worker solver: solver.Solver accumulates Stats, so sharing
-	// ex.Solver across workers would race. Results depend only on the
-	// backtrack bound, which is copied.
-	bound := 0
-	if ex.Solver != nil {
-		bound = ex.Solver.MaxBacktracks
-	}
-	sv := &solver.Solver{MaxBacktracks: bound}
 	for {
 		t, ok := f.claim()
 		if !ok {
@@ -127,7 +117,7 @@ func (ex *Explorer) streamWorker(f *frontier) {
 		}
 		var exp expansion
 		if t.Complete() {
-			exp.cand, exp.ok = ex.extract(t, sv)
+			exp.cand, exp.ok = ex.extract(t)
 		} else {
 			exp.kids = ex.expandStep(t)
 		}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/meta"
 	"repro/internal/ndlog"
+	"repro/internal/provenance"
 )
 
 // collectStream drains an ExploreStream into a slice, failing the test on
@@ -64,6 +65,51 @@ func TestExploreStreamMatchesSequential(t *testing.T) {
 		requireSameCandidates(t, seq, par)
 		if got, want := ex.Stats().Steps, seqEx.Stats().Steps; got != want {
 			t.Fatalf("workers=%d: committed steps %d, sequential %d", workers, got, want)
+		}
+	}
+}
+
+// twoPreds joins two body predicates, the second of which introduces a
+// variable (Lvl) the head does not bind: the forks that cite different
+// PacketIn tuples are siblings that share the instantiation's variable map
+// and expand Allow — and the Lvl guard — on different workers at once.
+const twoPreds = `
+materialize(FlowTable, 1, 3, keys(0,1)).
+materialize(Allow, 1, 3, keys(0,1)).
+j1 FlowTable(@Swi,Hdr,Prt) :- PacketIn(@C,Swi,Hdr), Allow(@C,Hdr,Lvl), Swi == 2, Lvl > 0, Prt := 2.
+`
+
+// TestExploreStreamTwoBodyPredicates is the stream ≡ sequential property
+// on a rule with two body predicates at four workers. Under -race it also
+// proves an instantiation's variable map is read-only once the rule is
+// expanded: sibling forks expand the second predicate concurrently.
+func TestExploreStreamTwoBodyPredicates(t *testing.T) {
+	prog := ndlog.MustParse("twopreds", twoPreds)
+	eng := ndlog.MustNewEngine(prog)
+	rec := provenance.NewRecorder()
+	eng.Listen(rec)
+	for lvl, hdr := range []int64{53, 80, 443} {
+		eng.Insert(ndlog.NewTuple("Allow", ndlog.Str("C"), ndlog.Int(hdr), ndlog.Int(int64(lvl))))
+	}
+	for swi := int64(1); swi <= 4; swi++ {
+		for _, hdr := range []int64{53, 80, 443} {
+			eng.Insert(ndlog.NewTuple("PacketIn", ndlog.Str("C"), ndlog.Int(swi), ndlog.Int(hdr)))
+		}
+	}
+	v3, v2 := ndlog.Int(3), ndlog.Int(2)
+	goal := PinnedGoal("FlowTable", &v3, nil, &v2)
+
+	seqEx := NewExplorer(meta.NewModel(prog), rec)
+	seq := seqEx.Explore(goal)
+	if len(seq) == 0 {
+		t.Fatal("sequential search found no candidates")
+	}
+	for round := 0; round < 5; round++ {
+		ex := NewExplorer(meta.NewModel(prog), rec)
+		ex.Workers = 4
+		requireSameCandidates(t, seq, collectStream(t, ex, goal))
+		if got, want := ex.Stats().Steps, seqEx.Stats().Steps; got != want {
+			t.Fatalf("committed steps %d, sequential %d", got, want)
 		}
 	}
 }

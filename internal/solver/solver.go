@@ -1,13 +1,17 @@
 // Package solver implements the constraint back-end for meta provenance
 // (§3.4 and §5.1 of the paper). Constraint pools are conjunctions of
 // comparisons between tuple attributes (variables) and constants, plus
-// primary-key implications. The paper used a "mini-solver" for trivial
-// pools and handed the rest to Z3; this package provides both stages in
-// one solver: a propagation fast path for pools of pure equalities, and a
-// bounded backtracking search over candidate values for everything else.
+// primary-key implications. The paper put a "mini-solver" for trivial pools
+// in front of Z3; here the pool itself is that mini-solver. A Pool is an
+// incremental store: Add propagates unconditional equalities into a small
+// binding table as constraints arrive and latches the first conflict, Clone
+// shares the constraint list with its parent, and the forest search reads
+// satisfiability off the propagated state. Only the variables propagation
+// leaves free go to a bounded backtracking search over candidate values.
 package solver
 
 import (
+	"bytes"
 	"fmt"
 	"sort"
 	"strings"
@@ -103,165 +107,45 @@ func (c Constraint) Negate() Constraint {
 // Assignment maps variable names to concrete values.
 type Assignment map[string]ndlog.Value
 
-// Pool is a conjunction of constraints over named variables (§3.4).
-type Pool struct {
-	Constraints []Constraint
+// node is one link of a pool's constraint list. A node never changes once
+// linked, so a pool and all its clones share the links they have in common.
+type node struct {
+	prev *node
+	c    Constraint
 }
 
-// NewPool returns an empty pool.
-func NewPool() *Pool { return &Pool{} }
-
-// Add appends constraints to the pool.
-func (p *Pool) Add(cs ...Constraint) { p.Constraints = append(p.Constraints, cs...) }
-
-// Clone deep-copies the pool.
-func (p *Pool) Clone() *Pool {
-	q := &Pool{Constraints: make([]Constraint, len(p.Constraints))}
-	copy(q.Constraints, p.Constraints)
-	return q
+// slot is one row of a binding table: a variable some constraint mentions
+// and, once propagation has grounded it, its value.
+type slot struct {
+	name  string
+	val   ndlog.Value
+	bound bool
 }
 
-// String renders the pool, one constraint per line.
-func (p *Pool) String() string {
-	var b strings.Builder
-	for _, c := range p.Constraints {
-		b.WriteString(c.String())
-		b.WriteByte('\n')
-	}
-	return b.String()
-}
+// table is a binding table. Pools mention a dozen or so variables, so a
+// linear scan over names beats hashing them.
+type table []slot
 
-// Vars returns the sorted variable names mentioned anywhere in the pool.
-func (p *Pool) Vars() []string {
-	set := make(map[string]struct{})
-	var walk func(cs []Constraint)
-	walk = func(cs []Constraint) {
-		for _, c := range cs {
-			if c.L.Var != "" {
-				set[c.L.Var] = struct{}{}
-			}
-			if c.R.Var != "" {
-				set[c.R.Var] = struct{}{}
-			}
-			walk(c.Cond)
+func (tb table) find(name string) int {
+	for i := range tb {
+		if tb[i].name == name {
+			return i
 		}
 	}
-	walk(p.Constraints)
-	out := make([]string, 0, len(set))
-	for v := range set {
-		out = append(out, v)
-	}
-	sort.Strings(out)
-	return out
+	return -1
 }
 
-// Stats counts solver activity for the mini-solver ablation benchmark.
-type Stats struct {
-	MiniSolved int64 // pools fully solved by equality propagation
-	Searched   int64 // pools requiring backtracking search
-	Backtracks int64
-}
-
-// Solver finds assignments for pools. The zero value is ready to use; a
-// shared Solver accumulates Stats across calls.
-type Solver struct {
-	Stats Stats
-	// MaxBacktracks bounds search effort (0 means DefaultMaxBacktracks).
-	MaxBacktracks int
-}
-
-// DefaultMaxBacktracks bounds the search for pathological pools.
-const DefaultMaxBacktracks = 100000
-
-// Solve finds a satisfying assignment for the conjunction of all
-// constraints in the pool, or reports ok=false if none exists within the
-// search bound. Trivial pools (only equalities) are solved by propagation,
-// matching the paper's mini-solver fast path.
-func (s *Solver) Solve(p *Pool) (Assignment, bool) {
-	if asg, done, ok := s.miniSolve(p); done {
-		return asg, ok
-	}
-	s.Stats.Searched++
-	return s.search(p.Constraints)
-}
-
-// SolveNegation finds an assignment that satisfies every hard constraint
-// but violates at least one soft constraint — the negation step of §4.2.
-// It tries soft constraints in order, preferring assignments that break
-// earlier (more fundamental) derivation conditions.
-func (s *Solver) SolveNegation(p *Pool) (Assignment, bool) {
-	var hard []Constraint
-	var softIdx []int
-	for i, c := range p.Constraints {
-		if c.Hard {
-			hard = append(hard, c)
-		} else {
-			softIdx = append(softIdx, i)
-		}
-	}
-	for _, i := range softIdx {
-		cs := append(append([]Constraint{}, hard...), p.Constraints[i].Negate())
-		if asg, ok := s.search(cs); ok {
-			return asg, true
-		}
-	}
-	return nil, false
-}
-
-// miniSolve handles pools consisting solely of unconditional equalities by
-// union-find style propagation. done=false means the pool needs search.
-func (s *Solver) miniSolve(p *Pool) (asg Assignment, done, ok bool) {
-	for _, c := range p.Constraints {
-		if c.Op != ndlog.OpEq || len(c.Cond) > 0 || c.L.Off != 0 || c.R.Off != 0 {
-			return nil, false, false
-		}
-	}
-	asg = make(Assignment)
-	// Fixed-point propagation of var=const and var=var bindings.
-	pending := append([]Constraint{}, p.Constraints...)
-	for {
-		progress := false
-		var next []Constraint
-		for _, c := range pending {
-			lv, lok := resolveTerm(c.L, asg)
-			rv, rok := resolveTerm(c.R, asg)
-			switch {
-			case lok && rok:
-				if !lv.Equal(rv) {
-					return nil, true, false
-				}
-			case lok && !rok:
-				asg[c.R.Var] = lv
-				progress = true
-			case rok && !lok:
-				asg[c.L.Var] = rv
-				progress = true
-			default:
-				next = append(next, c)
-			}
-		}
-		pending = next
-		if len(pending) == 0 {
-			s.Stats.MiniSolved++
-			return asg, true, true
-		}
-		if !progress {
-			// Var=var chains with no constant anchor: assign zero to a
-			// representative and keep going.
-			c := pending[0]
-			asg[c.L.Var] = ndlog.Int(0)
-		}
-	}
-}
-
-func resolveTerm(t Term, asg Assignment) (ndlog.Value, bool) {
+// resolve returns the term's value under the table, or ok=false when its
+// variable is unbound or carries an offset on a non-integer.
+func (tb table) resolve(t Term) (ndlog.Value, bool) {
 	if t.Var == "" {
 		return t.Val, true
 	}
-	v, ok := asg[t.Var]
-	if !ok {
+	i := tb.find(t.Var)
+	if i < 0 || !tb[i].bound {
 		return ndlog.Value{}, false
 	}
+	v := tb[i].val
 	if t.Off != 0 {
 		if v.Kind != ndlog.KindInt {
 			return ndlog.Value{}, false
@@ -271,12 +155,12 @@ func resolveTerm(t Term, asg Assignment) (ndlog.Value, bool) {
 	return v, true
 }
 
-// evalConstraint evaluates a constraint under a partial assignment.
-// It returns (satisfied, decidable): decidable=false when a term is
-// unbound or a condition is not yet decidable.
-func evalConstraint(c Constraint, asg Assignment) (bool, bool) {
-	for _, cond := range c.Cond {
-		ok, dec := evalConstraint(cond, asg)
+// eval evaluates a constraint under the table. It returns (satisfied,
+// decidable): decidable=false when a term is unbound or a condition is not
+// yet decidable.
+func (tb table) eval(c *Constraint) (bool, bool) {
+	for i := range c.Cond {
+		ok, dec := tb.eval(&c.Cond[i])
 		if !dec {
 			return false, false
 		}
@@ -284,8 +168,8 @@ func evalConstraint(c Constraint, asg Assignment) (bool, bool) {
 			return true, true // guard false: implication vacuously holds
 		}
 	}
-	lv, lok := resolveTerm(c.L, asg)
-	rv, rok := resolveTerm(c.R, asg)
+	lv, lok := tb.resolve(c.L)
+	rv, rok := tb.resolve(c.R)
 	if !lok || !rok {
 		return false, false
 	}
@@ -296,87 +180,337 @@ func evalConstraint(c Constraint, asg Assignment) (bool, bool) {
 	return res.IsTrue(), true
 }
 
-// search performs equality propagation followed by candidate-value
-// backtracking over the remaining variables. Candidates for each variable
-// are the constants appearing in the pool plus off-by-one neighbours —
+// Pool is a conjunction of constraints over named variables (§3.4), kept
+// solved as it grows. After every Add the binding table holds exactly the
+// values that unconditional equalities (with offsets) force, open holds
+// the constraints those values do not yet decide, and conflict is set once
+// some constraint is decided false — which no later Add can undo, so every
+// pool cloned from a conflicting one is unsatisfiable too.
+//
+// A Pool is not safe for concurrent use, but a pool and its clones are
+// independent: what they share, none of them writes.
+type Pool struct {
+	last *node // newest constraint; the list is shared with clones
+	n    int
+	vars table         // every variable a constraint mentions, in first-mention order
+	open []*Constraint // undecided so far: var=var equalities and comparisons on free variables
+	// shared is set while vars and open may alias another pool's arrays
+	// (after a Clone, on both sides); own copies them before the first write.
+	shared bool
+	// mixed is set once the pool holds anything but plain equalities
+	// (unconditional, no offsets). Free variables of a plain pool are
+	// unconstrained classes and take 0 at extraction; a mixed pool's go to
+	// the candidate search.
+	mixed    bool
+	conflict bool
+}
+
+// NewPool returns an empty pool.
+func NewPool() *Pool { return &Pool{} }
+
+// Add appends constraints to the pool and propagates them: variables an
+// unconditional equality grounds are bound, every constraint the bindings
+// decide is checked, and the first one decided false latches a conflict.
+func (p *Pool) Add(cs ...Constraint) {
+	for i := range cs {
+		nd := &node{prev: p.last, c: cs[i]}
+		p.last = nd
+		p.n++
+		c := &nd.c
+		p.mention(c)
+		if c.Op != ndlog.OpEq || len(c.Cond) > 0 || c.L.Off != 0 || c.R.Off != 0 {
+			p.mixed = true
+		}
+		if p.conflict {
+			continue
+		}
+		switch p.settle(c) {
+		case undecided:
+			p.own()
+			p.open = append(p.open, c)
+		case bound:
+			p.propagate()
+		}
+	}
+}
+
+// mention gives every variable of c a row in the binding table.
+func (p *Pool) mention(c *Constraint) {
+	for _, name := range [2]string{c.L.Var, c.R.Var} {
+		if name != "" && p.vars.find(name) < 0 {
+			p.own()
+			p.vars = append(p.vars, slot{name: name})
+		}
+	}
+	for i := range c.Cond {
+		p.mention(&c.Cond[i])
+	}
+}
+
+// outcome is what settling one constraint against the bindings did.
+type outcome uint8
+
+const (
+	undecided outcome = iota // a term is still free
+	decided                  // holds under the bindings, for good
+	bound                    // an equality grounded a variable (and now holds)
+	failed                   // decided false: the conflict is latched
+)
+
+// settle checks c against the current bindings. An unconditional equality
+// with exactly one side known binds the other side's variable.
+func (p *Pool) settle(c *Constraint) outcome {
+	if c.Op != ndlog.OpEq || len(c.Cond) > 0 {
+		ok, dec := p.vars.eval(c)
+		switch {
+		case !dec:
+			return undecided
+		case ok:
+			return decided
+		}
+		p.conflict = true
+		return failed
+	}
+	lv, lok := p.vars.resolve(c.L)
+	rv, rok := p.vars.resolve(c.R)
+	switch {
+	case lok && rok:
+		if lv.Equal(rv) {
+			return decided
+		}
+		p.conflict = true
+		return failed
+	case lok:
+		return p.bind(c.R, lv)
+	case rok:
+		return p.bind(c.L, rv)
+	}
+	return undecided
+}
+
+// bind grounds the variable of t so that t equals val. A variable that is
+// bound already (to a non-integer, under an offset) or that no value can
+// make equal val stays as it is; the search then finds the pool unsatisfiable.
+func (p *Pool) bind(t Term, val ndlog.Value) outcome {
+	i := p.vars.find(t.Var)
+	if p.vars[i].bound {
+		return undecided
+	}
+	if t.Off != 0 {
+		if val.Kind != ndlog.KindInt {
+			return undecided
+		}
+		val = ndlog.Int(val.Int - t.Off)
+	}
+	p.own()
+	p.vars[i].val, p.vars[i].bound = val, true
+	return bound
+}
+
+// propagate re-settles the open constraints until no new variable is
+// grounded, dropping the ones the bindings now decide.
+func (p *Pool) propagate() {
+	for progress := true; progress; {
+		progress = false
+		kept := p.open[:0]
+		for _, c := range p.open {
+			switch p.settle(c) {
+			case undecided:
+				kept = append(kept, c)
+			case bound:
+				progress = true
+			case failed:
+				return
+			}
+		}
+		p.open = kept
+	}
+}
+
+// Clone returns an independent pool with the same constraints. The
+// constraint list is shared for good; the binding table and the short list
+// of open constraints are shared until either pool next writes to its own,
+// which copies them first — a clone that adds nothing the bindings do not
+// already decide never copies anything.
+func (p *Pool) Clone() *Pool {
+	p.shared = true
+	q := *p
+	return &q
+}
+
+// own makes the binding table and the open list private to the pool.
+func (p *Pool) own() {
+	if !p.shared {
+		return
+	}
+	p.vars = append(make(table, 0, len(p.vars)+ownHeadroom), p.vars...)
+	p.open = append([]*Constraint(nil), p.open...)
+	p.shared = false
+}
+
+// ownHeadroom is the number of new variables a pool can mention after
+// taking its own table before the table regrows; a forked tree usually
+// adds a handful.
+const ownHeadroom = 4
+
+// Len returns the number of constraints in the pool.
+func (p *Pool) Len() int { return p.n }
+
+// Constraints returns the pool's constraints in the order they were added.
+func (p *Pool) Constraints() []Constraint {
+	out := make([]Constraint, p.n)
+	i := p.n
+	for nd := p.last; nd != nil; nd = nd.prev {
+		i--
+		out[i] = nd.c
+	}
+	return out
+}
+
+// Value returns the value propagation has bound the variable to, if any.
+func (p *Pool) Value(name string) (ndlog.Value, bool) {
+	if i := p.vars.find(name); i >= 0 && p.vars[i].bound {
+		return p.vars[i].val, true
+	}
+	return ndlog.Value{}, false
+}
+
+// Mentions reports whether any constraint mentions the variable.
+func (p *Pool) Mentions(name string) bool { return p.vars.find(name) >= 0 }
+
+// String renders the pool, one constraint per line.
+func (p *Pool) String() string {
+	var b strings.Builder
+	for _, c := range p.Constraints() {
+		b.WriteString(c.String())
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// Vars returns the sorted variable names mentioned anywhere in the pool.
+func (p *Pool) Vars() []string {
+	out := make([]string, len(p.vars))
+	for i := range p.vars {
+		out[i] = p.vars[i].name
+	}
+	sort.Strings(out)
+	return out
+}
+
+// Solver finds assignments for pools. It holds nothing but the search
+// bound, so one Solver may be shared by any number of goroutines.
+type Solver struct {
+	// MaxBacktracks bounds search effort (0 means DefaultMaxBacktracks).
+	MaxBacktracks int
+}
+
+// DefaultMaxBacktracks bounds the search for pathological pools.
+const DefaultMaxBacktracks = 100000
+
+// Sat reports whether the pool is satisfiable within the search bound. It
+// is read off the propagated state; the search runs only when a constraint
+// is still open on a free variable.
+func (s *Solver) Sat(p *Pool) bool {
+	if p.conflict {
+		return false
+	}
+	if !p.mixed || len(p.open) == 0 {
+		return true
+	}
+	_, ok := s.search(p)
+	return ok
+}
+
+// Solve finds a satisfying assignment for the conjunction of all
+// constraints in the pool, or reports ok=false if none exists within the
+// search bound. It starts from the pool's bindings: a pool of plain
+// equalities is completed by giving its free variables 0 (the paper's
+// mini-solver fast path), any other by the candidate search.
+func (s *Solver) Solve(p *Pool) (Assignment, bool) {
+	if p.conflict {
+		return nil, false
+	}
+	if p.mixed {
+		return s.search(p)
+	}
+	asg := make(Assignment, len(p.vars))
+	for _, sl := range p.vars {
+		asg[sl.name] = sl.val // the zero Value is the integer 0
+	}
+	return asg, true
+}
+
+// SolveNegation finds an assignment that satisfies every hard constraint
+// but violates at least one soft constraint — the negation step of §4.2.
+// It tries soft constraints in order, preferring assignments that break
+// earlier (more fundamental) derivation conditions.
+func (s *Solver) SolveNegation(p *Pool) (Assignment, bool) {
+	cs := p.Constraints()
+	hard := NewPool()
+	for _, c := range cs {
+		if c.Hard {
+			hard.Add(c)
+		}
+	}
+	for _, c := range cs {
+		if c.Hard {
+			continue
+		}
+		q := hard.Clone()
+		q.Add(c.Negate())
+		if q.conflict {
+			continue
+		}
+		if asg, ok := s.search(q); ok {
+			return asg, true
+		}
+	}
+	return nil, false
+}
+
+// search backtracks over candidate values for the variables propagation
+// left free, in name order. Candidates for each variable are the constants
+// appearing in the pool and the bound values, plus off-by-one neighbours —
 // the paper's observation that real bugs are small edits (§3.5) makes
-// these the natural repair values.
-func (s *Solver) search(cs []Constraint) (Assignment, bool) {
-	asg := make(Assignment)
-	// Stage 1: propagate unconditional equalities (with offsets) to a
-	// fixed point; this grounds the bulk of the pool so the backtracking
-	// stage only handles the genuinely combinatorial remainder.
-	for {
-		progress := false
-		for _, c := range cs {
-			if c.Op != ndlog.OpEq || len(c.Cond) > 0 {
-				continue
-			}
-			lv, lok := resolveTerm(c.L, asg)
-			rv, rok := resolveTerm(c.R, asg)
-			switch {
-			case lok && rok:
-				if !lv.Equal(rv) {
-					return nil, false
-				}
-			case lok && !rok:
-				if v, ok := invertOffset(lv, c.R.Off); ok {
-					asg[c.R.Var] = v
-					progress = true
-				}
-			case rok && !lok:
-				if v, ok := invertOffset(rv, c.L.Off); ok {
-					asg[c.L.Var] = v
-					progress = true
-				}
-			}
-		}
-		if !progress {
-			break
+// these the natural repair values. Only the open constraints need
+// checking: the rest hold under the bindings, which the search keeps.
+func (s *Solver) search(p *Pool) (Assignment, bool) {
+	tb := append(table(nil), p.vars...)
+	var free []int
+	for i := range tb {
+		if !tb[i].bound {
+			free = append(free, i)
 		}
 	}
-	var vars []string
-	for _, v := range (&Pool{Constraints: cs}).Vars() {
-		if _, bound := asg[v]; !bound {
-			vars = append(vars, v)
-		}
+	var cands []ndlog.Value
+	if len(free) > 0 {
+		sort.Slice(free, func(a, b int) bool { return tb[free[a]].name < tb[free[b]].name })
+		cands = p.candidates()
 	}
-	cands := candidateValues(cs)
-	for _, v := range asg {
-		cands = append(cands, v)
-		if v.Kind == ndlog.KindInt {
-			cands = append(cands, ndlog.Int(v.Int+1), ndlog.Int(v.Int-1))
-		}
+	budget := s.MaxBacktracks
+	if budget <= 0 {
+		budget = DefaultMaxBacktracks
 	}
-	cands = dedupValues(cands)
-	if len(cands) == 0 {
-		cands = []ndlog.Value{ndlog.Int(0)}
-	}
-	limit := s.MaxBacktracks
-	if limit <= 0 {
-		limit = DefaultMaxBacktracks
-	}
-	budget := limit
 	var dfs func(i int) bool
 	dfs = func(i int) bool {
 		if budget <= 0 {
 			return false
 		}
-		if i == len(vars) {
-			for _, c := range cs {
-				ok, dec := evalConstraint(c, asg)
-				if !dec || !ok {
+		if i == len(free) {
+			for _, c := range p.open {
+				if ok, dec := tb.eval(c); !dec || !ok {
 					return false
 				}
 			}
 			return true
 		}
+		sl := &tb[free[i]]
 		for _, v := range cands {
-			asg[vars[i]] = v
+			sl.val, sl.bound = v, true
 			consistent := true
-			for _, c := range cs {
-				ok, dec := evalConstraint(c, asg)
-				if dec && !ok {
+			for _, c := range p.open {
+				if ok, dec := tb.eval(c); dec && !ok {
 					consistent = false
 					break
 				}
@@ -385,84 +519,88 @@ func (s *Solver) search(cs []Constraint) (Assignment, bool) {
 				return true
 			}
 			budget--
-			s.Stats.Backtracks++
-			delete(asg, vars[i])
+			sl.bound = false
 		}
 		return false
 	}
-	if dfs(0) {
-		return asg, true
+	if !dfs(0) {
+		return nil, false
 	}
-	return nil, false
+	asg := make(Assignment, len(tb))
+	for _, sl := range tb {
+		asg[sl.name] = sl.val
+	}
+	return asg, true
 }
 
-// candidateValues collects every constant in the constraint set, plus ±1
-// neighbours of integers (to satisfy strict inequalities), deduplicated
-// and deterministically ordered.
-func candidateValues(cs []Constraint) []ndlog.Value {
-	set := make(map[string]ndlog.Value)
+// candidates collects every constant in the pool and every bound value,
+// plus ±1 neighbours of integers (to satisfy strict inequalities),
+// deduplicated and ordered by value key.
+func (p *Pool) candidates() []ndlog.Value {
+	// Keys live back to back in one buffer; a candidate's key is
+	// keys[from:to].
+	type keyed struct {
+		val      ndlog.Value
+		from, to int
+	}
+	var (
+		all  []keyed
+		keys []byte
+	)
+	add1 := func(v ndlog.Value) {
+		from := len(keys)
+		keys = v.AppendKey(keys)
+		all = append(all, keyed{v, from, len(keys)})
+	}
 	add := func(v ndlog.Value) {
-		set[v.Key()] = v
+		add1(v)
 		if v.Kind == ndlog.KindInt {
-			set[ndlog.Int(v.Int+1).Key()] = ndlog.Int(v.Int + 1)
-			set[ndlog.Int(v.Int-1).Key()] = ndlog.Int(v.Int - 1)
+			add1(ndlog.Int(v.Int + 1))
+			add1(ndlog.Int(v.Int - 1))
 		}
 	}
-	var walk func(cs []Constraint)
-	walk = func(cs []Constraint) {
-		for _, c := range cs {
-			if c.L.Var == "" {
-				add(c.L.Val)
-			}
-			if c.R.Var == "" {
-				add(c.R.Val)
-			}
-			walk(c.Cond)
+	var walk func(c *Constraint)
+	walk = func(c *Constraint) {
+		if c.L.Var == "" {
+			add(c.L.Val)
+		}
+		if c.R.Var == "" {
+			add(c.R.Val)
+		}
+		for i := range c.Cond {
+			walk(&c.Cond[i])
 		}
 	}
-	walk(cs)
-	keys := make([]string, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
+	for nd := p.last; nd != nil; nd = nd.prev {
+		walk(&nd.c)
 	}
-	sort.Strings(keys)
-	out := make([]ndlog.Value, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, set[k])
-	}
-	return out
-}
-
-// invertOffset solves x + off == val for x.
-func invertOffset(val ndlog.Value, off int64) (ndlog.Value, bool) {
-	if off == 0 {
-		return val, true
-	}
-	if val.Kind != ndlog.KindInt {
-		return ndlog.Value{}, false
-	}
-	return ndlog.Int(val.Int - off), true
-}
-
-// dedupValues removes duplicates preserving deterministic order.
-func dedupValues(vals []ndlog.Value) []ndlog.Value {
-	seen := make(map[string]bool, len(vals))
-	out := vals[:0]
-	for _, v := range vals {
-		if !seen[v.Key()] {
-			seen[v.Key()] = true
-			out = append(out, v)
+	for _, sl := range p.vars {
+		if sl.bound {
+			add(sl.val)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	if len(all) == 0 {
+		return []ndlog.Value{ndlog.Int(0)}
+	}
+	key := func(k keyed) []byte { return keys[k.from:k.to] }
+	sort.Slice(all, func(i, j int) bool { return bytes.Compare(key(all[i]), key(all[j])) < 0 })
+	out := make([]ndlog.Value, 0, len(all))
+	for i, k := range all {
+		if i == 0 || !bytes.Equal(key(k), key(all[i-1])) {
+			out = append(out, k.val)
+		}
+	}
 	return out
 }
 
 // Check reports whether a full assignment satisfies the pool.
 func Check(p *Pool, asg Assignment) bool {
-	for _, c := range p.Constraints {
-		ok, dec := evalConstraint(c, asg)
-		if !dec || !ok {
+	tb := make(table, 0, len(asg))
+	for name, v := range asg {
+		tb = append(tb, slot{name: name, val: v, bound: true})
+	}
+	for nd := p.last; nd != nil; nd = nd.prev {
+		if ok, dec := tb.eval(&nd.c); !dec || !ok {
 			return false
 		}
 	}

@@ -22,8 +22,8 @@ func TestMiniSolverEqualities(t *testing.T) {
 	if asg["Const0.Val"].Int != 3 || asg["Const0.Rul"].Str != "r7" {
 		t.Fatalf("assignment = %v", asg)
 	}
-	if s.Stats.MiniSolved != 1 || s.Stats.Searched != 0 {
-		t.Fatalf("mini-solver not used: %+v", s.Stats)
+	if len(p.open) != 0 || p.mixed {
+		t.Fatalf("plain equalities not solved by propagation: %d open, mixed=%v", len(p.open), p.mixed)
 	}
 }
 
@@ -215,8 +215,8 @@ func TestPoolCloneIndependence(t *testing.T) {
 	p.Add(Eq(V("X"), CInt(1)))
 	q := p.Clone()
 	q.Add(Eq(V("Y"), CInt(2)))
-	if len(p.Constraints) != 1 || len(q.Constraints) != 2 {
-		t.Fatalf("clone not independent: %d vs %d", len(p.Constraints), len(q.Constraints))
+	if p.Len() != 1 || q.Len() != 2 {
+		t.Fatalf("clone not independent: %d vs %d", p.Len(), q.Len())
 	}
 }
 
