@@ -121,8 +121,9 @@ func BenchmarkFigure9b_Backtesting(b *testing.B) {
 	if k > 9 {
 		k = 9
 	}
-	evaluate := func(b *testing.B, strat metarepair.Strategy, opts ...metarepair.Option) {
-		run, err := sess.Evaluate(ctx, cands[:k], bt, append(opts, metarepair.WithStrategy(strat))...)
+	evaluate := func(b *testing.B, strat metarepair.Strategy) {
+		run, err := sess.Evaluate(ctx, cands[:k], bt,
+			metarepair.WithStrategy(strat), metarepair.WithParallelism(1))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +138,7 @@ func BenchmarkFigure9b_Backtesting(b *testing.B) {
 	})
 	b.Run("MultiQuery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evaluate(b, metarepair.StrategySerial)
+			evaluate(b, metarepair.StrategyParallel)
 		}
 	})
 
@@ -156,7 +157,7 @@ func BenchmarkFigure9b_Backtesting(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			run, err := wsess.Evaluate(ctx, wide, wbt,
-				metarepair.WithStrategy(metarepair.StrategySerial),
+				metarepair.WithParallelism(1),
 				metarepair.WithEvalMode(eval))
 			if err != nil {
 				b.Fatal(err)
@@ -192,16 +193,16 @@ func BenchmarkBatchedBacktest(b *testing.B) {
 	}
 	cands = cands[:72]
 	for _, bench := range []struct {
-		name  string
-		strat metarepair.Strategy
+		name string
+		opts []metarepair.Option
 	}{
-		{"SerialBatches", metarepair.StrategySerial},
-		{"ParallelBatches", metarepair.StrategyParallel},
+		{"SerialBatches", []metarepair.Option{metarepair.WithParallelism(1)}},
+		{"ParallelBatches", nil}, // default width: GOMAXPROCS
 	} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				run, err := sess.Evaluate(ctx, cands, bt,
-					metarepair.WithStrategy(bench.strat), metarepair.WithBatchSize(12))
+					append(bench.opts, metarepair.WithBatchSize(12))...)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -411,11 +412,10 @@ func BenchmarkFigure10_ProgramScalability(b *testing.B) {
 // suite scale: a 3-way join (two link hops plus a cost lookup) driven by
 // probe events over tables sized like the scenario suite's state. The
 // Indexed run uses the compile-time plan and per-table hash indexes; the
-// LegacySorted run is the seed engine's join (source-order atoms, the whole
-// partner table sorted by primary key and scanned on every extension); the
-// PlannedScan run isolates the planner's atom reordering without indexes.
-// The indexed/legacy ratio is the headline ≥10× speedup recorded in
-// EXPERIMENTS.md, with allocs/op dropping alongside.
+// PlannedScan run is the same plan answered by sequential scans — the
+// oracle strategy, isolating what the indexes buy. (The seed engine's
+// sort-per-join strategy, the ≥10× baseline recorded in EXPERIMENTS.md at
+// PR 4, was removed in PR 13.)
 func BenchmarkEngineJoin(b *testing.B) {
 	const (
 		nodes  = 600 // one link + one cost row each, ~suite flow count
@@ -441,7 +441,6 @@ func BenchmarkEngineJoin(b *testing.B) {
 	}
 	b.Run("Indexed", func(b *testing.B) { run(b, ndlog.JoinIndexed) })
 	b.Run("PlannedScan", func(b *testing.B) { run(b, ndlog.JoinScan) })
-	b.Run("LegacySorted", func(b *testing.B) { run(b, ndlog.JoinLegacySorted) })
 }
 
 // BenchmarkOverhead_Provenance measures the §5.4 runtime overhead: the

@@ -78,7 +78,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/ndlog"
 	"repro/internal/obsv"
 	_ "repro/internal/scenarios" // register Q1–Q5 in the default registry
 	"repro/internal/sentinel"
@@ -712,17 +711,12 @@ func runPipeline(cmd string, args []string) {
 	if *batch > 0 {
 		opts = append(opts, metarepair.WithBatchSize(*batch))
 	}
-	switch *pipeline {
-	case "streaming":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineStreaming))
-	case "barrier":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineBarrier))
-	case "first-accepted":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineFirstAccepted))
-	default:
-		fmt.Fprintf(os.Stderr, "error: unknown -pipeline %q (want streaming, barrier, or first-accepted)\n", *pipeline)
+	mode, err := metarepair.ParsePipelineMode(*pipeline)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "error: -pipeline: %v\n", err)
 		os.Exit(2)
 	}
+	opts = append(opts, metarepair.WithPipelineMode(mode))
 	sink, closeSink, err := eventSink(*events)
 	if err != nil {
 		fail(err)
@@ -821,8 +815,7 @@ func runPipeline(cmd string, args []string) {
 	}
 
 	if met != nil {
-		met.recordEngine(out.Session.EngineStats())
-		met.recordDelta(out.Report.Engine)
+		met.engine.Record(out.Session.EngineStats(), out.Report.Engine)
 		if err := met.dump(*metricsDest); err != nil {
 			fail(fmt.Errorf("writing -metrics: %w", err))
 		}
@@ -844,16 +837,9 @@ func (m multiSink) Emit(e metarepair.Event) {
 // finishes — the same catalogue metarepaird exposes at /metrics, minus
 // the daemon-only (jobs_*, http_*, tracestore_*) families.
 type runMetrics struct {
-	reg       *obsv.Registry
-	sessions  *metarepair.MetricsSink
-	engineOps *obsv.CounterVec
-
-	// The ndlog_delta_* families mirror the daemon's: incremental-
-	// evaluation work done by the run's shared backtests (Report.Engine).
-	deltaInserts     *obsv.Counter
-	deltaRetractions *obsv.Counter
-	deltaRecounted   *obsv.Counter
-	deltaGroupJoins  *obsv.Counter
+	reg      *obsv.Registry
+	sessions *metarepair.MetricsSink
+	engine   *metarepair.EngineMetrics
 }
 
 func newRunMetrics() *runMetrics {
@@ -861,49 +847,7 @@ func newRunMetrics() *runMetrics {
 	return &runMetrics{
 		reg:      reg,
 		sessions: metarepair.NewMetricsSink(reg),
-		engineOps: reg.CounterVec("ndlog_engine_ops_total",
-			"NDlog engine work performed by the run, by operation.", "op"),
-		deltaInserts: reg.Counter("ndlog_delta_inserts_total",
-			"Tuples derived while asserting candidate rules as deltas in shared backtest runs."),
-		deltaRetractions: reg.Counter("ndlog_delta_retractions_total",
-			"Derivations retracted (directly or by cascade) while removing candidate rules as deltas."),
-		deltaRecounted: reg.Counter("ndlog_delta_recounted_tuples_total",
-			"Tuples whose support count was adjusted without changing visibility during delta edits."),
-		deltaGroupJoins: reg.Counter("ndlog_delta_group_joins_total",
-			"Shared joins performed by delta-grouped evaluation; each serves a whole trigger group."),
-	}
-}
-
-// recordDelta folds the run's shared-backtest delta counters into the
-// ndlog_delta_* totals.
-func (m *runMetrics) recordDelta(st ndlog.EngineStats) {
-	if st.DeltaInserts > 0 {
-		m.deltaInserts.Add(st.DeltaInserts)
-	}
-	if st.DeltaRetractions > 0 {
-		m.deltaRetractions.Add(st.DeltaRetractions)
-	}
-	if st.RecountedTuples > 0 {
-		m.deltaRecounted.Add(st.RecountedTuples)
-	}
-	if st.GroupJoins > 0 {
-		m.deltaGroupJoins.Add(st.GroupJoins)
-	}
-}
-
-func (m *runMetrics) recordEngine(st ndlog.EngineStats) {
-	for _, c := range []struct {
-		op string
-		n  int64
-	}{
-		{"firings", st.Firings}, {"derivations", st.Derivations},
-		{"inserts", st.Inserts}, {"deletes", st.Deletes}, {"sends", st.Sends},
-		{"index_lookups", st.IndexLookups}, {"index_rows", st.IndexRows},
-		{"scans", st.Scans}, {"scan_rows", st.ScanRows},
-	} {
-		if c.n > 0 {
-			m.engineOps.With(c.op).Add(c.n)
-		}
+		engine:   metarepair.NewEngineMetrics(reg),
 	}
 }
 

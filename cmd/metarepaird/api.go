@@ -44,17 +44,11 @@ type jobRequest struct {
 
 // options translates the request knobs into session options.
 func (r *jobRequest) options() ([]metarepair.Option, error) {
-	var opts []metarepair.Option
-	switch r.Pipeline {
-	case "", "streaming":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineStreaming))
-	case "barrier":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineBarrier))
-	case "first-accepted":
-		opts = append(opts, metarepair.WithPipelineMode(metarepair.PipelineFirstAccepted))
-	default:
-		return nil, fmt.Errorf("unknown pipeline %q (want streaming, barrier, or first-accepted)", r.Pipeline)
+	mode, err := metarepair.ParsePipelineMode(r.Pipeline)
+	if err != nil {
+		return nil, err
 	}
+	opts := []metarepair.Option{metarepair.WithPipelineMode(mode)}
 	if r.ExploreWorkers > 0 {
 		opts = append(opts, metarepair.WithExploreWorkers(r.ExploreWorkers))
 	}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/ndlog"
 	"repro/internal/obsv"
 	"repro/internal/tracestore"
 	"repro/metarepair"
@@ -32,15 +31,9 @@ type daemonMetrics struct {
 	httpRequests *obsv.CounterVec   // http_requests_total{route,code}
 	httpDuration *obsv.HistogramVec // http_request_duration_seconds{route}
 
-	engineOps *obsv.CounterVec // ndlog_engine_ops_total{op}
-
-	// The ndlog_delta_* families count the incremental-evaluation work of
-	// finished jobs' shared backtest runs (Report.Engine): rule edits
-	// applied as deltas instead of fresh fixpoints.
-	deltaInserts     *obsv.Counter // ndlog_delta_inserts_total
-	deltaRetractions *obsv.Counter // ndlog_delta_retractions_total
-	deltaRecounted   *obsv.Counter // ndlog_delta_recounted_tuples_total
-	deltaGroupJoins  *obsv.Counter // ndlog_delta_group_joins_total
+	// engine carries the ndlog_* families: each finished job's session
+	// engine counters and its shared backtest runs' delta-evaluation work.
+	engine *metarepair.EngineMetrics
 
 	storeEntries   *obsv.GaugeVec // tracestore_entries{tenant,trace}
 	storeBytes     *obsv.GaugeVec
@@ -59,16 +52,7 @@ func newDaemonMetrics() *daemonMetrics {
 			"HTTP requests served, by route pattern and status code.", "route", "code"),
 		httpDuration: reg.HistogramVec("http_request_duration_seconds",
 			"HTTP request latency, by route pattern.", nil, "route"),
-		engineOps: reg.CounterVec("ndlog_engine_ops_total",
-			"NDlog engine work performed by finished jobs, by operation.", "op"),
-		deltaInserts: reg.Counter("ndlog_delta_inserts_total",
-			"Tuples derived while asserting candidate rules as deltas in shared backtest runs."),
-		deltaRetractions: reg.Counter("ndlog_delta_retractions_total",
-			"Derivations retracted (directly or by cascade) while removing candidate rules as deltas."),
-		deltaRecounted: reg.Counter("ndlog_delta_recounted_tuples_total",
-			"Tuples whose support count was adjusted without changing visibility during delta edits."),
-		deltaGroupJoins: reg.Counter("ndlog_delta_group_joins_total",
-			"Shared joins performed by delta-grouped evaluation; each serves a whole trigger group."),
+		engine: metarepair.NewEngineMetrics(reg),
 		storeEntries: reg.GaugeVec("tracestore_entries",
 			"Records in a tenant's trace store.", "tenant", "trace"),
 		storeBytes: reg.GaugeVec("tracestore_bytes",
@@ -77,43 +61,6 @@ func newDaemonMetrics() *daemonMetrics {
 			"Segments (sealed + active) of a tenant's trace store.", "tenant", "trace"),
 		storeRotations: reg.GaugeVec("tracestore_rotations",
 			"Segment seals performed on a tenant's trace store by this process.", "tenant", "trace"),
-	}
-}
-
-// recordEngine folds one finished job's NDlog engine counters into the
-// process-wide totals. Each job runs its own session, so the snapshot is
-// exactly that job's work.
-func (m *daemonMetrics) recordEngine(st ndlog.EngineStats) {
-	for _, c := range []struct {
-		op string
-		n  int64
-	}{
-		{"firings", st.Firings}, {"derivations", st.Derivations},
-		{"inserts", st.Inserts}, {"deletes", st.Deletes}, {"sends", st.Sends},
-		{"index_lookups", st.IndexLookups}, {"index_rows", st.IndexRows},
-		{"scans", st.Scans}, {"scan_rows", st.ScanRows},
-	} {
-		if c.n > 0 {
-			m.engineOps.With(c.op).Add(c.n)
-		}
-	}
-}
-
-// recordDelta folds one finished job's shared-run delta counters
-// (Report.Engine, aggregated across the job's backtest batches) into the
-// ndlog_delta_* totals.
-func (m *daemonMetrics) recordDelta(st ndlog.EngineStats) {
-	if st.DeltaInserts > 0 {
-		m.deltaInserts.Add(st.DeltaInserts)
-	}
-	if st.DeltaRetractions > 0 {
-		m.deltaRetractions.Add(st.DeltaRetractions)
-	}
-	if st.RecountedTuples > 0 {
-		m.deltaRecounted.Add(st.RecountedTuples)
-	}
-	if st.GroupJoins > 0 {
-		m.deltaGroupJoins.Add(st.GroupJoins)
 	}
 }
 

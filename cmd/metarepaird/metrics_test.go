@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"math"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -220,5 +224,64 @@ func TestMetricsStoreFamilies(t *testing.T) {
 	}
 	if got, ok := sc.Value("tracestore_rotations", lbl); !ok || got < 0 {
 		t.Errorf("tracestore_rotations{acme,t0} = %v (present %v), want >= 0", got, ok)
+	}
+}
+
+// TestCLIMetricsCatalogueMatchesDaemon: the one-shot CLI's -metrics dump
+// and the daemon's /metrics share one definition of the session_* and
+// ndlog_* families (metarepair.NewMetricsSink / NewEngineMetrics), so both
+// must expose exactly the same family names with the same types.
+func TestCLIMetricsCatalogueMatchesDaemon(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the metarepair CLI")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go toolchain on PATH to build the CLI with")
+	}
+	dir := t.TempDir()
+	cli := filepath.Join(dir, "metarepair-cli")
+	if out, err := exec.Command(goTool, "build", "-o", cli, "repro/cmd/metarepair").CombinedOutput(); err != nil {
+		t.Fatalf("building the CLI: %v\n%s", err, out)
+	}
+	dump := filepath.Join(dir, "metrics.prom")
+	if out, err := exec.Command(cli, "run", "-scenario", "Q1", "-flows", "300", "-metrics", dump).CombinedOutput(); err != nil {
+		t.Fatalf("metarepair run -metrics: %v\n%s", err, out)
+	}
+	f, err := os.Open(dump)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	cliScrape, err := obsv.ParseText(f)
+	if err != nil {
+		t.Fatalf("parsing the CLI dump: %v", err)
+	}
+
+	_, ts := newTestServer(t, jobs.Config{Workers: 1})
+	daemonScrape := scrapeMetrics(t, ts.URL)
+
+	shared := func(sc *obsv.Scrape) map[string]string {
+		out := make(map[string]string)
+		for name, typ := range sc.Types {
+			if strings.HasPrefix(name, "ndlog_") || strings.HasPrefix(name, "session_") {
+				out[name] = typ
+			}
+		}
+		return out
+	}
+	fromCLI, fromDaemon := shared(cliScrape), shared(daemonScrape)
+	if len(fromCLI) == 0 {
+		t.Fatal("the CLI dump carries no ndlog_*/session_* families")
+	}
+	for name, typ := range fromCLI {
+		if got, ok := fromDaemon[name]; !ok || got != typ {
+			t.Errorf("family %s: CLI exposes it as %q, daemon as %q (present %v)", name, typ, got, ok)
+		}
+	}
+	for name := range fromDaemon {
+		if _, ok := fromCLI[name]; !ok {
+			t.Errorf("family %s is on the daemon's /metrics but not in the CLI dump", name)
+		}
 	}
 }

@@ -301,8 +301,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		// counters plus the shared backtest runs' delta-evaluation work —
 		// and, when it replayed from a stored trace, the store's current
 		// shape into the registry.
-		s.metrics.recordEngine(out.Session.EngineStats())
-		s.metrics.recordDelta(out.Report.Engine)
+		s.metrics.engine.Record(out.Session.EngineStats(), out.Report.Engine)
 		if store != nil {
 			s.metrics.recordStore(tenant, req.Trace, store.Stats())
 		}

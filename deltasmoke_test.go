@@ -36,7 +36,7 @@ func TestDeltaBacktestSpeedup(t *testing.T) {
 		for i := 0; i < 3; i++ {
 			start := time.Now()
 			run, err := sess.Evaluate(ctx, cands, bt,
-				metarepair.WithStrategy(metarepair.StrategySerial),
+				metarepair.WithParallelism(1),
 				metarepair.WithEvalMode(eval))
 			if err != nil {
 				t.Fatal(err)

@@ -10,8 +10,8 @@ import (
 
 // TestEngineDifferentialScenarios runs every registered scenario's full
 // pipeline — symptom reproduction, provenance-driven candidate generation,
-// and tagged shared backtesting — under the three join strategies and
-// asserts identical outcomes. The candidate list is a function of the
+// and tagged shared backtesting — under both join strategies and asserts
+// identical outcomes. The candidate list is a function of the
 // recorded provenance graph and the verdicts a function of the tagged
 // replay, so agreement here means the planned, indexed engine is
 // provenance- and verdict-identical to the scan-join reference oracle
@@ -45,24 +45,16 @@ func TestEngineDifferentialScenarios(t *testing.T) {
 	}
 
 	indexed := run(ndlog.JoinIndexed)
-	for _, oracle := range []struct {
-		name  string
-		strat ndlog.JoinStrategy
-	}{
-		{"scan", ndlog.JoinScan},
-		{"legacy-sorted", ndlog.JoinLegacySorted},
-	} {
-		got := run(oracle.strat)
-		for name, want := range indexed {
-			have := got[name]
-			if len(have) != len(want) {
-				t.Fatalf("%s: %d candidates under indexed, %d under %s", name, len(want), len(have), oracle.name)
-			}
-			for i := range want {
-				if want[i] != have[i] {
-					t.Errorf("%s candidate %d diverges under %s:\n  indexed: %+v\n  oracle:  %+v",
-						name, i, oracle.name, want[i], have[i])
-				}
+	scan := run(ndlog.JoinScan)
+	for name, want := range indexed {
+		have := scan[name]
+		if len(have) != len(want) {
+			t.Fatalf("%s: %d candidates under indexed, %d under scan", name, len(want), len(have))
+		}
+		for i := range want {
+			if want[i] != have[i] {
+				t.Errorf("%s candidate %d diverges under scan:\n  indexed: %+v\n  oracle:  %+v",
+					name, i, want[i], have[i])
 			}
 		}
 	}

@@ -5,16 +5,16 @@
 // ineffective (symptom persists) or too disruptive (distribution shifts
 // significantly) are rejected. RunShared implements the multi-query
 // optimization: all candidates run in one tagged simulation, sharing every
-// computation their programs have in common.
+// computation their programs have in common. Pipeline is the one scheduler
+// above it: it cuts a candidate stream (live or pre-materialized) into
+// ≤63-candidate shared runs on a worker pool. RunSequential — one
+// simulation per candidate — is the reference oracle.
 package backtest
 
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"time"
 
 	"repro/internal/meta"
 	"repro/internal/metaprov"
@@ -26,7 +26,7 @@ import (
 
 // MaxSharedCandidates is the tag-space limit of one shared run: tag bit 0
 // carries the baseline, leaving 63 bits for candidates. Larger candidate
-// sets are split into batches by RunBatched.
+// sets are split into batches by Pipeline.
 const MaxSharedCandidates = 63
 
 // Job describes one backtesting task.
@@ -151,15 +151,10 @@ func (j *Job) Baseline() ([]int64, int64, error) {
 }
 
 // RunSequential backtests each candidate in its own simulation (the upper
-// curve of Figure 9b).
-func (j *Job) RunSequential() []Result {
-	out, _ := j.RunSequentialContext(context.Background())
-	return out
-}
-
-// RunSequentialContext is RunSequential with cooperative cancellation
-// between candidate replays.
-func (j *Job) RunSequentialContext(ctx context.Context) ([]Result, error) {
+// curve of Figure 9b) — the reference oracle shared runs are checked
+// against. Cancelling ctx stops between candidate replays and returns the
+// verdicts reached so far.
+func (j *Job) RunSequential(ctx context.Context) ([]Result, error) {
 	baseline, basePI, err := j.Baseline()
 	if err != nil {
 		return nil, err
@@ -184,22 +179,6 @@ func (j *Job) RunSequentialContext(ctx context.Context) ([]Result, error) {
 	return out, nil
 }
 
-// RunShared backtests all candidates in a single tagged simulation
-// (§4.4): tag bit 0 is the baseline program; candidate i runs under tag
-// bit i+1. Rules untouched by a candidate keep its tag bit, so shared
-// computation happens once.
-func (j *Job) RunShared() ([]Result, error) {
-	out, _, err := j.runShared(context.Background())
-	return out, err
-}
-
-// RunSharedContext is RunShared with cooperative cancellation between
-// replayed workload entries, plus a snapshot of the shared-run engine's
-// work counters (the delta accounting surfaced on /metrics).
-func (j *Job) RunSharedContext(ctx context.Context) ([]Result, ndlog.EngineStats, error) {
-	return j.runShared(ctx)
-}
-
 // cancelSource wraps a workload source with a per-entry context check so a
 // first-accepted early stop aborts an in-flight shared replay instead of
 // letting it finish silently.
@@ -217,10 +196,17 @@ func (c *cancelSource) Scan(fn func(trace.Entry) error) error {
 	})
 }
 
-func (j *Job) runShared(ctx context.Context) ([]Result, ndlog.EngineStats, error) {
+// RunShared backtests all candidates (at most MaxSharedCandidates) in a
+// single tagged simulation (§4.4): tag bit 0 is the baseline program;
+// candidate i runs under tag bit i+1. Rules untouched by a candidate keep
+// its tag bit, so shared computation happens once. Cancelling ctx aborts
+// the replay between workload entries. The returned stats snapshot the
+// shared-run engine's work counters (the delta accounting surfaced on
+// /metrics).
+func (j *Job) RunShared(ctx context.Context) ([]Result, ndlog.EngineStats, error) {
 	var zero ndlog.EngineStats
 	if len(j.Candidates) > MaxSharedCandidates {
-		return nil, zero, fmt.Errorf("backtest: %d candidates exceed the %d-tag limit (use RunBatched)",
+		return nil, zero, fmt.Errorf("backtest: %d candidates exceed the %d-tag limit (use Pipeline)",
 			len(j.Candidates), MaxSharedCandidates)
 	}
 	shared, inserts, deletes, err := BuildSharedProgram(j.Prog, j.Candidates, !j.SkipCoalesce)
@@ -256,7 +242,7 @@ func (j *Job) runShared(ctx context.Context) ([]Result, ndlog.EngineStats, error
 		}
 	}
 	src := j.workloadSource()
-	if ctx != nil && ctx.Done() != nil {
+	if ctx.Done() != nil {
 		src = &cancelSource{ctx: ctx, src: src}
 	}
 	if _, err := trace.ReplaySource(net, src, fullMask); err != nil {
@@ -271,119 +257,6 @@ func (j *Job) runShared(ctx context.Context) ([]Result, ndlog.EngineStats, error
 		out = append(out, j.judge(c, baseline, net.Distribution(tag), net, ctl, tag, basePI, net.PacketInsByTag[tag]))
 	}
 	return out, eng.Stats, nil
-}
-
-// Batch is one ≤63-candidate slice of a larger batched run.
-type Batch struct {
-	// Index is the batch's position in the split (0-based).
-	Index int
-	// Start is the offset of the batch's first candidate in Job.Candidates.
-	Start int
-	// Results are the batch's verdicts, in candidate order.
-	Results []Result
-	// Began and Ended bound the batch's shared-run replay on the worker,
-	// so observers can reconstruct per-batch spans without re-timing.
-	Began time.Time
-	Ended time.Time
-	// Stats snapshots the batch's shared-run engine counters, including
-	// the delta-evaluation families; per-job reports accumulate them.
-	Stats ndlog.EngineStats
-}
-
-// RunBatched removes the 63-candidate cliff: the candidate set is split
-// into batches of at most batchSize (clamped to MaxSharedCandidates), each
-// batch is backtested as one shared run, and up to parallelism batches run
-// concurrently on a worker pool. Each shared run replays its own tag-0
-// baseline from the same program and workload, so verdicts are identical
-// to a single shared run over the full set. onBatch, when non-nil, is
-// invoked (serially, in completion order) as each batch finishes —
-// callers stream incremental results from it. The returned slice is in
-// Job.Candidates order. Cancelling ctx stops unstarted batches and
-// returns ctx.Err().
-func (j *Job) RunBatched(ctx context.Context, parallelism, batchSize int, onBatch func(Batch)) ([]Result, error) {
-	if batchSize <= 0 || batchSize > MaxSharedCandidates {
-		batchSize = MaxSharedCandidates
-	}
-	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
-	}
-	cands := j.Candidates
-	if len(cands) == 0 {
-		return nil, ctx.Err()
-	}
-	type span struct{ idx, start, end int }
-	var spans []span
-	for start := 0; start < len(cands); start += batchSize {
-		end := start + batchSize
-		if end > len(cands) {
-			end = len(cands)
-		}
-		spans = append(spans, span{idx: len(spans), start: start, end: end})
-	}
-	if parallelism > len(spans) {
-		parallelism = len(spans)
-	}
-
-	runCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	work := make(chan span)
-	go func() {
-		defer close(work)
-		for _, sp := range spans {
-			select {
-			case work <- sp:
-			case <-runCtx.Done():
-				return
-			}
-		}
-	}()
-
-	results := make([]Result, len(cands))
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		firstErr error
-	)
-	for w := 0; w < parallelism; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sp := range work {
-				if runCtx.Err() != nil {
-					return
-				}
-				sub := *j
-				sub.Candidates = cands[sp.start:sp.end]
-				began := time.Now()
-				res, st, err := sub.runShared(runCtx)
-				ended := time.Now()
-				mu.Lock()
-				if err != nil {
-					// A replay aborted by cancellation is a drain, not a
-					// batch failure: the caller asked the pool to stop.
-					if firstErr == nil && runCtx.Err() == nil {
-						firstErr = fmt.Errorf("backtest: batch %d: %w", sp.idx, err)
-						cancel()
-					}
-					mu.Unlock()
-					continue
-				}
-				copy(results[sp.start:sp.end], res)
-				if onBatch != nil {
-					onBatch(Batch{Index: sp.idx, Start: sp.start, Results: res, Began: began, Ended: ended, Stats: st})
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // judge applies the §4.3 acceptance test: effective, KS-compatible with
@@ -610,27 +483,4 @@ func ruleBodyKey(r *ndlog.Rule) string {
 	c := r.Clone()
 	c.ID = "x"
 	return c.String()
-}
-
-// AppliedChanges summarizes which rules each candidate touches — used by
-// diagnostics and tests.
-func AppliedChanges(c metaprov.Candidate) []string {
-	var out []string
-	for _, ch := range c.Changes {
-		switch ch := ch.(type) {
-		case meta.SetConst:
-			out = append(out, ch.RuleID)
-		case meta.SetOper:
-			out = append(out, ch.RuleID)
-		case meta.SetExpr:
-			out = append(out, ch.RuleID)
-		case meta.DropSel:
-			out = append(out, ch.RuleID)
-		case meta.DropBodyPred:
-			out = append(out, ch.RuleID)
-		case meta.DropRule:
-			out = append(out, ch.RuleID)
-		}
-	}
-	return out
 }

@@ -1,6 +1,7 @@
 package backtest
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -119,7 +120,7 @@ func TestSequentialBacktestQ1(t *testing.T) {
 	if len(job.Candidates) < 4 {
 		t.Fatalf("too few candidates: %d", len(job.Candidates))
 	}
-	results := job.RunSequential()
+	results := runSequential(t, job)
 
 	var intuitive *Result
 	accepted := 0
@@ -160,8 +161,8 @@ func TestSharedMatchesSequential(t *testing.T) {
 	ex.MaxCandidates = 12
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
 	job.Candidates = ex.Explore(metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
-	seq := job.RunSequential()
-	shr, err := job.RunShared()
+	seq := runSequential(t, job)
+	shr, err := runShared(job)
 	if err != nil {
 		t.Fatalf("shared run: %v", err)
 	}
@@ -261,11 +262,11 @@ func TestInsertCandidateBacktest(t *testing.T) {
 	job.Candidates = []metaprov.Candidate{
 		{Changes: []meta.Change{meta.InsertTuple{Tuple: fe}}, Cost: 2.5},
 	}
-	seq := job.RunSequential()
+	seq := runSequential(t, job)
 	if !seq[0].Effective {
 		t.Fatalf("manual flow entry ineffective: %+v", seq[0])
 	}
-	shr, err := job.RunShared()
+	shr, err := runShared(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,23 @@ func TestInsertCandidateBacktest(t *testing.T) {
 func TestTooManyCandidates(t *testing.T) {
 	job := &Job{Prog: ndlog.MustParse("p", `r1 A(@X) :- B(@X).`)}
 	job.Candidates = make([]metaprov.Candidate, 64)
-	if _, err := job.RunShared(); err == nil {
+	if _, err := runShared(job); err == nil {
 		t.Fatal("expected 63-candidate limit error")
 	}
+}
+
+// runSequential is the reference oracle without cancellation.
+func runSequential(t *testing.T, job *Job) []Result {
+	t.Helper()
+	out, err := job.RunSequential(context.Background())
+	if err != nil {
+		t.Fatalf("sequential run: %v", err)
+	}
+	return out
+}
+
+// runShared is one shared run without cancellation or stats.
+func runShared(job *Job) ([]Result, error) {
+	out, _, err := job.RunShared(context.Background())
+	return out, err
 }

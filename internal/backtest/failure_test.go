@@ -1,6 +1,7 @@
 package backtest
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/meta"
@@ -17,7 +18,7 @@ func TestUnapplicableCandidateSequential(t *testing.T) {
 		// References a rule that does not exist: Apply fails.
 		{Changes: []meta.Change{meta.DropRule{RuleID: "no-such-rule"}}},
 	}
-	res := job.RunSequential()
+	res := runSequential(t, job)
 	if len(res) != 1 {
 		t.Fatalf("results = %d", len(res))
 	}
@@ -35,7 +36,7 @@ func TestUnapplicableCandidateShared(t *testing.T) {
 		meta.DropRule{RuleID: "no-such-rule"},
 	}}
 	job.Candidates = []metaprov.Candidate{bad, good}
-	res, err := job.RunShared()
+	res, err := runShared(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,12 +54,12 @@ func TestEmptyWorkload(t *testing.T) {
 	job.Candidates = []metaprov.Candidate{{Changes: []meta.Change{
 		meta.SetConst{RuleID: "r7", Path: "sel/0/R", Old: ndlog.Int(2), New: ndlog.Int(3)},
 	}}}
-	res := job.RunSequential()
+	res := runSequential(t, job)
 	// With no traffic the symptom cannot be shown fixed: ineffective.
 	if res[0].Effective {
 		t.Fatal("no traffic, yet effective")
 	}
-	shr, err := job.RunShared()
+	shr, err := runShared(job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +71,10 @@ func TestEmptyWorkload(t *testing.T) {
 func TestNoCandidates(t *testing.T) {
 	job, _ := q1Job(t)
 	job.Candidates = nil
-	if got := job.RunSequential(); len(got) != 0 {
+	if got := runSequential(t, job); len(got) != 0 {
 		t.Fatalf("sequential results = %d", len(got))
 	}
-	shr, err := job.RunShared()
+	shr, err := runShared(job)
 	if err != nil || len(shr) != 0 {
 		t.Fatalf("shared results = %d err = %v", len(shr), err)
 	}
@@ -90,14 +91,26 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-func TestAppliedChanges(t *testing.T) {
-	c := metaprov.Candidate{Changes: []meta.Change{
+// TestChangedRuleIDs: every change kind names the one rule it can touch
+// (first-mention order, deduplicated), base-tuple edits name none, and an
+// unknown kind makes the list inexact so BuildSharedProgram falls back to
+// the full program sweep.
+func TestChangedRuleIDs(t *testing.T) {
+	ids, exact := changedRuleIDs([]meta.Change{
 		meta.SetConst{RuleID: "r7"},
 		meta.DropSel{RuleID: "r6"},
 		meta.InsertTuple{Tuple: ndlog.NewTuple("FlowTable")},
-	}}
-	rules := AppliedChanges(c)
-	if len(rules) != 2 || rules[0] != "r7" || rules[1] != "r6" {
-		t.Fatalf("rules = %v", rules)
+		meta.SetHeadTable{RuleID: "r5"},
+		meta.AddRule{Rule: &ndlog.Rule{ID: "r9"}},
+		meta.DropRule{RuleID: "r7"},
+	})
+	if want := []string{"r7", "r6", "r5", "r9"}; !exact || !slices.Equal(ids, want) {
+		t.Fatalf("ids = %v (exact %v), want %v", ids, exact, want)
+	}
+	if _, exact := changedRuleIDs([]meta.Change{unknownChange{}}); exact {
+		t.Fatal("an unrecognized change kind must not be reported exact")
 	}
 }
+
+// unknownChange is a change kind changedRuleIDs has never heard of.
+type unknownChange struct{ meta.Change }

@@ -3,23 +3,26 @@ package backtest
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"time"
 
 	"repro/internal/metaprov"
+	"repro/internal/ndlog"
 )
 
-// Pipeline backtests a *stream* of repair candidates: it fills ≤63-tag
-// shared-run batches straight from the candidate channel and launches each
-// batch on a worker pool while the producer (typically the meta-provenance
-// stream search) is still exploring — the explore and replay phases of the
-// Figure 9a breakdown overlap instead of meeting at a barrier.
+// Pipeline is the one backtest scheduler: it cuts a candidate stream into
+// ≤63-tag shared-run batches in arrival order (every BatchSize candidates,
+// remainder on stream close) and runs each batch as one Job.RunShared —
+// with its own tag-0 baseline, so verdicts do not depend on where the cuts
+// fall — on a worker pool.
 //
-// Batches are cut exactly where RunBatched would cut a materialized list
-// (every BatchSize candidates, in arrival order, remainder on stream
-// close), and each batch is one Job.RunShared with its own tag-0 baseline,
-// so per-candidate verdicts are identical to the barrier path.
+// The stream may be live: fed by the meta-provenance stream search, batches
+// launch while the producer is still exploring, and the explore and replay
+// phases of the Figure 9a breakdown overlap instead of meeting at a barrier.
+// A materialized candidate list is the same pipeline over a pre-filled,
+// closed channel; serial evaluation is Parallelism 1.
 type Pipeline struct {
 	// Job is the backtesting template; its Candidates field is ignored —
 	// candidates come from the stream.
@@ -42,6 +45,29 @@ type Pipeline struct {
 	// order (calls are serialized) — callers stream incremental verdicts
 	// from it.
 	OnBatch func(Batch)
+
+	// sequential is set by RunSequential: the batch runner is the
+	// reference oracle and the whole stream is one batch.
+	sequential bool
+}
+
+// Batch is one finished batch of a Pipeline run: a ≤63-candidate slice of
+// the candidate stream.
+type Batch struct {
+	// Index is the batch's position in the split (0-based).
+	Index int
+	// Start is the offset of the batch's first candidate in the stream.
+	Start int
+	// Results are the batch's verdicts, in candidate order.
+	Results []Result
+	// Began and Ended bound the batch's replay on the worker, so observers
+	// can reconstruct per-batch spans without re-timing.
+	Began time.Time
+	Ended time.Time
+	// Stats snapshots the batch's shared-run engine counters, including
+	// the delta-evaluation families; per-job reports accumulate them.
+	// Sequential batches leave it zero.
+	Stats ndlog.EngineStats
 }
 
 // PipelineResult is the outcome of one streamed backtesting run.
@@ -53,11 +79,11 @@ type PipelineResult struct {
 	Candidates []metaprov.Candidate
 	Results    []Result
 	Evaluated  []bool
-	// Batches counts the shared runs that completed.
+	// Batches counts the batches that completed.
 	Batches int
 	// EarlyStopped reports that FirstAccepted cut the run short.
 	EarlyStopped bool
-	// FirstBatchStart is when the first shared run launched (zero if none
+	// FirstBatchStart is when the first batch launched (zero if none
 	// did) — the overlap measurement point.
 	FirstBatchStart time.Time
 }
@@ -73,6 +99,26 @@ func (pr *PipelineResult) EvaluatedCount() int {
 	return n
 }
 
+// runBatch evaluates one batch with the pipeline's batch runner.
+func (p *Pipeline) runBatch(ctx context.Context, cands []metaprov.Candidate) ([]Result, ndlog.EngineStats, error) {
+	sub := *p.Job
+	sub.Candidates = cands
+	if p.sequential {
+		out, err := sub.RunSequential(ctx)
+		return out, ndlog.EngineStats{}, err
+	}
+	return sub.RunShared(ctx)
+}
+
+// RunSequential is Run with the batch runner swapped for the reference
+// oracle: the whole stream becomes one batch (BatchSize is ignored)
+// evaluated by Job.RunSequential, one simulation per candidate.
+func (p *Pipeline) RunSequential(ctx context.Context, cands <-chan metaprov.Candidate) (*PipelineResult, error) {
+	seq := *p
+	seq.sequential = true
+	return seq.Run(ctx, cands)
+}
+
 // Run consumes the candidate stream until it closes (or the run stops
 // early), backtesting batches as they fill. It returns the arrival-order
 // verdicts; ctx cancellation stops unstarted batches and surfaces
@@ -82,9 +128,12 @@ func (p *Pipeline) Run(ctx context.Context, cands <-chan metaprov.Candidate) (*P
 	if batchSize <= 0 || batchSize > MaxSharedCandidates {
 		batchSize = MaxSharedCandidates
 	}
+	if p.sequential {
+		batchSize = math.MaxInt
+	}
 	parallelism := p.Parallelism
 	if parallelism <= 0 {
-		parallelism = runtime.NumCPU()
+		parallelism = runtime.GOMAXPROCS(0)
 	}
 
 	runCtx, cancel := context.WithCancel(ctx)
@@ -121,16 +170,16 @@ func (p *Pipeline) Run(ctx context.Context, cands <-chan metaprov.Candidate) (*P
 				if runCtx.Err() != nil {
 					continue // drain: the batch stays unevaluated
 				}
-				sub := *p.Job
-				sub.Candidates = sp.cands
 				began := time.Now()
 				// The run's replay watches runCtx, so a FirstAccepted stop
 				// (or a failure elsewhere) aborts in-flight batches mid-replay
 				// instead of letting them finish silently.
-				out, st, err := sub.runShared(runCtx)
+				out, st, err := p.runBatch(runCtx, sp.cands)
 				ended := time.Now()
 				mu.Lock()
 				if err != nil {
+					// A replay aborted by cancellation is a drain, not a
+					// batch failure: someone asked the pool to stop.
 					if firstErr == nil && runCtx.Err() == nil {
 						firstErr = fmt.Errorf("backtest: batch %d: %w", sp.idx, err)
 						stopSearch()

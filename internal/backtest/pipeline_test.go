@@ -42,39 +42,153 @@ func feed(cands []metaprov.Candidate) <-chan metaprov.Candidate {
 }
 
 // TestPipelineMatchesBatched: filling batches from a stream must produce
-// exactly the verdicts of the materialized batched run.
+// exactly what hand-cut batches do. The reference is independent of the
+// pipeline's scheduler: one direct RunShared per hand-cut batch for the
+// exact verdicts and engine counters, plus the RunSequential oracle for
+// the accept/effective decisions. A materialized list (pre-filled, closed
+// channel) and a live stream must both match it at any pool width.
 func TestPipelineMatchesBatched(t *testing.T) {
 	job, cands := pipelineJob(t, 12)
+	const batchSize = 4
+	ctx := context.Background()
 
-	job.Candidates = cands
-	ref, err := job.RunBatched(context.Background(), 2, 4, nil)
-	if err != nil {
-		t.Fatal(err)
+	type cut struct {
+		start int
+		out   []Result
+		stats ndlog.EngineStats
 	}
-
-	p := &Pipeline{Job: job, BatchSize: 4, Parallelism: 2}
-	res, err := p.Run(context.Background(), feed(cands))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Results) != len(ref) {
-		t.Fatalf("pipeline results = %d, batched = %d", len(res.Results), len(ref))
-	}
-	if res.EvaluatedCount() != len(cands) {
-		t.Fatalf("evaluated %d of %d", res.EvaluatedCount(), len(cands))
-	}
-	wantBatches := (len(cands) + 3) / 4
-	if res.Batches != wantBatches {
-		t.Fatalf("batches = %d, want %d", res.Batches, wantBatches)
-	}
-	for i := range ref {
-		if res.Results[i].Accepted != ref[i].Accepted || res.Results[i].Effective != ref[i].Effective {
-			t.Errorf("candidate %d (%s): pipeline accepted=%v effective=%v, batched accepted=%v effective=%v",
-				i, ref[i].Candidate.Describe(),
-				res.Results[i].Accepted, res.Results[i].Effective, ref[i].Accepted, ref[i].Effective)
+	var cuts []cut
+	var ref []Result
+	for start := 0; start < len(cands); start += batchSize {
+		sub := *job
+		sub.Candidates = cands[start:min(start+batchSize, len(cands))]
+		out, st, err := sub.RunShared(ctx)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if res.Results[i].KS != ref[i].KS {
-			t.Errorf("candidate %d: pipeline KS %v != batched %v", i, res.Results[i].KS, ref[i].KS)
+		cuts = append(cuts, cut{start: start, out: out, stats: st})
+		ref = append(ref, out...)
+	}
+	seqJob := *job
+	seqJob.Candidates = cands
+	seq := runSequential(t, &seqJob)
+
+	prefilled := func() <-chan metaprov.Candidate {
+		ch := make(chan metaprov.Candidate, len(cands))
+		for _, c := range cands {
+			ch <- c
+		}
+		close(ch)
+		return ch
+	}
+	for _, tc := range []struct {
+		name        string
+		parallelism int
+		stream      func() <-chan metaprov.Candidate
+	}{
+		{"live/2", 2, func() <-chan metaprov.Candidate { return feed(cands) }},
+		{"materialized/1", 1, prefilled},
+		{"materialized/4", 4, prefilled},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var batches []Batch
+			p := &Pipeline{Job: job, BatchSize: batchSize, Parallelism: tc.parallelism,
+				OnBatch: func(b Batch) { batches = append(batches, b) }}
+			res, err := p.Run(ctx, tc.stream())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Results) != len(ref) || res.EvaluatedCount() != len(cands) {
+				t.Fatalf("pipeline results = %d (%d evaluated), reference = %d",
+					len(res.Results), res.EvaluatedCount(), len(ref))
+			}
+			if res.Batches != len(cuts) || len(batches) != len(cuts) {
+				t.Fatalf("batches = %d (%d observed), want %d", res.Batches, len(batches), len(cuts))
+			}
+			for i := range ref {
+				got := res.Results[i]
+				if got.Accepted != ref[i].Accepted || got.Effective != ref[i].Effective || got.KS != ref[i].KS {
+					t.Errorf("candidate %d (%s): pipeline %+v, hand-cut shared run %+v",
+						i, ref[i].Candidate.Describe(), got, ref[i])
+				}
+				if got.Accepted != seq[i].Accepted || got.Effective != seq[i].Effective {
+					t.Errorf("candidate %d (%s): pipeline accepted=%v effective=%v, sequential oracle accepted=%v effective=%v",
+						i, seq[i].Candidate.Describe(), got.Accepted, got.Effective, seq[i].Accepted, seq[i].Effective)
+				}
+			}
+			// Batch bookkeeping: the cuts fall where the hand-cut ones do and
+			// every batch carries its own shared run's counters and bounds.
+			for _, b := range batches {
+				if b.Index < 0 || b.Index >= len(cuts) {
+					t.Fatalf("batch index %d out of range", b.Index)
+				}
+				want := cuts[b.Index]
+				if b.Start != want.start || len(b.Results) != len(want.out) {
+					t.Errorf("batch %d covers [%d,+%d), want [%d,+%d)",
+						b.Index, b.Start, len(b.Results), want.start, len(want.out))
+				}
+				if b.Stats != want.stats {
+					t.Errorf("batch %d engine stats %+v, hand-cut run %+v", b.Index, b.Stats, want.stats)
+				}
+				if b.Began.IsZero() || b.Ended.Before(b.Began) {
+					t.Errorf("batch %d has incoherent bounds [%v, %v]", b.Index, b.Began, b.Ended)
+				}
+			}
+		})
+	}
+}
+
+// TestPipelineDefaultParallelism: an unset Parallelism means GOMAXPROCS, not
+// the machine's CPU count — a process confined to one P must run one shared
+// replay at a time.
+func TestPipelineDefaultParallelism(t *testing.T) {
+	job, cands := pipelineJob(t, 12)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
+	var batches []Batch
+	p := &Pipeline{Job: job, BatchSize: 2,
+		OnBatch: func(b Batch) { batches = append(batches, b) }}
+	if _, err := p.Run(context.Background(), feed(cands)); err != nil {
+		t.Fatal(err)
+	}
+	if len(batches) < 3 {
+		t.Fatalf("only %d batches ran", len(batches))
+	}
+	for i, a := range batches {
+		for _, b := range batches[i+1:] {
+			if a.Began.Before(b.Ended) && b.Began.Before(a.Ended) {
+				t.Fatalf("batches %d [%v, %v] and %d [%v, %v] were in flight together under GOMAXPROCS(1)",
+					a.Index, a.Began, a.Ended, b.Index, b.Began, b.Ended)
+			}
+		}
+	}
+}
+
+// TestPipelineSequentialRunner: RunSequential swaps the batch runner for the
+// reference oracle — the whole stream is one batch of per-candidate
+// simulations, whatever BatchSize says, with no shared-run counters.
+func TestPipelineSequentialRunner(t *testing.T) {
+	job, cands := pipelineJob(t, 6)
+	seqJob := *job
+	seqJob.Candidates = cands
+	want := runSequential(t, &seqJob)
+
+	var batches []Batch
+	p := &Pipeline{Job: job, BatchSize: 2, Parallelism: 2,
+		OnBatch: func(b Batch) { batches = append(batches, b) }}
+	res, err := p.RunSequential(context.Background(), feed(cands))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Batches != 1 || len(batches) != 1 || batches[0].Start != 0 || len(batches[0].Results) != len(cands) {
+		t.Fatalf("sequential run was not one batch over the stream: %d batches, %+v", res.Batches, batches)
+	}
+	if batches[0].Stats != (ndlog.EngineStats{}) {
+		t.Fatalf("sequential batch carries shared-run counters: %+v", batches[0].Stats)
+	}
+	for i := range want {
+		if got := res.Results[i]; got.Accepted != want[i].Accepted || got.Effective != want[i].Effective || got.KS != want[i].KS {
+			t.Errorf("candidate %d: pipeline %+v, RunSequential %+v", i, got, want[i])
 		}
 	}
 }
@@ -222,7 +336,7 @@ func TestPipelineFirstAcceptedAbortsInflight(t *testing.T) {
 	// Find an accepted candidate so every batch below contains one.
 	ref := *job
 	ref.Candidates = cands
-	refOut, err := ref.RunShared()
+	refOut, err := runShared(&ref)
 	if err != nil {
 		t.Fatal(err)
 	}

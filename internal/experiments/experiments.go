@@ -210,7 +210,8 @@ func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow,
 	}
 	timeStrategy := func(k int, strat metarepair.Strategy) (time.Duration, error) {
 		start := time.Now()
-		run, err := sess.Evaluate(ctx, cands[:k], s.Backtest(), metarepair.WithStrategy(strat))
+		run, err := sess.Evaluate(ctx, cands[:k], s.Backtest(),
+			metarepair.WithStrategy(strat), metarepair.WithParallelism(1))
 		if err != nil {
 			return 0, err
 		}
@@ -225,7 +226,7 @@ func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow,
 		if err != nil {
 			return nil, err
 		}
-		shr, err := timeStrategy(k, metarepair.StrategySerial)
+		shr, err := timeStrategy(k, metarepair.StrategyParallel)
 		if err != nil {
 			return nil, err
 		}
@@ -520,7 +521,7 @@ func AblationCoalescing(ctx context.Context, sc scenarios.Scale) (with, without 
 	timeCoalesce := func(on bool) (time.Duration, error) {
 		start := time.Now()
 		run, err := sess.Evaluate(ctx, expl.Candidates, s.Backtest(),
-			metarepair.WithStrategy(metarepair.StrategySerial), metarepair.WithCoalesce(on))
+			metarepair.WithParallelism(1), metarepair.WithCoalesce(on))
 		if err != nil {
 			return 0, err
 		}

@@ -36,7 +36,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // EvalMode selects how the engine evaluates rule triggers.
@@ -50,9 +49,7 @@ const (
 	// group's join once under the union tag mask, and replays the bindings
 	// through the members with precompiled guard schedules. Derivations,
 	// their order, and all observable behavior are identical to EvalFull;
-	// only the amount of repeated work differs. Engines using
-	// JoinLegacySorted ignore delta mode (the legacy oracle predates the
-	// planner the grouping relies on).
+	// only the amount of repeated work differs.
 	EvalDelta
 )
 
@@ -62,18 +59,6 @@ func (m EvalMode) String() string {
 		return "delta"
 	}
 	return "full"
-}
-
-var defaultEvalMode atomic.Uint32
-
-// DefaultEvalMode returns the mode NewEngine gives new engines.
-func DefaultEvalMode() EvalMode { return EvalMode(defaultEvalMode.Load()) }
-
-// SetDefaultEvalMode sets the mode for subsequently constructed engines and
-// returns the previous default. Like SetDefaultJoinStrategy, it exists so
-// differential tests can run whole pipelines against either path.
-func SetDefaultEvalMode(m EvalMode) EvalMode {
-	return EvalMode(defaultEvalMode.Swap(uint32(m)))
 }
 
 // EvalMode returns the engine's active evaluation mode.
@@ -583,11 +568,7 @@ func (e *Engine) AssertRule(r *Rule) ([]Tuple, error) {
 		}
 		bound := make([]*Row, len(r.Body))
 		bound[seed] = row
-		if e.strategy == JoinLegacySorted {
-			work = append(work, e.joinLegacy(r, seed, env, rtags, bound, 0)...)
-		} else {
-			work = append(work, e.joinStep(plans[seed], 0, env, rtags, bound)...)
-		}
+		work = append(work, e.joinStep(plans[seed], 0, env, rtags, bound)...)
 	}
 	appeared := e.run(work, nil)
 	e.Stats.DeltaInserts += int64(len(appeared))

@@ -1,15 +1,10 @@
 // Differential property tests for the evaluation core: randomized
-// stratified programs and insert/delete interleavings run under the three
-// join strategies, asserting
-//
-//   - JoinIndexed ≡ JoinScan event-for-event: appearance streams,
-//     derivations, underivations, disappearances, provenance graphs, and
-//     aggregate values are identical in content AND order — the hash
-//     indexes prune only rows unification would reject, in the same order
-//     a sequential scan would visit them;
-//   - JoinIndexed ≡ JoinLegacySorted up to within-round enumeration order:
-//     the seed's sort-per-join engine produces the same event multiset,
-//     final table contents, and provenance facts.
+// stratified programs and insert/delete interleavings run under both join
+// strategies, asserting JoinIndexed ≡ JoinScan event-for-event: appearance
+// streams, derivations, underivations, disappearances, provenance graphs,
+// and aggregate values are identical in content AND order — the hash
+// indexes prune only rows unification would reject, in the same order a
+// sequential scan would visit them.
 package ndlog_test
 
 import (
@@ -307,21 +302,6 @@ func TestDifferentialIndexedVsOracles(t *testing.T) {
 			}
 			if scan.stats.IndexLookups != 0 {
 				t.Fatalf("scan oracle consulted an index: %+v", scan.stats)
-			}
-
-			// Multiset equivalence against the seed's sorted-scan join,
-			// valid when whole tuples are keys (no replacement races).
-			if allKeys {
-				legacy := runDiff(t, spec, ndlog.JoinLegacySorted)
-				if d := diffStreams(sortedCopy(indexed.events), sortedCopy(legacy.events)); d != "" {
-					t.Fatalf("indexed vs legacy event multisets differ: %s", d)
-				}
-				if d := diffStreams(sortedCopy(indexed.tables), sortedCopy(legacy.tables)); d != "" {
-					t.Fatalf("indexed vs legacy final tables differ: %s", d)
-				}
-				if d := diffStreams(sortedCopy(indexed.prov), sortedCopy(legacy.prov)); d != "" {
-					t.Fatalf("indexed vs legacy provenance differs: %s", d)
-				}
 			}
 		})
 	}

@@ -2,7 +2,6 @@ package ndlog
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 )
@@ -52,12 +51,6 @@ const (
 	// insertion order, JoinScan is event-for-event identical to JoinIndexed
 	// — it is the differential oracle proving the indexes prune nothing.
 	JoinScan
-	// JoinLegacySorted reproduces the seed engine's join: body atoms in
-	// source order, every extension scanning the whole partner table in
-	// primary-key-sorted order (the sort-per-join this refactor removes).
-	// Verdicts and provenance must agree with JoinIndexed up to within-round
-	// enumeration order; the scenario-level differential test checks it.
-	JoinLegacySorted
 )
 
 var defaultJoinStrategy atomic.Uint32
@@ -68,7 +61,7 @@ func DefaultJoinStrategy() JoinStrategy { return JoinStrategy(defaultJoinStrateg
 // SetDefaultJoinStrategy sets the strategy for subsequently constructed
 // engines and returns the previous default. It exists so differential tests
 // can run whole pipelines — which construct engines many layers down —
-// against the scan or legacy oracle.
+// against the scan oracle.
 func SetDefaultJoinStrategy(s JoinStrategy) JoinStrategy {
 	return JoinStrategy(defaultJoinStrategy.Swap(uint32(s)))
 }
@@ -190,7 +183,6 @@ func NewEngine(prog *Program) (*Engine, error) {
 		aggs:     make(map[string]*aggState),
 		Funcs:    make(map[string]Func),
 		strategy: DefaultJoinStrategy(),
-		mode:     DefaultEvalMode(),
 	}
 	e.guardPlans = make(map[*Rule]*guardPlan)
 	RegisterBuiltins(e)
@@ -509,7 +501,7 @@ func (e *Engine) storeNew(tbl *table, t Tuple, item workItem) *Row {
 // fire evaluates every rule triggered by the new row, restricted to tags.
 // bound is positional: bound[i] is the row matched to body atom i.
 func (e *Engine) fire(row *Row, tags uint64) []workItem {
-	if e.mode == EvalDelta && e.strategy != JoinLegacySorted {
+	if e.mode == EvalDelta {
 		return e.fireDelta(row, tags)
 	}
 	var out []workItem
@@ -524,11 +516,7 @@ func (e *Engine) fire(row *Row, tags uint64) []workItem {
 		}
 		bound := make([]*Row, len(p.rule.Body))
 		bound[p.pred] = row
-		if e.strategy == JoinLegacySorted {
-			out = append(out, e.joinLegacy(p.rule, p.pred, env, rtags, bound, 0)...)
-		} else {
-			out = append(out, e.joinStep(p, 0, env, rtags, bound)...)
-		}
+		out = append(out, e.joinStep(p, 0, env, rtags, bound)...)
 	}
 	return out
 }
@@ -592,42 +580,6 @@ func hasWildKey(key []keyCol, env Env) bool {
 		}
 	}
 	return false
-}
-
-// joinLegacy reproduces the seed's join for the JoinLegacySorted oracle:
-// body positions in source order, the partner table sorted by primary key
-// and scanned in full on every extension.
-func (e *Engine) joinLegacy(r *Rule, pred int, env Env, tags uint64, bound []*Row, idx int) []workItem {
-	if idx == len(r.Body) {
-		return e.emit(r, pred, env, tags, bound)
-	}
-	if idx == pred {
-		return e.joinLegacy(r, pred, env, tags, bound, idx+1)
-	}
-	f := r.Body[idx]
-	tbl := e.tables[f.Table]
-	if tbl == nil || tbl.live == 0 {
-		return nil
-	}
-	rows := tbl.snapshot()
-	sort.Slice(rows, func(i, j int) bool { return rows[i].key < rows[j].key })
-	e.Stats.Scans++
-	e.Stats.ScanRows += int64(len(rows))
-	var out []workItem
-	for _, other := range rows {
-		jt := tags & other.Tuple.Tags
-		if jt == 0 {
-			continue
-		}
-		env2, ok := e.unify(env, f, other.Tuple)
-		if !ok {
-			continue
-		}
-		bound[idx] = other
-		out = append(out, e.joinLegacy(r, pred, env2, jt, bound, idx+1)...)
-	}
-	bound[idx] = nil
-	return out
 }
 
 // emit checks guards and derives the head for a fully-bound rule body.

@@ -17,22 +17,23 @@ import (
 //	capture.start       Dir (live capture attached to a network)
 //	capture.done        Dir, Entries, Bytes, Segments
 //	replay.open         Dir, Entries, Bytes, Segments (store-backed workload)
-//	backtest.start      Parallelism, Strategy — plus Candidates and
-//	                    Batches under the barrier composition; the
-//	                    streaming pipeline starts before the counts are
-//	                    known and marks Strategy "parallel/streaming"
-//	                    (or "parallel/first-accepted")
+//	backtest.start      Parallelism, Strategy ("<strategy>/<producer>":
+//	                    "parallel/streaming", "parallel/first-accepted",
+//	                    "parallel/barrier", "sequential/…") — plus
+//	                    Candidates and Batches when the candidate list
+//	                    was materialized before backtesting began; a
+//	                    live search starts before the counts are known
 //	batch.done          Batch, Size, Elapsed
 //	suggestion          Index, Desc, Accepted, KS
 //	pipeline.overlap    Elapsed (explore ∩ replay concurrency, streaming mode)
 //	pipeline.stop       Index (first accepted candidate; PipelineFirstAccepted)
 //	report              Candidates, Accepted, Elapsed
 //	span.start          Span, Parent — a timed pipeline region opened; batch
-//	                    spans also carry Batch. Worker-timed spans (batch,
-//	                    and backtest under the streaming composition) are
-//	                    emitted retroactively with Time set to the measured
-//	                    boundary, so they can trail their children in stream
-//	                    order while the timestamps stay truthful.
+//	                    spans also carry Batch. Worker-timed spans (batch
+//	                    and backtest) are emitted retroactively with Time
+//	                    set to the measured boundary, so they can trail
+//	                    their children in stream order while the
+//	                    timestamps stay truthful.
 //	span.end            Span, Parent, Elapsed (plus Batch on batch spans)
 //
 // The scenario suite runner emits cell-level events through the same

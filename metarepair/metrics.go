@@ -3,6 +3,7 @@ package metarepair
 import (
 	"sync"
 
+	"repro/internal/ndlog"
 	"repro/internal/obsv"
 )
 
@@ -97,4 +98,56 @@ func (m *MetricsSink) Emit(e Event) {
 		}
 		m.suggestions.With(verdict).Inc()
 	}
+}
+
+// EngineMetrics is the ndlog_* family catalogue both binaries expose: the
+// session engine's work counters as ndlog_engine_ops_total{op} and the
+// shared backtest runs' incremental-evaluation work as four ndlog_delta_*
+// counters. Like MetricsSink, create one per registry.
+type EngineMetrics struct {
+	ops              *obsv.CounterVec
+	deltaInserts     *obsv.Counter
+	deltaRetractions *obsv.Counter
+	deltaRecounted   *obsv.Counter
+	deltaGroupJoins  *obsv.Counter
+}
+
+// NewEngineMetrics registers the ndlog_* families on reg.
+func NewEngineMetrics(reg *obsv.Registry) *EngineMetrics {
+	return &EngineMetrics{
+		ops: reg.CounterVec("ndlog_engine_ops_total",
+			"NDlog engine work performed by finished runs, by operation.", "op"),
+		deltaInserts: reg.Counter("ndlog_delta_inserts_total",
+			"Tuples derived while asserting candidate rules as deltas in shared backtest runs."),
+		deltaRetractions: reg.Counter("ndlog_delta_retractions_total",
+			"Derivations retracted (directly or by cascade) while removing candidate rules as deltas."),
+		deltaRecounted: reg.Counter("ndlog_delta_recounted_tuples_total",
+			"Tuples whose support count was adjusted without changing visibility during delta edits."),
+		deltaGroupJoins: reg.Counter("ndlog_delta_group_joins_total",
+			"Shared joins performed by delta-grouped evaluation; each serves a whole trigger group."),
+	}
+}
+
+// Record folds one finished run into the totals: session is the run's own
+// engine snapshot (Session.EngineStats — each run has its own session, so
+// it is exactly that run's work) and report the counters aggregated across
+// its shared backtest batches (Report.Engine).
+func (m *EngineMetrics) Record(session, report ndlog.EngineStats) {
+	for _, c := range []struct {
+		op string
+		n  int64
+	}{
+		{"firings", session.Firings}, {"derivations", session.Derivations},
+		{"inserts", session.Inserts}, {"deletes", session.Deletes}, {"sends", session.Sends},
+		{"index_lookups", session.IndexLookups}, {"index_rows", session.IndexRows},
+		{"scans", session.Scans}, {"scan_rows", session.ScanRows},
+	} {
+		if c.n > 0 {
+			m.ops.With(c.op).Add(c.n)
+		}
+	}
+	m.deltaInserts.Add(report.DeltaInserts)
+	m.deltaRetractions.Add(report.DeltaRetractions)
+	m.deltaRecounted.Add(report.RecountedTuples)
+	m.deltaGroupJoins.Add(report.GroupJoins)
 }

@@ -9,32 +9,27 @@ import (
 	"repro/internal/tracestore"
 )
 
-// Strategy selects how a candidate set is backtested.
+// Strategy selects the batch runner of the backtest pipeline.
 type Strategy int
 
 const (
-	// StrategyParallel (the default) splits candidates into shared-run
-	// batches of at most the configured batch size and evaluates the
-	// batches concurrently on a worker pool.
+	// StrategyParallel (the default) evaluates candidates in tagged shared
+	// runs (§4.4): the set is cut into batches of at most the configured
+	// batch size, run on WithParallelism workers — WithParallelism(1) is
+	// the serial form.
 	StrategyParallel Strategy = iota
-	// StrategySerial runs the same batches one after another — the §4.4
-	// multi-query optimization without worker-pool concurrency.
-	StrategySerial
-	// StrategySequential replays each candidate in its own simulation
-	// (the upper curve of Figure 9b); used by ablation experiments.
+	// StrategySequential replays each candidate in its own simulation, as
+	// one batch (the upper curve of Figure 9b) — the reference oracle,
+	// used by ablation experiments.
 	StrategySequential
 )
 
 // String names the strategy for event logs.
 func (s Strategy) String() string {
-	switch s {
-	case StrategySerial:
-		return "serial"
-	case StrategySequential:
+	if s == StrategySequential {
 		return "sequential"
-	default:
-		return "parallel"
 	}
+	return "parallel"
 }
 
 // EvalMode selects how shared-run backtests evaluate the NDlog program.
@@ -79,9 +74,9 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	return EvalDelta, fmt.Errorf("metarepair: unknown eval mode %q (want full or delta)", s)
 }
 
-// PipelineMode selects how exploration and backtesting are composed under
-// StrategyParallel. The other strategies always use the barrier
-// composition.
+// PipelineMode selects where Stream's backtest pipeline gets its
+// candidates from — the live search or a materialized list — and whether
+// the first accepted repair stops it.
 type PipelineMode int
 
 const (
@@ -90,11 +85,11 @@ const (
 	// backtesting starts while exploration is still producing, and the
 	// two phases overlap (reported as Timing.Overlap and the
 	// pipeline.overlap event). Candidate order, batch composition, and
-	// every verdict are identical to the barrier composition.
+	// every verdict are identical to PipelineBarrier.
 	PipelineStreaming PipelineMode = iota
 	// PipelineBarrier materializes the full candidate list before the
-	// first batch launches — the pre-streaming composition, kept for
-	// ablation experiments and phase-isolating benchmarks.
+	// first batch launches — the same pipeline fed from a closed channel,
+	// kept for ablation experiments and phase-isolating benchmarks.
 	PipelineBarrier
 	// PipelineFirstAccepted is PipelineStreaming plus early stop: the
 	// first accepted repair cancels the search and the unstarted batches,
@@ -103,7 +98,7 @@ const (
 	PipelineFirstAccepted
 )
 
-// String names the pipeline mode for event logs.
+// String names the pipeline mode for flags and event logs.
 func (m PipelineMode) String() string {
 	switch m {
 	case PipelineBarrier:
@@ -113,6 +108,20 @@ func (m PipelineMode) String() string {
 	default:
 		return "streaming"
 	}
+}
+
+// ParsePipelineMode resolves a flag or request value ("streaming",
+// "barrier" or "first-accepted"; empty means the default).
+func ParsePipelineMode(s string) (PipelineMode, error) {
+	switch s {
+	case "streaming", "":
+		return PipelineStreaming, nil
+	case "barrier":
+		return PipelineBarrier, nil
+	case "first-accepted":
+		return PipelineFirstAccepted, nil
+	}
+	return PipelineStreaming, fmt.Errorf("metarepair: unknown pipeline mode %q (want streaming, barrier or first-accepted)", s)
 }
 
 // Budget bounds the meta-provenance search (§3.5). Zero-valued fields
@@ -217,7 +226,7 @@ type Option func(*options)
 // is generated and the surplus is dropped *visibly* — reported in
 // Report.Dropped and emitted as a "candidates.dropped" event — never
 // silently truncated. Zero or negative removes the cap; an uncapped
-// session always uses the barrier composition (see WithPipelineMode).
+// session always materializes its candidates first (see WithPipelineMode).
 func WithMaxCandidates(n int) Option { return func(o *options) { o.maxCandidates = n } }
 
 // WithAlpha sets the KS significance level for the §4.3 disruption test
@@ -233,9 +242,10 @@ func WithBudget(b Budget) Option { return func(o *options) { o.budget = b } }
 // true).
 func WithCoalesce(on bool) Option { return func(o *options) { o.coalesce = on } }
 
-// WithParallelism sets the worker-pool width for batched backtesting
-// (default: GOMAXPROCS via runtime.NumCPU). Zero or negative counts are
-// a configuration error — omit the option to get the default.
+// WithParallelism sets the backtest pipeline's worker-pool width — how many
+// shared-run batches replay at once (default runtime.GOMAXPROCS(0); 1 runs
+// the batches one after another). Zero or negative counts are a
+// configuration error — omit the option to get the default.
 func WithParallelism(n int) Option {
 	return func(o *options) {
 		if n < 1 {
@@ -263,8 +273,9 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithStrategy selects the backtesting strategy (default
-// StrategyParallel).
+// WithStrategy selects the pipeline's batch runner (default
+// StrategyParallel, tagged shared runs); StrategySequential swaps in the
+// one-simulation-per-candidate reference oracle.
 func WithStrategy(s Strategy) Option { return func(o *options) { o.strategy = s } }
 
 // WithEvalMode selects the shared-run evaluation mode (default EvalDelta).
@@ -272,12 +283,13 @@ func WithStrategy(s Strategy) Option { return func(o *options) { o.strategy = s 
 // for differential runs and ablations.
 func WithEvalMode(m EvalMode) Option { return func(o *options) { o.eval = m } }
 
-// WithPipelineMode selects how exploration composes with backtesting under
-// StrategyParallel (default PipelineStreaming). PipelineBarrier restores
-// the explore-everything-first composition; PipelineFirstAccepted stops
-// the whole pipeline at the first accepted repair. The streaming modes
-// need a finite WithMaxCandidates cap (it sizes the suggestion buffer);
-// with the cap disabled, runs use the barrier composition regardless.
+// WithPipelineMode selects the candidate producer of Stream and Repair
+// (default PipelineStreaming: the live search). PipelineBarrier explores
+// everything first and feeds the materialized list; PipelineFirstAccepted
+// stops the whole pipeline at the first accepted repair, whichever the
+// producer. The live producer needs a finite WithMaxCandidates cap (it
+// sizes the suggestion buffer); with the cap disabled, runs materialize
+// their candidates regardless.
 func WithPipelineMode(m PipelineMode) Option { return func(o *options) { o.pipeline = m } }
 
 // WithExploreWorkers sizes the concurrent forest search's worker pool for

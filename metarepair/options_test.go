@@ -157,12 +157,34 @@ func TestOptionValidationKeepsFirstError(t *testing.T) {
 func TestStrategyNames(t *testing.T) {
 	names := map[Strategy]string{
 		StrategyParallel:   "parallel",
-		StrategySerial:     "serial",
 		StrategySequential: "sequential",
 	}
 	for s, want := range names {
 		if s.String() != want {
 			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
+		}
+	}
+}
+
+// TestParsePipelineMode: the flag/JSON vocabulary round-trips through
+// String, empty means the default, and an unknown value's error names the
+// whole menu (the CLI and the daemon both surface it verbatim).
+func TestParsePipelineMode(t *testing.T) {
+	for _, m := range []PipelineMode{PipelineStreaming, PipelineBarrier, PipelineFirstAccepted} {
+		if got, err := ParsePipelineMode(m.String()); err != nil || got != m {
+			t.Errorf("ParsePipelineMode(%q) = %v, %v", m.String(), got, err)
+		}
+	}
+	if got, err := ParsePipelineMode(""); err != nil || got != PipelineStreaming {
+		t.Errorf(`ParsePipelineMode("") = %v, %v, want the streaming default`, got, err)
+	}
+	_, err := ParsePipelineMode("eager")
+	if err == nil {
+		t.Fatal("unknown mode accepted")
+	}
+	for _, want := range []string{"eager", "streaming", "barrier", "first-accepted"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not mention %q", err, want)
 		}
 	}
 }

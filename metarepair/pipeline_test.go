@@ -2,11 +2,14 @@ package metarepair_test
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/backtest"
 	"repro/metarepair"
 )
 
@@ -132,5 +135,151 @@ func TestExploreWorkersOptionEquivalence(t *testing.T) {
 			t.Fatalf("candidate %d differs: %s (accepted %v) vs %s (accepted %v)",
 				i, a.Candidate.Describe(), a.Accepted, b.Candidate.Describe(), b.Accepted)
 		}
+	}
+}
+
+// sameVerdict compares everything a backtest decides about one candidate.
+func sameVerdict(a, b backtest.Result) bool {
+	return a.Candidate.Signature() == b.Candidate.Signature() &&
+		a.Accepted == b.Accepted && a.Effective == b.Effective &&
+		a.KS == b.KS && a.P == b.P && a.PacketInFactor == b.PacketInFactor
+}
+
+// TestOneCompositionAllProducers: Evaluate(slice), Stream under
+// PipelineBarrier and the streaming producer all run through the same
+// backtest pipeline and the same report assembler, so at any pool width
+// they must agree on every verdict, the batch each candidate ran in, the
+// batch and evaluated counts, the aggregated engine counters, the span
+// hierarchy and the per-batch/per-suggestion events — and a first-accepted
+// run, from either producer, must be a verdict-identical subset.
+func TestOneCompositionAllProducers(t *testing.T) {
+	ctx := context.Background()
+	type outcome struct {
+		report   *metarepair.Report
+		streamed map[int]int // Suggestion.Index -> Batch, as streamed
+		events   map[string]int
+		spans    []string // "name<parent#index", sorted, explore excluded
+		explored bool
+	}
+	run := func(t *testing.T, producer string, opts ...metarepair.Option) outcome {
+		t.Helper()
+		sink := &collectSink{}
+		sess, wl := runDiagnostic(t)
+		opts = append(opts, metarepair.WithBatchSize(2), metarepair.WithEventSink(sink))
+		var r *metarepair.Run
+		var err error
+		if producer == "evaluate" {
+			expl, xerr := sess.Explore(ctx, miniSymptom())
+			if xerr != nil {
+				t.Fatal(xerr)
+			}
+			r, err = sess.Evaluate(ctx, expl.Candidates, miniBacktest(wl), opts...)
+		} else {
+			r, err = sess.Stream(ctx, miniSymptom(), miniBacktest(wl), opts...)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := outcome{streamed: make(map[int]int), events: make(map[string]int)}
+		for sg := range r.Suggestions() {
+			if _, dup := out.streamed[sg.Index]; dup {
+				t.Fatalf("candidate %d streamed twice", sg.Index)
+			}
+			out.streamed[sg.Index] = sg.Batch
+		}
+		if out.report, err = r.Wait(); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range sink.snapshot() {
+			out.events[e.Kind]++
+		}
+		for _, sp := range out.report.Spans {
+			if sp.Name == metarepair.SpanExplore {
+				out.explored = true
+				continue
+			}
+			out.spans = append(out.spans, fmt.Sprintf("%s<%s#%d", sp.Name, sp.Parent, sp.Index))
+		}
+		slices.Sort(out.spans)
+		return out
+	}
+
+	ref := run(t, "barrier", metarepair.WithPipelineMode(metarepair.PipelineBarrier), metarepair.WithParallelism(1))
+	if ref.report.Batches < 3 || ref.report.Accepted == 0 {
+		t.Fatalf("reference run too small to be telling: %d batches, %d accepted", ref.report.Batches, ref.report.Accepted)
+	}
+	for _, tc := range []struct {
+		producer string
+		mode     metarepair.PipelineMode
+	}{
+		{"evaluate", metarepair.PipelineStreaming},
+		{"barrier", metarepair.PipelineBarrier},
+		{"streaming", metarepair.PipelineStreaming},
+	} {
+		for _, width := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/%d", tc.producer, width), func(t *testing.T) {
+				got := run(t, tc.producer, metarepair.WithPipelineMode(tc.mode), metarepair.WithParallelism(width))
+				rep, want := got.report, ref.report
+				if len(rep.Results) != len(want.Results) {
+					t.Fatalf("%d results, want %d", len(rep.Results), len(want.Results))
+				}
+				for i := range want.Results {
+					if !sameVerdict(rep.Results[i], want.Results[i]) {
+						t.Errorf("candidate %d: %+v, want %+v", i, rep.Results[i], want.Results[i])
+					}
+				}
+				if rep.Batches != want.Batches || rep.Evaluated != want.Evaluated || rep.EarlyStopped {
+					t.Errorf("batches %d evaluated %d early-stopped %v, want %d / %d / false",
+						rep.Batches, rep.Evaluated, rep.EarlyStopped, want.Batches, want.Evaluated)
+				}
+				if rep.Engine != want.Engine {
+					t.Errorf("engine counters %+v, want %+v", rep.Engine, want.Engine)
+				}
+				if len(got.streamed) != len(rep.Suggestions) {
+					t.Errorf("%d suggestions streamed, %d in the report", len(got.streamed), len(rep.Suggestions))
+				}
+				for i, sg := range rep.Suggestions {
+					if sg.Batch != sg.Index/2 || got.streamed[sg.Index] != sg.Batch {
+						t.Errorf("candidate %d: report batch %d, streamed batch %d, want %d",
+							sg.Index, sg.Batch, got.streamed[sg.Index], sg.Index/2)
+					}
+					if ws := want.Suggestions[i]; sg.Rank != ws.Rank || sg.Index != ws.Index {
+						t.Errorf("rank %d is candidate %d, want candidate %d", sg.Rank, sg.Index, ws.Index)
+					}
+				}
+				if !slices.Equal(got.spans, ref.spans) {
+					t.Errorf("spans %v, want %v", got.spans, ref.spans)
+				}
+				if got.explored != (tc.producer != "evaluate") {
+					t.Errorf("explore span present = %v under producer %s", got.explored, tc.producer)
+				}
+				for _, kind := range []string{"backtest.start", "batch.done", "suggestion", "report"} {
+					if got.events[kind] != ref.events[kind] {
+						t.Errorf("%d %s events, want %d", got.events[kind], kind, ref.events[kind])
+					}
+				}
+			})
+		}
+	}
+
+	// First-accepted is orthogonal to the producer: whatever it evaluated
+	// before stopping carries the full run's verdicts.
+	for _, producer := range []string{"evaluate", "streaming"} {
+		t.Run("first-accepted/"+producer, func(t *testing.T) {
+			got := run(t, producer, metarepair.WithPipelineMode(metarepair.PipelineFirstAccepted), metarepair.WithParallelism(1))
+			rep := got.report
+			if !rep.EarlyStopped || rep.Accepted == 0 || rep.Evaluated >= ref.report.Evaluated {
+				t.Fatalf("early-stopped %v, accepted %d, evaluated %d of %d",
+					rep.EarlyStopped, rep.Accepted, rep.Evaluated, ref.report.Evaluated)
+			}
+			if len(rep.Suggestions) != rep.Evaluated || len(got.streamed) != rep.Evaluated {
+				t.Fatalf("evaluated %d, %d suggestions, %d streamed", rep.Evaluated, len(rep.Suggestions), len(got.streamed))
+			}
+			for i := range rep.Results {
+				if rep.IsEvaluated(i) && !sameVerdict(rep.Results[i], ref.report.Results[i]) {
+					t.Errorf("candidate %d: %+v, full run says %+v", i, rep.Results[i], ref.report.Results[i])
+				}
+			}
+		})
 	}
 }

@@ -19,10 +19,10 @@ type Timing struct {
 	PatchGeneration   time.Duration
 	Replay            time.Duration
 	// Overlap is how long exploration and backtest replay ran
-	// concurrently under the streaming pipeline (zero under the barrier
-	// composition). It is informational — the overlapped time is already
-	// inside the other components, so Total does not add it; wall-clock
-	// turnaround is roughly Total() minus Overlap.
+	// concurrently under the streaming pipeline (zero when the candidates
+	// were materialized first). It is informational — the overlapped time
+	// is already inside the other components, so Total does not add it;
+	// wall-clock turnaround is roughly Total() minus Overlap.
 	Overlap time.Duration
 }
 
@@ -141,14 +141,18 @@ func (r *Report) Render() string {
 }
 
 // rank sorts suggestions accepted-first then by cost — "the simplest
-// candidate is shown first" (§5.3) — and renumbers them.
+// candidate is shown first" (§5.3) — and renumbers them. Ties keep
+// candidate order, whatever order the batches finished in.
 func (r *Report) rank() {
-	sort.SliceStable(r.Suggestions, func(i, j int) bool {
+	sort.Slice(r.Suggestions, func(i, j int) bool {
 		si, sj := r.Suggestions[i], r.Suggestions[j]
 		if si.Result.Accepted != sj.Result.Accepted {
 			return si.Result.Accepted
 		}
-		return si.Candidate.Cost < sj.Candidate.Cost
+		if si.Candidate.Cost != sj.Candidate.Cost {
+			return si.Candidate.Cost < sj.Candidate.Cost
+		}
+		return si.Index < sj.Index
 	})
 	r.Accepted = 0
 	for i := range r.Suggestions {

@@ -26,6 +26,15 @@
 //
 // For incremental consumption use Stream, which returns a Run whose
 // Suggestions channel yields verdicts as batches finish.
+//
+// Backtesting has one composition. Evaluate, Stream and Repair all hand a
+// candidate producer — the live search, or a list materialized first
+// (Evaluate, PipelineBarrier) — to the same backtest.Pipeline, the one
+// scheduler of shared-run batches; one batch callback streams the
+// suggestions and one assembler ranks the Report. WithParallelism sets the
+// pool width (1 is serial), WithPipelineMode picks the producer and the
+// first-accepted early stop, and WithStrategy(StrategySequential) swaps the
+// batch runner for the one-simulation-per-candidate reference oracle.
 package metarepair
 
 import (
@@ -146,7 +155,7 @@ func Pin(v int64) *ndlog.Value {
 type Backtest struct {
 	// BuildNet constructs a fresh network (topology + proactive state, no
 	// controller attached). It must be safe to call concurrently: the
-	// parallel strategy builds one network per in-flight batch.
+	// backtest pipeline builds one network per in-flight batch.
 	BuildNet func() *sdn.Network
 	// State are controller tuples inserted before traffic (policy tables).
 	State []ndlog.Tuple
@@ -252,10 +261,11 @@ func (s *Session) explore(ctx context.Context, sym Symptom, o options, tr *trace
 }
 
 // Evaluate backtests a candidate set against the historical evidence and
-// returns a streaming Run. Under the default parallel strategy the set is
-// split into shared-run batches of at most the configured batch size
-// (63), evaluated concurrently on a worker pool; each batch's verdicts
-// are delivered on the Run's Suggestions channel as it completes.
+// returns a streaming Run: the already-materialized list is fed to the one
+// backtest pipeline, which splits it into shared-run batches of at most the
+// configured batch size (63) evaluated on WithParallelism workers; each
+// batch's verdicts are delivered on the Run's Suggestions channel as it
+// completes.
 func (s *Session) Evaluate(ctx context.Context, cands []metaprov.Candidate, bt Backtest, extra ...Option) (*Run, error) {
 	o := s.opts.with(extra)
 	if o.err != nil {
@@ -264,36 +274,27 @@ func (s *Session) Evaluate(ctx context.Context, cands []metaprov.Candidate, bt B
 	if bt.BuildNet == nil {
 		return nil, errors.New("metarepair: Backtest.BuildNet is required")
 	}
-	expl := &Exploration{Generated: len(cands), Candidates: cands}
-	if o.filter != nil {
-		kept := make([]metaprov.Candidate, 0, len(cands))
-		for _, c := range cands {
-			if o.filter(c) {
-				kept = append(kept, c)
-			}
-		}
-		expl.Filtered = len(cands) - len(kept)
-		expl.Candidates = kept
-		if expl.Filtered > 0 {
-			o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
-		}
-	}
+	o, flush := o.serialized()
+	expl := &Exploration{Generated: len(cands)}
+	expl.Candidates = o.applyFilter(cands, expl)
 	tr := newTracer(o)
-	return s.evaluate(ctx, expl, expl.Candidates, bt, o, tr, tr.start(SpanRun, "")), nil
+	return s.backtest(ctx, bt, o, tr, tr.start(SpanRun, ""), flush, materialized(expl)), nil
 }
 
 // Stream runs the full explore→backtest pipeline and returns a streaming
 // Run: per-suggestion verdicts arrive on the Run's channel and Wait
 // returns the final ranked Report.
 //
-// Under StrategyParallel with the default PipelineStreaming mode the two
-// stages run as one overlapped pipeline — the concurrent forest search
-// (WithExploreWorkers) streams candidates straight into shared-run batches
-// that launch while exploration is still producing — and Stream returns
-// immediately; exploration errors then surface at Wait. Under
-// PipelineBarrier (or the serial/sequential strategies) Stream keeps the
-// legacy composition: it blocks until exploration finishes and returns any
-// exploration error directly.
+// There is one composition; the pipeline mode only picks the candidate
+// producer. Under PipelineStreaming (the default) and
+// PipelineFirstAccepted the concurrent forest search (WithExploreWorkers)
+// streams candidates straight into shared-run batches that launch while
+// exploration is still producing, and Stream returns immediately;
+// exploration errors then surface at Wait. Under PipelineBarrier — or with
+// the WithMaxCandidates cap disabled, since the live producer needs a
+// finite cap to size the suggestion buffer — Stream explores synchronously
+// first, returns any exploration error directly, and feeds the
+// materialized list to the same pipeline, exactly as Evaluate does.
 func (s *Session) Stream(ctx context.Context, sym Symptom, bt Backtest, extra ...Option) (*Run, error) {
 	o := s.opts.with(extra)
 	if o.err != nil {
@@ -305,21 +306,18 @@ func (s *Session) Stream(ctx context.Context, sym Symptom, bt Backtest, extra ..
 	if sym.Present == nil && sym.Goal.Table == "" {
 		return nil, errors.New("metarepair: empty symptom")
 	}
-	// The streaming composition needs a finite candidate cap: the
-	// suggestion buffer is sized from it so backtest workers never block
-	// behind a slow (or absent) consumer. With the cap disabled the
-	// candidate count is unbounded, so fall back to the barrier
-	// composition, which sizes the buffer from the materialized list.
-	if o.strategy == StrategyParallel && o.pipeline != PipelineBarrier && o.maxCandidates > 0 {
-		return s.streamPipeline(ctx, sym, bt, o), nil
-	}
+	o, flush := o.serialized()
 	tr := newTracer(o)
 	endRun := tr.start(SpanRun, "")
+	if o.pipeline != PipelineBarrier && o.maxCandidates > 0 {
+		return s.backtest(ctx, bt, o, tr, endRun, flush, s.search(sym, o, tr)), nil
+	}
 	expl, err := s.explore(ctx, sym, o, tr)
 	if err != nil {
+		flush()
 		return nil, err
 	}
-	return s.evaluate(ctx, expl, expl.Candidates, bt, o, tr, endRun), nil
+	return s.backtest(ctx, bt, o, tr, endRun, flush, materialized(expl)), nil
 }
 
 // Repair is the blocking convenience wrapper: Stream plus Wait.
@@ -331,343 +329,239 @@ func (s *Session) Repair(ctx context.Context, sym Symptom, bt Backtest, extra ..
 	return run.Wait()
 }
 
-// evaluate starts the barrier-composition backtesting stage in the
-// background and returns its Run handle. expl may be nil when the caller
-// supplies candidates directly. tr carries any spans already recorded
-// (the explore stage); endRun closes the run span once the report is
-// assembled.
-func (s *Session) evaluate(ctx context.Context, expl *Exploration, cands []metaprov.Candidate, bt Backtest, o options, tr *tracer, endRun func()) *Run {
-	run := newRun(len(cands))
-	job := s.backtestJob(bt, o)
-	job.Candidates = cands
-	batchSize := o.clampedBatchSize()
-	// Sequential evaluation has no shared runs: everything is one "batch".
-	batches := (len(cands) + batchSize - 1) / batchSize
-	batchOf := func(i int) int { return i / batchSize }
-	if o.strategy == StrategySequential {
-		if len(cands) > 0 {
-			batches = 1
-		}
-		batchOf = func(int) int { return 0 }
+// serialized routes the run's events through a fan-out with one attached
+// (unbounded) drainer: the candidate feeder, the batch workers, and the
+// assembly goroutine emit concurrently, and the fan-out serializes them
+// without ever blocking the pipeline. flush delivers the backlog; it must
+// run before the Run completes.
+func (o options) serialized() (_ options, flush func()) {
+	if o.sink == nil {
+		return o, func() {}
 	}
-
-	go func() {
-		defer close(run.done)
-		defer run.finish()
-		start := time.Now()
-		o.emit(Event{Kind: "backtest.start", Candidates: len(cands), Batches: batches,
-			Parallelism: o.parallelism, Strategy: o.strategy.String()})
-		endBacktest := tr.start(SpanBacktest, SpanRun)
-
-		// Batch callbacks are serialized by the runner, so plain
-		// accumulation of the per-shared-run engine counters is safe.
-		var engStats ndlog.EngineStats
-		stream := func(b backtest.Batch) {
-			engStats.Add(b.Stats)
-			if !b.Began.IsZero() {
-				tr.add(Span{Name: SpanBatch, Parent: SpanBacktest, Index: b.Index,
-					Start: b.Began, End: b.Ended})
-			}
-			o.emit(Event{Kind: "batch.done", Batch: b.Index, Size: len(b.Results),
-				Elapsed: ms(time.Since(start))})
-			for i, res := range b.Results {
-				idx := b.Start + i
-				run.push(Suggestion{
-					Rank: idx + 1, Index: idx, Batch: b.Index,
-					Candidate: cands[idx], Result: res,
-				})
-				o.emit(Event{Kind: "suggestion", Index: idx, Desc: res.Candidate.Describe(),
-					Accepted: res.Accepted, KS: res.KS})
-			}
-		}
-
-		var results []backtest.Result
-		var err error
-		switch o.strategy {
-		case StrategySequential:
-			results, err = job.RunSequentialContext(ctx)
-			if err == nil {
-				stream(backtest.Batch{Index: 0, Start: 0, Results: results,
-					Began: start, Ended: time.Now()})
-			}
-		case StrategySerial:
-			results, err = job.RunBatched(ctx, 1, batchSize, stream)
-		default:
-			results, err = job.RunBatched(ctx, o.parallelism, batchSize, stream)
-		}
-		if err != nil {
-			run.err = err
-			return
-		}
-		endBacktest()
-		// Attribute the backtest window to the evaluation mode: the delta
-		// child span covers the same bounds as its parent, so mode-aware
-		// consumers can split time without reshaping existing aggregations.
-		if o.eval == EvalDelta && o.strategy != StrategySequential {
-			if bsp, ok := tr.find(SpanBacktest); ok {
-				tr.add(Span{Name: SpanBacktestDelta, Parent: SpanBacktest,
-					Start: bsp.Start, End: bsp.End})
-			}
-		}
-
-		endVerdict := tr.start(SpanVerdict, SpanRun)
-		rep := &Report{
-			Results:    results,
-			Candidates: cands,
-			Generated:  len(cands),
-			Evaluated:  len(results),
-			Batches:    batches,
-			Engine:     engStats,
-			Timing:     Timing{Replay: time.Since(start)},
-		}
-		if expl != nil {
-			rep.Explanation = expl.Explanation
-			rep.Generated = expl.Generated
-			rep.Filtered = expl.Filtered
-			rep.Dropped = expl.Dropped
-			rep.Steps = expl.Steps
-			rep.Timing.HistoryLookups = expl.historyTime
-			rep.Timing.ConstraintSolving = expl.solveTime
-			rep.Timing.PatchGeneration = expl.genTime - expl.historyTime - expl.solveTime
-		}
-		for i, res := range results {
-			rep.Suggestions = append(rep.Suggestions, Suggestion{
-				Index: i, Batch: batchOf(i), Candidate: cands[i], Result: res,
-			})
-		}
-		rep.rank()
-		endVerdict()
-		endRun()
-		rep.Spans = tr.snapshot()
-		run.report = rep
-		o.emit(Event{Kind: "report", Candidates: len(cands), Passed: rep.Accepted,
-			Elapsed: ms(time.Since(start))})
-	}()
-	return run
+	fan := NewFanoutSink()
+	fan.Attach(o.sink, 0)
+	o.sink = fan
+	return o, fan.Close
 }
 
-// backtestJob assembles the backtesting template shared by the barrier
-// and streaming compositions.
-func (s *Session) backtestJob(bt Backtest, o options) *backtest.Job {
-	return &backtest.Job{
-		Prog:              s.prog,
-		BuildNet:          bt.BuildNet,
-		State:             bt.State,
-		Workload:          bt.Workload,
-		Source:            s.workloadSource(bt, o),
-		Effective:         bt.Effective,
-		Alpha:             o.alpha,
-		MaxPacketInFactor: o.maxPacketInFactor,
-		SkipCoalesce:      !o.coalesce,
-		Eval:              o.eval.ndlog(),
-	}
+// candidateSource is where one run's candidates come from: the live
+// meta-provenance search, or a list materialized before backtesting began.
+type candidateSource struct {
+	// expl is the exploration's accounting. A live source fills it in
+	// while it feeds; it is complete once open's wait has returned.
+	expl *Exploration
+	// capacity bounds how many candidates the source can yield; it sizes
+	// the suggestion buffer so backtest workers never block behind a slow
+	// (or absent) consumer.
+	capacity int
+	// materialized reports that capacity is the exact candidate count.
+	materialized bool
+	// open starts the source. Cancelling ctx (first-accepted early stop, a
+	// failed batch) tells a live search to stop; wait returns once the
+	// channel is closed, with the search's error.
+	open func(ctx context.Context) (cands <-chan metaprov.Candidate, wait func() error)
 }
 
-func (o options) clampedBatchSize() int {
-	if o.batchSize <= 0 || o.batchSize > backtest.MaxSharedCandidates {
-		return backtest.MaxSharedCandidates
-	}
-	return o.batchSize
-}
-
-// filterAndCap applies the candidate filter and the candidate cap to a
-// materialized cost-ordered list, recording the Filtered/Dropped
-// accounting on expl and emitting the corresponding events. The cap keeps
-// the cheapest — most plausible — repairs, and the drop is reported,
-// never silent. Both the barrier explore stage and the streaming feeder's
-// positive-symptom branch share this logic.
-func (o options) filterAndCap(cands []metaprov.Candidate, expl *Exploration) []metaprov.Candidate {
-	if o.filter != nil {
-		kept := make([]metaprov.Candidate, 0, len(cands))
-		for _, c := range cands {
-			if o.filter(c) {
-				kept = append(kept, c)
+// materialized feeds an already-explored candidate list: a pre-filled,
+// closed channel.
+func materialized(expl *Exploration) candidateSource {
+	return candidateSource{expl: expl, capacity: len(expl.Candidates), materialized: true,
+		open: func(context.Context) (<-chan metaprov.Candidate, func() error) {
+			ch := make(chan metaprov.Candidate, len(expl.Candidates))
+			for _, c := range expl.Candidates {
+				ch <- c
 			}
-		}
-		expl.Filtered = len(cands) - len(kept)
-		cands = kept
-		if expl.Filtered > 0 {
-			o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
-		}
-	}
-	if o.maxCandidates > 0 && len(cands) > o.maxCandidates {
-		expl.Dropped = len(cands) - o.maxCandidates
-		cands = cands[:o.maxCandidates]
-		o.emit(Event{Kind: "candidates.dropped", Dropped: expl.Dropped})
-	}
-	return cands
+			close(ch)
+			return ch, func() error { return nil }
+		}}
 }
 
-// streamPipeline runs explore→backtest as one overlapped streaming
-// subsystem: the concurrent forest search feeds candidates through a
-// filtered channel into a backtest.Pipeline that fills shared-run batches
-// and launches them while exploration is still producing. It returns
-// immediately; every error surfaces at Run.Wait.
-func (s *Session) streamPipeline(ctx context.Context, sym Symptom, bt Backtest, o options) *Run {
+// search is the live source: the concurrent forest search forwards its
+// cost-ordered candidate stream as it explores, applying the candidate
+// filter and cap with the same accounting as the synchronous explore stage.
+func (s *Session) search(sym Symptom, o options, tr *tracer) candidateSource {
 	// The candidate count is unknown up front but bounded by the cap
-	// (Stream routes cap-disabled calls to the barrier composition), so
-	// the suggestion buffer can hold every possible verdict.
-	run := newRun(o.maxCandidates)
+	// (Stream materializes cap-disabled runs instead).
+	expl := &Exploration{Symptom: sym}
+	open := func(ectx context.Context) (<-chan metaprov.Candidate, func() error) {
+		start := time.Now()
+		th := &timedHistory{rec: s.rec}
+		ex := metaprov.NewExplorer(meta.NewModel(s.prog), th)
+		o.budget.apply(ex)
+		ex.Workers = o.exploreWorkers
+		workers := ex.Workers
+		if workers <= 0 {
+			workers = runtime.GOMAXPROCS(0)
+		}
+		o.emit(Event{Kind: "explore.start", Symptom: sym.String(), Workers: workers})
+		endExplore := tr.start(SpanExplore, SpanRun)
+
+		pipe := make(chan metaprov.Candidate)
+		feedErr := make(chan error, 1)
+		go func() {
+			defer close(pipe)
+			var err error
+			emitIdx := 0
+			send := func(c metaprov.Candidate) bool {
+				o.emit(Event{Kind: "explore.candidate", Index: emitIdx, Desc: c.Describe(), Cost: c.Cost})
+				emitIdx++
+				select {
+				case pipe <- c:
+					return true
+				case <-ectx.Done():
+					return false
+				}
+			}
+			if sym.Present != nil {
+				// Positive symptom: the full cost-ordered list is generated,
+				// then filtered and capped, and streamed from there.
+				expl.Explanation = s.rec.Explain(*sym.Present)
+				var cands []metaprov.Candidate
+				cands, err = ex.RepairPositiveContext(ectx, *sym.Present, s.rec)
+				expl.Generated = len(cands)
+				for _, c := range o.filterAndCap(cands, expl) {
+					if !send(c) {
+						break
+					}
+				}
+			} else {
+				expl.Explanation = s.rec.ExplainMissing(s.prog, sym.Goal.Table, nil)
+				// The cap bounds the cost-ordered stream itself: stopping at N
+				// keeps the N cheapest, so nothing is dropped after the fact.
+				ex.MaxCandidates = o.maxCandidates
+				stream, errc := ex.ExploreStream(ectx, sym.Goal)
+				for c := range stream {
+					expl.Generated++
+					if o.filter != nil && !o.filter(c) {
+						expl.Filtered++
+						continue
+					}
+					if !send(c) {
+						break
+					}
+				}
+				for range stream {
+					// Drain after an early stop so the search's emitter exits.
+				}
+				err = <-errc
+				if expl.Filtered > 0 {
+					o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
+				}
+			}
+			stats := ex.Stats()
+			expl.Steps = stats.Steps
+			expl.historyTime = th.total()
+			expl.solveTime = stats.SolveTime
+			expl.genTime = time.Since(start)
+			endExplore()
+			o.emit(Event{Kind: "explore.done",
+				Candidates: expl.Generated - expl.Filtered - expl.Dropped,
+				Steps:      expl.Steps, Elapsed: ms(expl.genTime)})
+			feedErr <- err
+		}()
+		return pipe, func() error { return <-feedErr }
+	}
+	return candidateSource{expl: expl, capacity: o.maxCandidates, open: open}
+}
+
+// backtest starts the one backtesting composition in the background and
+// returns its Run handle: src's candidates flow through a
+// backtest.Pipeline, every finished batch is streamed to the Run, and the
+// Report is assembled when the pipeline drains. tr carries any spans
+// already recorded; endRun closes the run span once the report is
+// assembled, and flush (see serialized) runs last. Every error surfaces at
+// Run.Wait.
+func (s *Session) backtest(ctx context.Context, bt Backtest, o options, tr *tracer, endRun, flush func(), src candidateSource) *Run {
+	run := newRun(src.capacity)
 	go func() {
 		defer close(run.done)
 		defer run.finish()
-		run.report, run.err = s.runPipeline(ctx, sym, bt, o, run)
+		defer flush()
+		run.report, run.err = s.runPipeline(ctx, bt, o, tr, endRun, src, run)
 	}()
 	return run
 }
 
-func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o options, run *Run) (*Report, error) {
+func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *tracer, endRun func(), src candidateSource, run *Run) (*Report, error) {
 	start := time.Now()
-	if o.sink != nil {
-		// The feeder, the batch workers, and the assembly goroutine emit
-		// concurrently; a fan-out with one attached (unbounded) drainer
-		// serializes them without ever blocking the pipeline, and Close
-		// flushes the backlog before the Run completes.
-		fan := NewFanoutSink()
-		fan.Attach(o.sink, 0)
-		defer fan.Close()
-		o.sink = fan
-	}
-	tr := newTracer(o)
-	endRun := tr.start(SpanRun, "")
 	pctx, cancelAll := context.WithCancel(ctx)
 	defer cancelAll()
-	// ectx governs the search alone: FirstAccepted cancels it (through
-	// Pipeline.CancelSearch) without touching the in-flight batches.
+	// ectx governs the candidate source alone: FirstAccepted cancels it
+	// (through Pipeline.CancelSearch) without touching in-flight batches.
 	ectx, cancelExplore := context.WithCancel(pctx)
 	defer cancelExplore()
+	cands, waitSource := src.open(ectx)
 
-	th := &timedHistory{rec: s.rec}
-	ex := metaprov.NewExplorer(meta.NewModel(s.prog), th)
-	o.budget.apply(ex)
-	ex.Workers = o.exploreWorkers
-	workers := ex.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+	sequential := o.strategy == StrategySequential
+	mode := o.pipeline
+	if src.materialized && mode == PipelineStreaming {
+		mode = PipelineBarrier
 	}
-	o.emit(Event{Kind: "explore.start", Symptom: sym.String(), Workers: workers})
-	endExplore := tr.start(SpanExplore, SpanRun)
-
-	// Feeder: forward the candidate stream into the pipeline, applying
-	// the candidate filter and cap with the same accounting as the
-	// barrier path. expl's fields are written before feedErr is sent and
-	// read only after it is received.
-	expl := &Exploration{Symptom: sym}
-	pipe := make(chan metaprov.Candidate)
-	feedErr := make(chan error, 1)
-	go func() {
-		defer close(pipe)
-		var err error
-		emitIdx := 0
-		send := func(c metaprov.Candidate) bool {
-			o.emit(Event{Kind: "explore.candidate", Index: emitIdx, Desc: c.Describe(), Cost: c.Cost})
-			emitIdx++
-			select {
-			case pipe <- c:
-				return true
-			case <-ectx.Done():
-				return false
-			}
+	started := Event{Kind: "backtest.start", Parallelism: o.parallelism,
+		Strategy: o.strategy.String() + "/" + mode.String()}
+	if src.materialized {
+		started.Candidates = src.capacity
+		started.Batches = (src.capacity + o.batchSize - 1) / o.batchSize
+		if sequential {
+			started.Batches = min(src.capacity, 1)
 		}
-		if sym.Present != nil {
-			// Positive symptom: the full cost-ordered list is generated,
-			// then filtered and capped with the barrier path's accounting,
-			// and streamed into the pipeline from there.
-			expl.Explanation = s.rec.Explain(*sym.Present)
-			var cands []metaprov.Candidate
-			cands, err = ex.RepairPositiveContext(ectx, *sym.Present, s.rec)
-			expl.Generated = len(cands)
-			for _, c := range o.filterAndCap(cands, expl) {
-				if !send(c) {
-					break
-				}
-			}
-		} else {
-			expl.Explanation = s.rec.ExplainMissing(s.prog, sym.Goal.Table, nil)
-			// The cap bounds the cost-ordered stream itself: stopping at N
-			// keeps the N cheapest, so nothing is dropped after the fact.
-			ex.MaxCandidates = o.maxCandidates
-			stream, errc := ex.ExploreStream(ectx, sym.Goal)
-			for c := range stream {
-				expl.Generated++
-				if o.filter != nil && !o.filter(c) {
-					expl.Filtered++
-					continue
-				}
-				if !send(c) {
-					break
-				}
-			}
-			for range stream {
-				// Drain after an early stop so the search's emitter exits.
-			}
-			err = <-errc
-			if expl.Filtered > 0 {
-				o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
-			}
-		}
-		stats := ex.Stats()
-		expl.Steps = stats.Steps
-		expl.historyTime = th.total()
-		expl.solveTime = stats.SolveTime
-		expl.genTime = time.Since(start)
-		endExplore()
-		o.emit(Event{Kind: "explore.done",
-			Candidates: expl.Generated - expl.Filtered - expl.Dropped,
-			Steps:      expl.Steps, Elapsed: ms(expl.genTime)})
-		feedErr <- err
-	}()
+	}
+	o.emit(started)
 
-	o.emit(Event{Kind: "backtest.start", Parallelism: o.parallelism,
-		Strategy: o.strategy.String() + "/" + o.pipeline.String()})
-	batchSize := o.clampedBatchSize()
 	// OnBatch calls are serialized by the pipeline, so plain accumulation
-	// of the per-shared-run engine counters is safe.
+	// of the suggestions and the per-shared-run engine counters is safe.
 	var engStats ndlog.EngineStats
-	suggest := func(b backtest.Batch) {
+	var suggestions []Suggestion
+	onBatch := func(b backtest.Batch) {
 		engStats.Add(b.Stats)
 		tr.add(Span{Name: SpanBatch, Parent: SpanBacktest, Index: b.Index,
 			Start: b.Began, End: b.Ended})
 		o.emit(Event{Kind: "batch.done", Batch: b.Index, Size: len(b.Results),
 			Elapsed: ms(time.Since(start))})
 		for i, res := range b.Results {
-			idx := b.Start + i
-			run.push(Suggestion{
-				Rank: idx + 1, Index: idx, Batch: b.Index,
-				Candidate: res.Candidate, Result: res,
-			})
-			o.emit(Event{Kind: "suggestion", Index: idx, Desc: res.Candidate.Describe(),
+			sg := Suggestion{Rank: b.Start + i + 1, Index: b.Start + i, Batch: b.Index,
+				Candidate: res.Candidate, Result: res}
+			suggestions = append(suggestions, sg)
+			run.push(sg)
+			o.emit(Event{Kind: "suggestion", Index: sg.Index, Desc: res.Candidate.Describe(),
 				Accepted: res.Accepted, KS: res.KS})
 		}
 	}
 	pl := &backtest.Pipeline{
 		Job:           s.backtestJob(bt, o),
-		BatchSize:     batchSize,
+		BatchSize:     o.batchSize, // WithBatchSize keeps it within 1..63
 		Parallelism:   o.parallelism,
 		FirstAccepted: o.pipeline == PipelineFirstAccepted,
 		CancelSearch:  cancelExplore,
-		OnBatch:       suggest,
+		OnBatch:       onBatch,
 	}
-	pr, plErr := pl.Run(pctx, pipe)
+	runBatches := pl.Run
+	if sequential {
+		runBatches = pl.RunSequential
+	}
+	pr, plErr := runBatches(pctx, cands)
 	backtestEnd := time.Now()
-	ferr := <-feedErr
+	serr := waitSource()
 	if plErr != nil {
 		return nil, plErr
 	}
-	if ferr != nil && !pr.EarlyStopped {
+	if serr != nil && !pr.EarlyStopped {
 		// The search can only fail by cancellation; without an early stop
 		// that cancellation came from the caller.
-		return nil, ferr
+		return nil, serr
 	}
 
-	// The streaming composition learns the backtest window only in
-	// retrospect (the first batch launches while exploration is still
-	// producing), so its span is recorded after the fact with the measured
-	// bounds; overlap is how long it ran concurrently with exploration.
+	// The backtest window is known only in retrospect (under a live source
+	// the first batch launches while exploration is still producing), so
+	// its span is recorded after the fact with the measured bounds; overlap
+	// is how long it ran concurrently with exploration.
 	var overlap, replay time.Duration
 	if !pr.FirstBatchStart.IsZero() {
 		tr.add(Span{Name: SpanBacktest, Parent: SpanRun, Start: pr.FirstBatchStart, End: backtestEnd})
-		if o.eval == EvalDelta {
+		// Attribute the window to the evaluation mode: the delta child span
+		// covers the same bounds as its parent, so mode-aware consumers can
+		// split time without reshaping existing aggregations.
+		if o.eval == EvalDelta && !sequential {
 			tr.add(Span{Name: SpanBacktestDelta, Parent: SpanBacktest,
 				Start: pr.FirstBatchStart, End: backtestEnd})
 		}
@@ -689,13 +583,12 @@ func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o o
 	// Solve and history times are summed across concurrent workers, so
 	// they can exceed the exploration's wall clock; the patch-generation
 	// residual is clamped rather than reported negative.
-	patchGen := expl.genTime - expl.historyTime - expl.solveTime
-	if patchGen < 0 {
-		patchGen = 0
-	}
+	expl := src.expl
+	patchGen := max(expl.genTime-expl.historyTime-expl.solveTime, 0)
 	endVerdict := tr.start(SpanVerdict, SpanRun)
 	rep := &Report{
 		Explanation:  expl.Explanation,
+		Suggestions:  suggestions,
 		Results:      pr.Results,
 		Candidates:   pr.Candidates,
 		Generated:    expl.Generated,
@@ -704,7 +597,7 @@ func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o o
 		Batches:      pr.Batches,
 		Steps:        expl.Steps,
 		EarlyStopped: pr.EarlyStopped,
-		Evaluated:    pr.EvaluatedCount(),
+		Evaluated:    len(suggestions),
 		evaluated:    pr.Evaluated,
 		Engine:       engStats,
 		Timing: Timing{
@@ -715,14 +608,6 @@ func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o o
 			Overlap:           overlap,
 		},
 	}
-	for i := range pr.Candidates {
-		if !pr.Evaluated[i] {
-			continue
-		}
-		rep.Suggestions = append(rep.Suggestions, Suggestion{
-			Index: i, Batch: i / batchSize, Candidate: pr.Candidates[i], Result: pr.Results[i],
-		})
-	}
 	rep.rank()
 	endVerdict()
 	endRun()
@@ -730,6 +615,57 @@ func (s *Session) runPipeline(ctx context.Context, sym Symptom, bt Backtest, o o
 	o.emit(Event{Kind: "report", Candidates: len(pr.Candidates), Passed: rep.Accepted,
 		Elapsed: ms(time.Since(start))})
 	return rep, nil
+}
+
+// backtestJob assembles the backtesting template of one run.
+func (s *Session) backtestJob(bt Backtest, o options) *backtest.Job {
+	return &backtest.Job{
+		Prog:              s.prog,
+		BuildNet:          bt.BuildNet,
+		State:             bt.State,
+		Workload:          bt.Workload,
+		Source:            s.workloadSource(bt, o),
+		Effective:         bt.Effective,
+		Alpha:             o.alpha,
+		MaxPacketInFactor: o.maxPacketInFactor,
+		SkipCoalesce:      !o.coalesce,
+		Eval:              o.eval.ndlog(),
+	}
+}
+
+// applyFilter drops the candidates WithCandidateFilter rejects, recording
+// the count on expl and emitting the candidates.filtered event.
+func (o options) applyFilter(cands []metaprov.Candidate, expl *Exploration) []metaprov.Candidate {
+	if o.filter == nil {
+		return cands
+	}
+	kept := make([]metaprov.Candidate, 0, len(cands))
+	for _, c := range cands {
+		if o.filter(c) {
+			kept = append(kept, c)
+		}
+	}
+	expl.Filtered = len(cands) - len(kept)
+	if expl.Filtered > 0 {
+		o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
+	}
+	return kept
+}
+
+// filterAndCap applies the candidate filter and the candidate cap to a
+// materialized cost-ordered list, recording the Filtered/Dropped
+// accounting on expl and emitting the corresponding events. The cap keeps
+// the cheapest — most plausible — repairs, and the drop is reported,
+// never silent. Both the synchronous explore stage and the live source's
+// positive-symptom branch share this logic.
+func (o options) filterAndCap(cands []metaprov.Candidate, expl *Exploration) []metaprov.Candidate {
+	cands = o.applyFilter(cands, expl)
+	if o.maxCandidates > 0 && len(cands) > o.maxCandidates {
+		expl.Dropped = len(cands) - o.maxCandidates
+		cands = cands[:o.maxCandidates]
+		o.emit(Event{Kind: "candidates.dropped", Dropped: expl.Dropped})
+	}
+	return cands
 }
 
 // workloadSource resolves where backtesting streams its workload from:

@@ -253,7 +253,7 @@ func TestBatchingEquivalence(t *testing.T) {
 
 	// Reference: one shared run over the base set.
 	oneRun, err := sess.Evaluate(ctx, base, miniBacktest(wl),
-		metarepair.WithStrategy(metarepair.StrategySerial))
+		metarepair.WithParallelism(1))
 	if err != nil {
 		t.Fatal(err)
 	}

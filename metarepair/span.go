@@ -42,9 +42,9 @@ const (
 )
 
 // tracer collects the spans of one pipeline run and mirrors their
-// boundaries onto the event sink. It is safe for concurrent use: under
-// the streaming composition the feeder goroutine ends the explore span
-// while batch workers record batch spans.
+// boundaries onto the event sink. It is safe for concurrent use: with a
+// live candidate source the feeder goroutine ends the explore span while
+// batch workers record batch spans.
 type tracer struct {
 	o  options
 	mu sync.Mutex
@@ -66,8 +66,8 @@ func (t *tracer) start(name, parent string) func() {
 }
 
 // add records a span that was timed externally (batch workers stamp
-// their own bounds; the streaming composition learns the backtest
-// window only after the fact) and emits both boundary events carrying
+// their own bounds; the backtest window is known only after the fact)
+// and emits both boundary events carrying
 // the measured timestamps rather than emission time.
 func (t *tracer) add(s Span) {
 	t.record(s)

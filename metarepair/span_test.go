@@ -130,8 +130,9 @@ func TestReportSpansStreaming(t *testing.T) {
 	}
 }
 
-// TestReportSpansBarrier covers the barrier composition (explore fully,
-// then evaluate), where the backtest span is timed live.
+// TestReportSpansBarrier covers the materialized producer (explore fully,
+// then evaluate): the backtest span is still reconstructed from the first
+// batch launch, which can only follow the end of exploration.
 func TestReportSpansBarrier(t *testing.T) {
 	sink := &collectSink{}
 	sess, wl := runDiagnostic(t, metarepair.WithEventSink(sink))
@@ -141,10 +142,10 @@ func TestReportSpansBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkSpanHierarchy(t, rep, sink.snapshot())
-	// Under the barrier composition exploration strictly precedes replay.
+	// Under PipelineBarrier exploration strictly precedes replay.
 	by := spansByName(rep.Spans)
 	if by[metarepair.SpanBacktest][0].Start.Before(by[metarepair.SpanExplore][0].End) {
-		t.Fatal("barrier composition overlapped explore and backtest")
+		t.Fatal("PipelineBarrier overlapped explore and backtest")
 	}
 }
 
