@@ -21,8 +21,9 @@ func main() {
 		panic(err)
 	}
 	fmt.Printf("scenario: %s\n", s.Query)
+	net := s.BuildNet()
 	fmt.Printf("network: %d switches, %d hosts, %d packets of history\n\n",
-		len(s.BuildNet().Switches), len(s.BuildNet().Hosts), len(s.Workload))
+		len(net.Switches), len(net.Hosts), len(s.Workload))
 
 	out, err := s.Run(context.Background())
 	if err != nil {

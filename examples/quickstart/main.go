@@ -87,10 +87,16 @@ func main() {
 		panic(err)
 	}
 
+	// Build the network once and freeze it: the live run and every
+	// backtest batch below replay on a fork of it — fresh counters and
+	// flow tables over the shared, read-only topology.
+	topology := buildNet()
+	topology.Freeze()
+
 	// Run the network with the session's controller attached and the
 	// capture hook recording: the provenance recorder captures the
 	// control plane, the trace store the data plane.
-	net := buildNet()
+	net := topology.Fork()
 	net.Ctrl = sess.Controller()
 	stopCapture, err := sess.Capture(net)
 	if err != nil {
@@ -123,7 +129,7 @@ func main() {
 	sym := metarepair.Missing("FlowTable",
 		metarepair.Pin(3), nil, nil, nil, metarepair.Pin(80), metarepair.Pin(2))
 	run, err := sess.Stream(ctx, sym, metarepair.Backtest{
-		BuildNet: buildNet,
+		BuildNet: topology.Fork,
 		Effective: func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 			return n.Hosts["h2"].PortCountFor(sdn.PortHTTP, tag) > 0
 		},

@@ -35,8 +35,11 @@ type Job struct {
 	Prog *ndlog.Program
 	// Candidates are the repairs to evaluate (at most 63 per shared run).
 	Candidates []metaprov.Candidate
-	// BuildNet constructs a fresh network (topology + proactive state,
-	// no controller attached).
+	// BuildNet returns a network no other run touches (topology +
+	// proactive state, no controller attached), once per simulation and
+	// concurrently across batches. Build the network once, Freeze it and
+	// pass its Fork method: a fork costs O(switches + hosts), a rebuild
+	// every proactive entry.
 	BuildNet func() *sdn.Network
 	// State are controller tuples inserted before traffic (policy tables).
 	State []ndlog.Tuple
@@ -66,11 +69,11 @@ type Job struct {
 	SkipCoalesce bool
 	// Eval selects the engine evaluation mode for shared runs:
 	// ndlog.EvalDelta switches the controller engine to delta-grouped
-	// trigger evaluation and the replay network to indexed flow-table
-	// matching, evaluating each candidate as a delta over the shared
-	// baseline computation. The zero value (ndlog.EvalFull) keeps the
-	// reference path; verdicts are identical either way (the delta
-	// differential tests are the oracle).
+	// trigger evaluation, evaluating each candidate as a delta over the
+	// shared baseline computation. The zero value (ndlog.EvalFull) keeps
+	// the reference engine path; the replay network is the same either
+	// way, and so are the verdicts (the delta differential tests are the
+	// oracle).
 	Eval ndlog.EvalMode
 }
 
@@ -221,7 +224,6 @@ func (j *Job) RunShared(ctx context.Context) ([]Result, ndlog.EngineStats, error
 	net.Ctrl = ctl
 	if j.Eval == ndlog.EvalDelta {
 		eng.SetEvalMode(ndlog.EvalDelta)
-		net.EnableFlowIndex()
 	}
 
 	// Seed controller state: a tuple deleted by candidate i is inserted

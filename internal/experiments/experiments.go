@@ -267,9 +267,10 @@ func Figure9c(ctx context.Context, sizes []int, flows int) ([]Figure9cRow, error
 		if err != nil {
 			return nil, fmt.Errorf("switches=%d: %w", n, err)
 		}
+		net := s.BuildNet()
 		rows = append(rows, Figure9cRow{
-			Switches: len(s.BuildNet().Switches),
-			Hosts:    len(s.BuildNet().Hosts),
+			Switches: len(net.Switches),
+			Hosts:    len(net.Hosts),
 			Timing:   out.Timing,
 		})
 	}

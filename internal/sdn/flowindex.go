@@ -1,23 +1,26 @@
 package sdn
 
-// Tuple-space-search flow-table index (the delta-backtesting fast path).
+// Tuple-space-search flow-table index: the one match path of every switch.
 //
-// A shared 63-candidate run installs an entry set roughly proportional to
-// the number of diverging candidates, and matchGroups' linear scan over it
-// runs once per hop per packet — one of the two dominant costs in the
-// Figure 9b profile. The index partitions entries by wildcard signature
-// (which of the six match fields are concrete); within a signature every
-// entry is an exact match over its concrete fields, so one hash probe per
-// signature yields the packet's candidate entries. Lookup then k-way
-// merges the per-signature buckets by (priority desc, install seq asc),
-// reproducing the linear scan's order exactly: the flat table is kept
-// sorted by priority with ties in installation order, which is exactly
-// install-seq order, and bucket membership is equivalent to Match.Matches
-// (concrete fields equal the packet's, wildcards match anything).
+// Proactive fabrics install one entry per (switch, host) pair and a shared
+// 63-candidate run adds an entry set proportional to the number of
+// diverging candidates; a linear scan over either runs once per hop per
+// packet. The index partitions entries by wildcard signature (which of the
+// six match fields are concrete); within a signature every entry is an
+// exact match over its concrete fields, so one hash probe per signature
+// yields the packet's candidate entries. Lookup then k-way merges the
+// per-signature buckets by (priority desc, install seq asc) — the order of
+// a flat table sorted by priority with ties in installation order — and
+// bucket membership is equivalent to Match.Matches (concrete fields equal
+// the packet's, wildcards match anything). The internal/sdn tests hold the
+// index to a linear scan over Table().
 //
-// The index is opt-in (Network.EnableFlowIndex, set by delta-mode
-// backtests); the flat table remains authoritative for Table(),
-// diagnostics, and the full-mode oracle path.
+// A forked switch (Network.Fork) layers its own index over the frozen
+// template's: base is read-only and shared by every fork, install probes
+// it for the covered duplicate and continues its sequence numbers, and
+// lookup adds its buckets as extra merge cursors — so base + overlay
+// enumerate exactly like one flat table that had received the base's
+// installs first.
 
 // idxEntry is one indexed flow entry plus its global installation sequence
 // (the linear scan's tie-break among equal priorities).
@@ -34,15 +37,22 @@ type maskGroup struct {
 	buckets map[[6]int64][]idxEntry
 }
 
-// flowIndex is the per-switch tuple-space index.
+// flowIndex is the per-switch tuple-space index. There are at most 64
+// signatures and in practice a handful, so groups are found by scanning.
 type flowIndex struct {
 	groups []*maskGroup
-	bySig  map[uint8]*maskGroup
 	seq    int
+	base   *flowIndex // frozen lower layer of a forked switch; never written
 }
 
-func newFlowIndex() *flowIndex {
-	return &flowIndex{bySig: make(map[uint8]*maskGroup)}
+// group returns the signature's group, or nil.
+func (fi *flowIndex) group(sig uint8) *maskGroup {
+	for _, g := range fi.groups {
+		if g.sig == sig {
+			return g
+		}
+	}
+	return nil
 }
 
 // maskSig computes an entry's wildcard signature (bit i set = field i
@@ -71,24 +81,38 @@ func packetKey(sig uint8, inPort int64, p Packet) (key [6]int64) {
 	return key
 }
 
-// install adds an entry, reporting false when an identical earlier entry
-// already covers its tag set (the flat table's idempotent re-install).
-// The covered-duplicate check only needs this entry's own bucket:
-// Match.Equal implies equal signature and key.
-func (fi *flowIndex) install(e FlowEntry) bool {
-	sig, key := maskSig(e.Match)
-	g := fi.bySig[sig]
-	if g == nil {
-		g = &maskGroup{sig: sig, buckets: make(map[[6]int64][]idxEntry)}
-		fi.bySig[sig] = g
-		fi.groups = append(fi.groups, g)
-	}
-	bucket := g.buckets[key]
+// covers reports whether an entry of the bucket is identical to e and
+// already carries its whole tag set.
+func covers(bucket []idxEntry, e FlowEntry) bool {
 	for i := range bucket {
 		t := &bucket[i].e
 		if t.Priority == e.Priority && t.Action == e.Action && e.Tags&^t.Tags == 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// install adds an entry, reporting false when an identical earlier entry
+// already covers its tag set (the idempotent re-install). The
+// covered-duplicate check only needs this entry's own bucket in each
+// layer: Match.Equal implies equal signature and key. buckets sizes the
+// bucket map of a signature this install is the first of.
+func (fi *flowIndex) install(e FlowEntry, buckets int) bool {
+	sig, key := maskSig(e.Match)
+	if fi.base != nil {
+		if bg := fi.base.group(sig); bg != nil && covers(bg.buckets[key], e) {
 			return false
 		}
+	}
+	g := fi.group(sig)
+	if g == nil {
+		g = &maskGroup{sig: sig, buckets: make(map[[6]int64][]idxEntry, buckets)}
+		fi.groups = append(fi.groups, g)
+	}
+	bucket := g.buckets[key]
+	if covers(bucket, e) {
+		return false
 	}
 	fi.seq++
 	pos := len(bucket)
@@ -111,17 +135,28 @@ type idxCursor struct {
 	i      int
 }
 
-// matchActionsIndexed is matchActions answered from the index: one bucket
-// probe per signature, then a k-way merge in (priority desc, seq asc)
-// order — the flat scan's order. Bucket membership already guarantees the
-// match, so no Matches call is needed.
-func (s *Switch) matchActionsIndexed(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
-	remaining := p.Tags
-	cursors := s.mcur[:0]
-	for _, g := range s.idx.groups {
+// probe appends a cursor for every bucket of the layer the packet falls
+// into.
+func (fi *flowIndex) probe(inPort int64, p Packet, cursors []idxCursor) []idxCursor {
+	for _, g := range fi.groups {
 		if b := g.buckets[packetKey(g.sig, inPort, p)]; len(b) > 0 {
 			cursors = append(cursors, idxCursor{bucket: b})
 		}
+	}
+	return cursors
+}
+
+// matchActions partitions the packet's tag set by the highest-priority
+// matching entry per tag, appending per-action groups to acts (callers
+// pass a stack buffer). The remainder mask (tags with no matching entry)
+// misses to the controller. One bucket probe per signature and layer, then
+// a k-way merge in (priority desc, seq asc) order; bucket membership
+// already guarantees the match, so no Matches call is needed.
+func (s *Switch) matchActions(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
+	remaining := p.Tags
+	cursors := s.idx.probe(inPort, p, s.mcur[:0])
+	if s.idx.base != nil {
+		cursors = s.idx.base.probe(inPort, p, cursors)
 	}
 	for remaining != 0 {
 		best := -1
@@ -155,21 +190,4 @@ func (s *Switch) matchActionsIndexed(inPort int64, p Packet, acts []actionGroup)
 	}
 	s.mcur = cursors
 	return acts, remaining
-}
-
-// EnableFlowIndex routes the switch's matching through the tuple-space
-// index. The index is maintained from construction (it answers duplicate
-// detection on every install), with sequence numbers in installation
-// order — exactly the tie-break the sorted flat table's scan applies
-// among equal priorities — so the merge reproduces the scan's order.
-func (s *Switch) EnableFlowIndex() { s.indexed = true }
-
-// EnableFlowIndex switches every current and future switch of the network
-// to indexed flow-table matching (see Switch.EnableFlowIndex). Delta-mode
-// backtests enable it; behavior is identical to the linear-scan path.
-func (n *Network) EnableFlowIndex() {
-	n.flowIndexed = true
-	for _, s := range n.Switches {
-		s.EnableFlowIndex()
-	}
 }

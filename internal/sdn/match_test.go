@@ -111,8 +111,8 @@ func TestMatchEqualAgreesWithStringEquality(t *testing.T) {
 	}
 }
 
-// The binary-search insert must keep the seed's order: descending priority,
-// ties in installation order.
+// Table() must keep a flat table's order: descending priority, ties in
+// installation order.
 func TestInstallKeepsStableTieOrder(t *testing.T) {
 	s := NewSwitch("s", 1)
 	mk := func(prio int, port int) FlowEntry {

@@ -3,6 +3,7 @@ package sdn
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -13,25 +14,42 @@ type Switch struct {
 	Num    int64 // numeric ID used by controller programs (Swi)
 	ports  map[int]string
 	portOf map[string]int // reverse of ports: neighbour -> port
-	table  []FlowEntry
 
-	// idx answers duplicate detection on every install (one bucket probe
-	// instead of a whole-table scan) and, when indexed is set, matching
-	// too (see flowindex.go). The flat table stays authoritative for
-	// Table(), diagnostics, and scan matching; while indexed it is kept in
-	// raw installation order and sorted on demand.
-	idx     *flowIndex
-	indexed bool
-	mcur    []idxCursor // reusable merge cursors for indexed lookups
+	// idx answers both matching and duplicate detection (see flowindex.go).
+	// The flat table is the Table() snapshot only: entries in installation
+	// order, sorted on demand; a fork reads its template's as baseTable.
+	idx       flowIndex
+	table     []FlowEntry
+	baseTable []FlowEntry
+	mcur      []idxCursor // reusable merge cursors for lookups
+
+	// net is the network the switch was registered with; links is its
+	// wiring resolved against that network, indexed by port (see
+	// Network.resolveLinks). ord is the switch's position in a frozen
+	// network's fork template.
+	net   *Network
+	links []link
+	ord   int
 }
+
+// maxPort bounds port numbers, so that the resolved wiring can be a slice
+// indexed by port (OpenFlow's physical ports end below it too).
+const maxPort = 1<<16 - 1
 
 // NewSwitch creates a switch.
 func NewSwitch(id string, num int64) *Switch {
-	return &Switch{ID: id, Num: num, ports: make(map[int]string), portOf: make(map[string]int), idx: newFlowIndex()}
+	return &Switch{ID: id, Num: num, ports: make(map[int]string), portOf: make(map[string]int)}
 }
 
-// Wire connects a port to a neighbour node (switch or host) by ID.
+// Wire connects a port (0..65535) to a neighbour node (switch or host) by
+// ID. It panics on a switch of a frozen or forked network.
 func (s *Switch) Wire(port int, neighbour string) {
+	if port < 0 || port > maxPort {
+		panic(fmt.Sprintf("sdn: switch %s: port %d out of range 0..%d", s.ID, port, maxPort))
+	}
+	if s.net != nil {
+		s.net.mutate("Wire", sealWiring)
+	}
 	if old, ok := s.ports[port]; ok {
 		delete(s.portOf, old)
 	}
@@ -60,45 +78,46 @@ func (s *Switch) Ports() []int {
 	return out
 }
 
-// Install adds a flow entry. Re-installing an entry whose tag set is
-// already covered by an identical earlier entry is a no-op; otherwise the
-// entry is appended, so that ties between equal-priority entries resolve
-// by installation order exactly as they would in a per-candidate
-// sequential run. (Merging tag sets into earlier entries would silently
-// promote a later derivation ahead of the entry that should win the tie.)
-func (s *Switch) Install(e FlowEntry) {
-	// The index probes only the entry's own bucket for the covered
-	// duplicate (Match.Equal implies the same bucket).
-	if !s.idx.install(e) {
-		return
+// Install adds flow entries, in order. Re-installing an entry whose tag
+// set is already covered by an identical earlier entry is a no-op;
+// otherwise the entry is appended, so that ties between equal-priority
+// entries resolve by installation order exactly as they would in a
+// per-candidate sequential run. (Merging tag sets into earlier entries
+// would silently promote a later derivation ahead of the entry that
+// should win the tie.)
+// On a fork, an entry the frozen template already covers is the same
+// no-op. It panics on a switch of a frozen network.
+func (s *Switch) Install(entries ...FlowEntry) {
+	if s.net != nil {
+		s.net.mutate("Install", sealAll)
 	}
-	if s.indexed {
-		// Matching reads the index, so the flat table is only the
-		// Table() snapshot: append in install order, sort on demand.
-		s.table = append(s.table, e)
-		return
+	s.table = slices.Grow(s.table, len(entries))
+	for _, e := range entries {
+		// A batch is the best guess at how many buckets a new signature
+		// will hold (a proactive fabric installs one batch per switch).
+		if s.idx.install(e, len(entries)) {
+			s.table = append(s.table, e)
+		}
 	}
-	// Insert after every entry of >= priority: identical order to the
-	// seed's append + stable sort, without re-sorting the whole table.
-	i := sort.Search(len(s.table), func(i int) bool { return s.table[i].Priority < e.Priority })
-	s.table = append(s.table, FlowEntry{})
-	copy(s.table[i+1:], s.table[i:])
-	s.table[i] = e
 }
 
-// ClearTable removes all flow entries.
+// ClearTable removes all flow entries; on a fork that includes the ones
+// it reads from its frozen template, which keeps them. It panics on a
+// switch of a frozen network.
 func (s *Switch) ClearTable() {
-	s.table = nil
-	s.idx = newFlowIndex()
+	if s.net != nil {
+		s.net.mutate("ClearTable", sealAll)
+	}
+	s.table, s.baseTable = nil, nil
+	s.idx = flowIndex{}
 }
 
 // Table returns a copy of the flow table, highest priority first with
 // equal-priority ties in installation order.
 func (s *Switch) Table() []FlowEntry {
-	out := append([]FlowEntry(nil), s.table...)
-	if s.indexed {
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	}
+	out := make([]FlowEntry, 0, len(s.baseTable)+len(s.table))
+	out = append(append(out, s.baseTable...), s.table...)
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
 	return out
 }
 
@@ -119,30 +138,6 @@ func addAction(acts []actionGroup, a Action, tags uint64) []actionGroup {
 		}
 	}
 	return append(acts, actionGroup{act: a, tags: tags})
-}
-
-// matchActions partitions the packet's tag set by the highest-priority
-// matching entry per tag, appending per-action groups to acts (callers
-// pass a stack buffer). The remainder mask (tags with no matching entry)
-// misses to the controller. The indexed and scan paths enumerate entries
-// in the same (priority desc, install order asc) order.
-func (s *Switch) matchActions(inPort int64, p Packet, acts []actionGroup) ([]actionGroup, uint64) {
-	remaining := p.Tags
-	if s.indexed {
-		return s.matchActionsIndexed(inPort, p, acts)
-	}
-	for _, e := range s.table {
-		if remaining == 0 {
-			break
-		}
-		hit := remaining & e.Tags
-		if hit == 0 || !e.Match.Matches(inPort, p) {
-			continue
-		}
-		acts = addAction(acts, e.Action, hit)
-		remaining &^= hit
-	}
-	return acts, remaining
 }
 
 // matchGroups is the map-shaped view of matchActions, kept for tests and
@@ -170,27 +165,32 @@ type Host struct {
 	ByPort map[int64]*[64]int64
 	// BySrc counts delivered packets per (tag, source IP) for
 	// client-level checks (e.g. "the server receives H1's queries").
+	// Both maps are nil until the first delivery.
 	BySrc map[int64]*[64]int64
+
+	ord int // position in a frozen network's fork template
 }
 
 // NewHost creates a host.
 func NewHost(id string, ip int64, sw string) *Host {
-	return &Host{
-		ID: id, IP: ip, Switch: sw,
-		ByPort: make(map[int64]*[64]int64),
-		BySrc:  make(map[int64]*[64]int64),
-	}
+	return &Host{ID: id, IP: ip, Switch: sw}
 }
 
 // deliver records a packet delivery for every tag in the packet's set.
 func (h *Host) deliver(p Packet) {
 	pp := h.ByPort[p.DstPort]
 	if pp == nil {
+		if h.ByPort == nil {
+			h.ByPort = make(map[int64]*[64]int64)
+		}
 		pp = &[64]int64{}
 		h.ByPort[p.DstPort] = pp
 	}
 	ps := h.BySrc[p.SrcIP]
 	if ps == nil {
+		if h.BySrc == nil {
+			h.BySrc = make(map[int64]*[64]int64)
+		}
 		ps = &[64]int64{}
 		h.BySrc[p.SrcIP] = ps
 	}
@@ -248,15 +248,22 @@ type Network struct {
 	// MaxHops bounds forwarding loops (default 64).
 	MaxHops int
 
-	// flowIndexed records that EnableFlowIndex ran, so switches added
-	// later are indexed too.
-	flowIndexed bool
-
 	// hostIDCache is the sorted host-ID list Distribution reads, rebuilt
 	// whenever the host count changes; byNum finds switches by numeric ID
-	// in constant time for the controller's derived-tuple application.
+	// in constant time for the controller's derived-tuple application, and
+	// byIP hosts by address for route installation.
 	hostIDCache []string
 	byNum       map[int64]*Switch
+	byIP        map[int64]*Host
+
+	// seal is what Freeze and Fork took away (see fork.go); linked records
+	// that every switch's links match the current wiring.
+	seal   uint8
+	linked bool
+	// swOrder and hostOrder are a frozen network's fork template: its
+	// nodes in the order Fork lays their copies out.
+	swOrder   []*Switch
+	hostOrder []*Host
 
 	// Stats.
 	Delivered int64
@@ -279,16 +286,16 @@ func NewNetwork() *Network {
 	}
 }
 
-// AddSwitch registers a switch.
+// AddSwitch registers a switch. Like every topology mutator it panics on
+// a frozen or forked network.
 func (n *Network) AddSwitch(s *Switch) {
+	n.mutate("AddSwitch", sealWiring)
 	n.Switches[s.ID] = s
 	if n.byNum == nil {
 		n.byNum = make(map[int64]*Switch)
 	}
 	n.byNum[s.Num] = s
-	if n.flowIndexed {
-		s.EnableFlowIndex()
-	}
+	s.net = n
 }
 
 // SwitchByNum returns the switch with the given numeric ID (the Swi value
@@ -308,32 +315,34 @@ func (n *Network) SwitchByNum(num int64) *Switch {
 
 // AddHost registers a host and wires it to its switch's next free port.
 func (n *Network) AddHost(h *Host) int {
-	n.Hosts[h.ID] = h
 	sw := n.Switches[h.Switch]
-	if sw == nil {
-		panic(fmt.Sprintf("sdn: host %s references unknown switch %s", h.ID, h.Switch))
-	}
 	port := 1
-	for sw.ports[port] != "" {
+	for sw != nil && sw.ports[port] != "" {
 		port++
 	}
-	sw.Wire(port, h.ID)
+	n.AddHostAt(h, port)
 	return port
 }
 
 // AddHostAt registers a host on a specific switch port (scenario zones
 // wire ports explicitly so controller programs can name them).
 func (n *Network) AddHostAt(h *Host, port int) {
-	n.Hosts[h.ID] = h
+	n.mutate("AddHost", sealWiring)
 	sw := n.Switches[h.Switch]
 	if sw == nil {
 		panic(fmt.Sprintf("sdn: host %s references unknown switch %s", h.ID, h.Switch))
 	}
+	n.Hosts[h.ID] = h
+	if n.byIP == nil {
+		n.byIP = make(map[int64]*Host)
+	}
+	n.byIP[h.IP] = h
 	sw.Wire(port, h.ID)
 }
 
 // Link wires two switches together on their next free ports.
 func (n *Network) Link(a, b string) (int, int) {
+	n.mutate("Link", sealWiring)
 	sa, sb := n.Switches[a], n.Switches[b]
 	if sa == nil || sb == nil {
 		panic(fmt.Sprintf("sdn: link between unknown switches %s-%s", a, b))
@@ -350,8 +359,14 @@ func (n *Network) Link(a, b string) (int, int) {
 	return pa, pb
 }
 
-// HostByIP finds a host by IP (nil if none).
+// HostByIP finds a host by IP (nil if none). Hosts registered via
+// AddHost/AddHostAt are found in constant time; direct map writes, and
+// forks (which are not given the map: routes are installed before
+// Freeze), fall back to a scan.
 func (n *Network) HostByIP(ip int64) *Host {
+	if h, ok := n.byIP[ip]; ok && n.Hosts[h.ID] == h {
+		return h
+	}
 	for _, h := range n.Hosts {
 		if h.IP == ip {
 			return h
@@ -362,8 +377,10 @@ func (n *Network) HostByIP(ip int64) *Host {
 
 // Inject introduces a packet at a host's attachment switch and forwards it
 // until delivery, drop, miss, or hop exhaustion. Packets with a zero tag
-// set default to tag bit 0 (the single-variant case).
+// set default to tag bit 0 (the single-variant case). It panics on a
+// frozen network, whose counters every fork starts from.
 func (n *Network) Inject(hostID string, pkt Packet) {
+	n.mutate("Inject", sealAll)
 	h := n.Hosts[hostID]
 	if h == nil {
 		return
@@ -382,6 +399,7 @@ func (n *Network) Inject(hostID string, pkt Packet) {
 // SendFromSwitch emits a packet out of a switch port (the PacketOut
 // primitive available to controllers).
 func (n *Network) SendFromSwitch(sw *Switch, port int, pkt Packet) {
+	n.mutate("SendFromSwitch", sealAll)
 	n.emit(sw, port, pkt, 0)
 }
 
@@ -437,23 +455,57 @@ func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 	}
 }
 
+// link is one resolved switch port: the host or the switch wired there
+// and, for a switch, the port the packet arrives on (-1 when the
+// neighbour has no port back). Both nil: nothing registered is wired.
+type link struct {
+	host   *Host
+	sw     *Switch
+	inPort int64
+}
+
+// resolveLinks resolves every switch's wiring from neighbour names to
+// nodes, so that a hop is a slice index instead of four map lookups. A
+// fork is born resolved; a hand-built network resolves on its first
+// forward after a wiring change (Wire and the Add* mutators clear linked).
+func (n *Network) resolveLinks() {
+	for _, sw := range n.Switches {
+		top := -1
+		for p := range sw.ports {
+			if p > top {
+				top = p
+			}
+		}
+		sw.links = make([]link, top+1)
+		for p, name := range sw.ports {
+			if h, ok := n.Hosts[name]; ok {
+				sw.links[p].host = h
+			} else if ns, ok := n.Switches[name]; ok {
+				sw.links[p] = link{sw: ns, inPort: int64(ns.PortTo(sw.ID))}
+			}
+		}
+	}
+	n.linked = true
+}
+
 // emit sends a packet out of a switch port to whatever is wired there.
 func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
-	next := sw.Neighbour(port)
-	if next == "" {
+	if !n.linked {
+		n.resolveLinks()
+	}
+	if uint(port) >= uint(len(sw.links)) {
 		n.Dropped++
 		return
 	}
-	if h, ok := n.Hosts[next]; ok {
-		h.deliver(pkt)
+	switch l := &sw.links[port]; {
+	case l.host != nil:
+		l.host.deliver(pkt)
 		n.Delivered++
-		return
+	case l.sw != nil:
+		n.forward(l.sw, l.inPort, pkt, hops)
+	default:
+		n.Dropped++
 	}
-	if ns, ok := n.Switches[next]; ok {
-		n.forward(ns, int64(ns.PortTo(sw.ID)), pkt, hops)
-		return
-	}
-	n.Dropped++
 }
 
 // ResetCounters zeroes delivery statistics (flow tables are kept).
@@ -462,8 +514,7 @@ func (n *Network) ResetCounters() {
 	n.PacketInsByTag = [64]int64{}
 	for _, h := range n.Hosts {
 		h.Received = [64]int64{}
-		h.ByPort = make(map[int64]*[64]int64)
-		h.BySrc = make(map[int64]*[64]int64)
+		h.ByPort, h.BySrc = nil, nil
 	}
 }
 

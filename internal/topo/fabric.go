@@ -31,89 +31,105 @@ func (f *Fabric) InstallProactiveRoutes(overrides map[int64]string, reactive ...
 	for _, id := range reactive {
 		skip[id] = true
 	}
-	next := f.nextHops()
+	ids, num, hop := f.nextHops()
+	n := len(ids)
+	// A destination is an IP routed toward a switch (by number, -1 when
+	// the fabric has no such switch); one *int64 per destination serves as
+	// the DstIP match of its entry on every switch.
+	type dest struct {
+		ip *int64
+		sw int
+	}
+	dests := make([]dest, 0, len(f.Net.Hosts)+len(overrides))
+	add := func(ip int64, swID string) {
+		sw, known := num[swID]
+		if !known {
+			sw = -1
+		}
+		dests = append(dests, dest{&ip, sw})
+	}
 	for _, h := range f.Net.Hosts {
-		if skip[h.Switch] {
-			continue
+		if _, overridden := overrides[h.IP]; !overridden && !skip[h.Switch] {
+			add(h.IP, h.Switch)
 		}
-		if _, overridden := overrides[h.IP]; overridden {
-			continue
-		}
-		f.installRoutesTo(h.IP, h.Switch, next, skip)
 	}
 	for ip, swID := range overrides {
-		f.installRoutesTo(ip, swID, next, skip)
+		add(ip, swID)
 	}
-}
-
-// installRoutesTo installs DstIP entries on every non-reactive switch
-// toward target.
-func (f *Fabric) installRoutesTo(ip int64, targetSw string, next map[string]map[string]string, skip map[string]bool) {
-	for swID, sw := range f.Net.Switches {
+	// Switch by switch, so that each table takes its entries as one batch.
+	entries := make([]sdn.FlowEntry, 0, len(dests))
+	for src, swID := range ids {
 		if skip[swID] {
 			continue
 		}
-		if swID == targetSw {
-			// Final hop: deliver to the locally attached host if present.
-			if h := f.Net.HostByIP(ip); h != nil && h.Switch == swID {
-				dst := ip
-				sw.Install(sdn.FlowEntry{
-					Priority: 10,
-					Match:    sdn.Match{DstIP: &dst},
-					Action:   sdn.Action{Kind: sdn.ActionOutput, Port: sw.PortTo(h.ID)},
-					Tags:     ndlog.AllTags,
-				})
+		sw := f.Net.Switches[swID]
+		entries = entries[:0]
+		for _, d := range dests {
+			var port int
+			if d.sw == src {
+				// Final hop: deliver to the locally attached host if present.
+				h := f.Net.HostByIP(*d.ip)
+				if h == nil || h.Switch != swID {
+					continue
+				}
+				port = sw.PortTo(h.ID)
+			} else if d.sw >= 0 && hop[src*n+d.sw] >= 0 {
+				port = sw.PortTo(ids[hop[src*n+d.sw]])
+			} else {
+				continue
 			}
-			continue
+			entries = append(entries, sdn.FlowEntry{
+				Priority: 10,
+				Match:    sdn.Match{DstIP: d.ip},
+				Action:   sdn.Action{Kind: sdn.ActionOutput, Port: port},
+				Tags:     ndlog.AllTags,
+			})
 		}
-		hop, ok := next[swID][targetSw]
-		if !ok {
-			continue
-		}
-		dst := ip
-		sw.Install(sdn.FlowEntry{
-			Priority: 10,
-			Match:    sdn.Match{DstIP: &dst},
-			Action:   sdn.Action{Kind: sdn.ActionOutput, Port: sw.PortTo(hop)},
-			Tags:     ndlog.AllTags,
-		})
+		sw.Install(entries...)
 	}
 }
 
-// nextHops runs BFS from every switch, returning next[src][dst] = the
-// neighbouring switch on a shortest path from src to dst.
-func (f *Fabric) nextHops() map[string]map[string]string {
-	adj := make(map[string][]string)
+// nextHops numbers the switches (ids[i] has number num[ids[i]] = i) and
+// runs a BFS toward each of them over the switch-to-switch links:
+// hop[src*n+dst] is the number of src's neighbour on a shortest path to
+// dst, -1 when there is none (or src is dst).
+func (f *Fabric) nextHops() (ids []string, num map[string]int, hop []int32) {
+	n := len(f.Net.Switches)
+	ids = make([]string, 0, n)
+	num = make(map[string]int, n)
+	for id := range f.Net.Switches {
+		num[id] = len(ids)
+		ids = append(ids, id)
+	}
+	adj := make([][]int32, n)
 	for id, sw := range f.Net.Switches {
 		for _, p := range sw.Ports() {
-			n := sw.Neighbour(p)
-			if _, isSwitch := f.Net.Switches[n]; isSwitch {
-				adj[id] = append(adj[id], n)
+			if nb, isSwitch := num[sw.Neighbour(p)]; isSwitch {
+				adj[num[id]] = append(adj[num[id]], int32(nb))
 			}
 		}
 	}
-	next := make(map[string]map[string]string)
-	for src := range f.Net.Switches {
-		next[src] = make(map[string]string)
+	hop = make([]int32, n*n)
+	for i := range hop {
+		hop[i] = -1
 	}
-	// BFS from each destination, recording each node's parent toward dst.
-	for dst := range f.Net.Switches {
-		visited := map[string]bool{dst: true}
-		queue := []string{dst}
-		for len(queue) > 0 {
-			cur := queue[0]
-			queue = queue[1:]
+	// BFS from each destination, recording each node's parent toward dst;
+	// a node is visited once it has one.
+	queue := make([]int32, 0, n)
+	for dst := 0; dst < n; dst++ {
+		queue = append(queue[:0], int32(dst))
+		for head := 0; head < len(queue); head++ {
+			cur := queue[head]
 			for _, nb := range adj[cur] {
-				if visited[nb] {
+				if int(nb) == dst || hop[int(nb)*n+dst] >= 0 {
 					continue
 				}
-				visited[nb] = true
-				next[nb][dst] = cur
+				hop[int(nb)*n+dst] = cur
 				queue = append(queue, nb)
 			}
 		}
 	}
-	return next
+	return ids, num, hop
 }
 
 // SwitchCount returns the number of switches in the fabric.

@@ -37,9 +37,10 @@ type EvalMode int
 
 const (
 	// EvalDelta (the default) runs shared backtests on the engine's
-	// grouped delta evaluation with indexed flow-table matching:
-	// verdict-identical to EvalFull, several times faster at high
-	// candidate counts (see the ndlog package's incremental evaluation).
+	// grouped delta evaluation: verdict-identical to EvalFull, several
+	// times faster at high candidate counts (see the ndlog package's
+	// incremental evaluation). The replay network is the same in both
+	// modes.
 	EvalDelta EvalMode = iota
 	// EvalFull fires every trigger plan independently — the reference
 	// path the differential tests treat as the oracle, kept selectable

@@ -17,11 +17,13 @@
 // Typical use:
 //
 //	sess, _ := metarepair.NewSession(program)
-//	net := buildNetwork()
+//	topology := buildNetwork()
+//	topology.Freeze()                // build once, fork per replay
+//	net := topology.Fork()
 //	net.Ctrl = sess.Controller()     // record control-plane history
 //	...run traffic...
 //	sym := metarepair.Missing("FlowTable", metarepair.Pin(3), nil, nil, nil, metarepair.Pin(80), metarepair.Pin(2))
-//	report, _ := sess.Repair(ctx, sym, metarepair.Backtest{BuildNet: buildNetwork, Workload: wl, Effective: fixed})
+//	report, _ := sess.Repair(ctx, sym, metarepair.Backtest{BuildNet: topology.Fork, Workload: wl, Effective: fixed})
 //	for _, s := range report.Suggestions { fmt.Println(s) }
 //
 // For incremental consumption use Stream, which returns a Run whose
@@ -150,12 +152,16 @@ func Pin(v int64) *ndlog.Value {
 }
 
 // Backtest describes the historical evidence a candidate set is evaluated
-// against (§4.3): how to rebuild the network, the controller state and
+// against (§4.3): how to obtain the network, the controller state and
 // recorded workload to replay, and the per-tag effectiveness check.
 type Backtest struct {
-	// BuildNet constructs a fresh network (topology + proactive state, no
-	// controller attached). It must be safe to call concurrently: the
-	// backtest pipeline builds one network per in-flight batch.
+	// BuildNet returns a network no other run touches (topology +
+	// proactive state, no controller attached). It must be safe to call
+	// concurrently: the backtest pipeline takes one network per in-flight
+	// batch. Build the network once, Freeze it and pass its Fork method —
+	// a fork costs O(switches + hosts) and shares the topology and the
+	// installed tables; rebuilding per call works but pays for every
+	// proactive entry again.
 	BuildNet func() *sdn.Network
 	// State are controller tuples inserted before traffic (policy tables).
 	State []ndlog.Tuple

@@ -47,8 +47,10 @@ type WatchConfig struct {
 	Program *ndlog.Program
 	// Symptom is the predicate to evaluate over windows.
 	Symptom Symptom
-	// BuildNet builds the topology (fresh per use — the monitor takes
-	// one, every repair diagnosis another, every backtest batch more).
+	// BuildNet returns the topology, a network of its own per use — the
+	// monitor takes one, every repair diagnosis another, every backtest
+	// batch more, concurrently. The Fork method of a frozen network
+	// (Backtest.BuildNet) is the intended value.
 	BuildNet func() *sdn.Network
 	// State seeds the controller before traffic.
 	State []ndlog.Tuple

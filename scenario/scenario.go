@@ -78,10 +78,12 @@ type Scenario struct {
 	Prog  *ndlog.Program
 	State []ndlog.Tuple
 
-	// BuildNet constructs the topology with proactive routes installed
-	// and the reactive zone wired (no controller). It must be
-	// deterministic and safe to call concurrently: backtesting builds one
-	// network per in-flight batch.
+	// BuildNet returns a network no other run touches: the topology with
+	// proactive routes installed and the reactive zone wired (no
+	// controller). Instantiate sets it to the Fork method of the frozen
+	// reference fabric; a replacement must likewise be deterministic and
+	// safe to call concurrently — backtesting takes one network per
+	// in-flight batch.
 	BuildNet func() *sdn.Network
 	// Workload is the recorded traffic, generated in memory.
 	Workload []trace.Entry

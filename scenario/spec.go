@@ -2,11 +2,11 @@ package scenario
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
-	"repro/internal/sdn"
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
@@ -21,9 +21,11 @@ import (
 // The resolver functions all receive the generated fabric, because in
 // practice every piece of a scenario depends on the concrete topology:
 // thresholds are computed from host IPs, workloads from host lists, and
-// goals from both. Generation is deterministic, so the reference fabric
-// each resolver sees is identical to every fabric BuildNet later
-// constructs for backtesting.
+// goals from both. The fabric the resolvers see is built once per
+// Instantiate and then frozen (sdn.Network.Freeze): every network
+// BuildNet later hands to a replay is a fork of it, so resolvers may read
+// it — also from the closures they return, concurrently — but not change
+// it.
 type Spec struct {
 	// Name registers the scenario; Query is the operator's diagnostic
 	// question (Table 1 style).
@@ -35,11 +37,11 @@ type Spec struct {
 	// topo.FatTree, and topo.Linear.
 	Topology topo.Generator
 
-	// Attach wires the scenario onto a freshly generated fabric: zone
+	// Attach wires the scenario onto the freshly generated fabric: zone
 	// switches and hosts, links into the fabric, and proactive routes
-	// with overrides. It runs for every network rebuild, so it must be
-	// deterministic. Optional — a spec whose program manages the fabric
-	// itself may omit it (install proactive routes here if so).
+	// with overrides. It runs once per Instantiate, and is the last code
+	// that may change the fabric. Optional — a spec whose program manages
+	// the fabric itself may omit it (install proactive routes here if so).
 	Attach func(f *topo.Fabric)
 
 	// Program resolves the buggy controller program and its initial
@@ -102,10 +104,11 @@ func (s Spec) Validate() error {
 }
 
 // Instantiate resolves the spec at a scale into a runnable Scenario: it
-// generates the reference fabric, resolves the program, workload, goal,
-// and oracle against it, and wires a deterministic BuildNet for
-// backtesting. Zero scale fields fall back to DefaultScale.
-func (s Spec) Instantiate(sc Scale) (*Scenario, error) {
+// generates the reference fabric once, freezes it, resolves the program,
+// workload, goal, and oracle against it, and sets BuildNet to fork it per
+// replay. A resolver that tries to change the frozen fabric fails the
+// instantiation. Zero scale fields fall back to DefaultScale.
+func (s Spec) Instantiate(sc Scale) (out *Scenario, err error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
@@ -119,14 +122,22 @@ func (s Spec) Instantiate(sc Scale) (*Scenario, error) {
 	if gen == nil {
 		gen = topo.Campus{}
 	}
-	build := func() *topo.Fabric {
-		f := gen.Generate(topo.Size{Switches: sc.Switches})
-		if s.Attach != nil {
-			s.Attach(f)
-		}
-		return f
+	ref := gen.Generate(topo.Size{Switches: sc.Switches})
+	if s.Attach != nil {
+		s.Attach(ref)
 	}
-	ref := build()
+	ref.Net.Freeze()
+	// The frozen fabric panics when mutated; a spec is outside input, so
+	// that (like any panic a resolver raises on purpose) is reported as an
+	// invalid spec. Runtime errors are bugs and keep their stack.
+	defer func() {
+		if r := recover(); r != nil {
+			if _, bug := r.(runtime.Error); bug {
+				panic(r)
+			}
+			out, err = nil, fmt.Errorf("scenario %s: resolving against the frozen fabric: %v", s.Name, r)
+		}
+	}()
 	prog, state, err := s.Program(ref)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: resolving program: %w", s.Name, err)
@@ -141,7 +152,7 @@ func (s Spec) Instantiate(sc Scale) (*Scenario, error) {
 		Topology:          gen.Name(),
 		Prog:              prog,
 		State:             state,
-		BuildNet:          func() *sdn.Network { return build().Net },
+		BuildNet:          ref.Net.Fork,
 		Workload:          s.Workload(ref, sc),
 		Goal:              s.Goal(ref),
 		Effective:         s.Oracle(ref),
