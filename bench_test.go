@@ -307,6 +307,24 @@ func BenchmarkExplorePipeline(b *testing.B) {
 	})
 }
 
+// captureToStore writes a workload into a fresh trace store that lives as
+// long as the benchmark.
+func captureToStore(b *testing.B, wl []trace.Entry) *tracestore.Store {
+	b.Helper()
+	st, err := tracestore.Open(b.TempDir(), tracestore.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	if err := st.Append(wl...); err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
 // BenchmarkReplaySource compares in-memory slice replay against
 // streaming replay from the segmented on-disk trace store (binary §5.4
 // records): the storage layer's cost for the O(segment)-memory replay
@@ -314,17 +332,7 @@ func BenchmarkExplorePipeline(b *testing.B) {
 func BenchmarkReplaySource(b *testing.B) {
 	s := scenarios.Q1(benchScale())
 	wl := s.Workload
-	st, err := tracestore.Open(b.TempDir(), tracestore.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(wl...); err != nil {
-		b.Fatal(err)
-	}
-	if err := st.Sync(); err != nil {
-		b.Fatal(err)
-	}
+	st := captureToStore(b, wl)
 	b.Run("Memory", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			net := s.BuildNet()
@@ -345,6 +353,54 @@ func BenchmarkReplaySource(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkReplayFlowRuns is the diagnostic replay of the log-length-bound
+// cell of the replay-store workload (Q5 at 6 000 flows, ~95 000 entries in
+// runs of ~16 per flow) from memory and from a trace store. Besides time
+// and bytes it reports walks/op — the injections that walked the flow
+// tables; the rest were applied from the previous traversal's record
+// (sdn.Network.Inject) — so entries/op − walks/op over entries/op is the
+// record's hit rate behind the ns/entry figure.
+func BenchmarkReplayFlowRuns(b *testing.B) {
+	s := scenarios.Q5(scenarios.Scale{Switches: 19, Flows: 6000})
+	st := captureToStore(b, s.Workload)
+	for _, from := range []struct {
+		name string
+		src  trace.Source
+	}{
+		{"Memory", trace.SliceSource(s.Workload)},
+		{"Store", st.Source()},
+	} {
+		b.Run(from.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var walks int64
+			for i := 0; i < b.N; i++ {
+				sess, err := metarepair.NewSession(s.Prog)
+				if err != nil {
+					b.Fatal(err)
+				}
+				net := s.BuildNet()
+				ctl := sess.Controller()
+				net.Ctrl = ctl
+				for _, t := range s.State {
+					ctl.InsertState(net, t)
+				}
+				n, err := trace.ReplaySource(net, from.src, 1)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if n != len(s.Workload) {
+					b.Fatalf("replayed %d of %d", n, len(s.Workload))
+				}
+				walks += net.Walks
+			}
+			entries := float64(b.N) * float64(len(s.Workload))
+			b.ReportMetric(float64(len(s.Workload)), "entries/op")
+			b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
+		})
+	}
 }
 
 // BenchmarkSuiteMatrix measures the concurrent suite runner against a

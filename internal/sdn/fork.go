@@ -25,7 +25,7 @@ const (
 
 // mutate guards every mutator: it panics when the seal forbids the
 // operation, and notes a wiring change so that the next forward
-// re-resolves the links.
+// re-resolves the links and walks the tables.
 func (n *Network) mutate(op string, level uint8) {
 	if n.seal >= level {
 		kind := "frozen"
@@ -36,6 +36,7 @@ func (n *Network) mutate(op string, level uint8) {
 	}
 	if level == sealWiring {
 		n.linked = false
+		n.epoch++
 	}
 }
 
@@ -57,16 +58,16 @@ func (n *Network) Freeze() {
 	n.swOrder = make([]*Switch, len(ids))
 	for i, id := range ids {
 		s := n.Switches[id]
-		s.net, s.ord = n, i // net: also seals a switch registered by a direct map write
+		s.ord = i
 		n.swOrder[i] = s
 	}
 	n.hostOrder = make([]*Host, len(n.Hosts))
 	for i, id := range n.hostIDs() {
 		h := n.Hosts[id]
-		h.ord = i
+		h.ord = int32(i)
 		n.hostOrder[i] = h
 	}
-	n.resolveLinks()
+	n.resolveLinks() // also adopts, and so seals, switches registered by a direct map write
 	n.seal = sealAll
 }
 
@@ -91,10 +92,14 @@ func (n *Network) Fork() *Network {
 		seal:        sealWiring,
 		linked:      true,
 	}
+	sws := make([]Switch, len(n.swOrder))
 	hosts := make([]Host, len(n.hostOrder))
 	for i, t := range n.hostOrder {
 		h := &hosts[i]
 		h.ID, h.IP, h.Switch = t.ID, t.IP, t.Switch
+		if t.sw != nil {
+			h.sw, h.inPort = &sws[t.sw.ord], t.inPort
+		}
 		f.Hosts[h.ID] = h
 	}
 	nlinks := 0
@@ -102,7 +107,6 @@ func (n *Network) Fork() *Network {
 		nlinks += len(t.links)
 	}
 	links := make([]link, nlinks)
-	sws := make([]Switch, len(n.swOrder))
 	for i, t := range n.swOrder {
 		s := &sws[i]
 		*s = Switch{

@@ -178,7 +178,9 @@ func (installOnMiss) PacketIn(n *Network, sw *Switch, _ int64, p Packet) {
 
 // Forks of one frozen network share its tables and wiring; replaying and
 // installing on eight of them at once must neither race (run under -race)
-// nor show in each other's counters or in the template.
+// nor show in each other's counters or in the template. Each goroutine
+// also plays a traversal-record script (inject_test.go) on its own fork of
+// a second shared template: the record is per fork, like the counters.
 func TestConcurrentForksAreIsolated(t *testing.T) {
 	tmpl := twoSwitchNet()
 	s1 := tmpl.Switches["s1"]
@@ -198,11 +200,16 @@ func TestConcurrentForksAreIsolated(t *testing.T) {
 	if want.Delivered == 0 || want.PacketIns == 0 {
 		t.Fatalf("the replay exercises nothing: delivered %d, PacketIns %d", want.Delivered, want.PacketIns)
 	}
+	scripted := buildRandomNet(7)
+	scripted.Freeze()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			if d, _ := recordDiverges(7, scripted.Fork()); d != "" {
+				t.Errorf("concurrent scripted fork: %s", d)
+			}
 			n := replay()
 			if n.Delivered != want.Delivered || n.PacketIns != want.PacketIns || n.Hops != want.Hops ||
 				n.Hosts["h2"].Received != want.Hosts["h2"].Received ||

@@ -1,0 +1,279 @@
+package sdn
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"slices"
+	"testing"
+
+	"repro/internal/ndlog"
+)
+
+// The traversal record (Network.Inject) against a walk of every packet.
+//
+// A seed fixes a small network with loops, random tables and a script:
+// runs of 1-20 identical multi-tag packets from several hosts, with table
+// changes, controller swaps and hop-limit changes between them — most
+// often between two runs of the same packet. The script
+// is played on the network under test and on a hand-built reference whose
+// epoch the test advances before every injection, so that the reference
+// never finds its record valid and walks the tables each time. The two
+// must agree on every counter cell, every table and the captured packets.
+
+// captured is the Capture hook both sides record into.
+type captured []string
+
+func (c *captured) CapturePacket(src string, p Packet) {
+	*c = append(*c, fmt.Sprintf("%s %v %#x", src, p, p.Tags))
+}
+
+// outPort derives a port from the header alone, so that a controller acts
+// the same on every network it is attached to.
+func outPort(p Packet) int { return int((p.SrcIP + 2*p.DstIP + p.DstPort) % 4) }
+
+// reactiveCtl installs an exact-match entry for the missed tags and sends
+// the packet on, as a reactive program does.
+type reactiveCtl struct{}
+
+func (reactiveCtl) PacketIn(n *Network, sw *Switch, inPort int64, p Packet) {
+	sw.Install(FlowEntry{Priority: 2,
+		Match:  Match{InPort: ptr(inPort), SrcIP: ptr(p.SrcIP), DstIP: ptr(p.DstIP), DstPort: ptr(p.DstPort)},
+		Action: Action{Kind: ActionOutput, Port: outPort(p)}, Tags: p.Tags})
+	n.SendFromSwitch(sw, outPort(p), p)
+}
+
+// packetOutCtl forwards every missed packet itself and never installs —
+// Q4's shape: identical packets keep reaching the controller, so none of
+// them may be answered from the record. A PacketOut restarts the hop
+// count, so a miss met while one is in flight is left to die (busy).
+type packetOutCtl struct{ busy bool }
+
+func (c *packetOutCtl) PacketIn(n *Network, sw *Switch, _ int64, p Packet) {
+	if c.busy {
+		return
+	}
+	c.busy = true
+	n.SendFromSwitch(sw, outPort(p), p)
+	c.busy = false
+}
+
+// buildRandomNet builds the seed's network by hand: three switches in a
+// triangle (so tables can loop packets into the hop limit), four attached
+// hosts, one host whose attachment switch does not exist, and random base
+// tables in which catch-all entries for every tag make complete, miss-free
+// traversals common. The last switch is registered by a direct map write.
+func buildRandomNet(seed int64) *Network {
+	r := rand.New(rand.NewSource(seed))
+	n := NewNetwork()
+	n.AddSwitch(NewSwitch("s0", 10))
+	n.AddSwitch(NewSwitch("s1", 11))
+	n.Switches["s2"] = NewSwitch("s2", 12)
+	n.Link("s0", "s1")
+	n.Link("s1", "s2")
+	n.Link("s2", "s0")
+	for i := 0; i < 4; i++ {
+		n.AddHost(NewHost(fmt.Sprintf("h%d", i), int64(i), fmt.Sprintf("s%d", r.Intn(3))))
+	}
+	n.Hosts["lost"] = NewHost("lost", 9, "nowhere")
+	for _, id := range []string{"s0", "s1", "s2"} {
+		sw := n.Switches[id]
+		sw.Install(randomEntries(r, 1+r.Intn(12))...)
+		if r.Intn(4) != 0 {
+			sw.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionKind(r.Intn(2)), Port: 1 + r.Intn(4)}, Tags: ndlog.AllTags})
+		}
+	}
+	return n
+}
+
+// netDiff names the first cell on which two networks differ, or "".
+func netDiff(a, b *Network) string {
+	type stats struct {
+		Delivered, Dropped, Missed, Hops, PacketIns int64
+		ByTag                                       [64]int64
+	}
+	sa := stats{a.Delivered, a.Dropped, a.Missed, a.Hops, a.PacketIns, a.PacketInsByTag}
+	sb := stats{b.Delivered, b.Dropped, b.Missed, b.Hops, b.PacketIns, b.PacketInsByTag}
+	if sa != sb {
+		return fmt.Sprintf("network counters %+v, want %+v", sa, sb)
+	}
+	rows := func(m map[int64]*[64]int64) map[int64][64]int64 {
+		out := make(map[int64][64]int64, len(m))
+		for k, v := range m {
+			out[k] = *v
+		}
+		return out
+	}
+	for id, ha := range a.Hosts {
+		hb := b.Hosts[id]
+		if ha.Received != hb.Received {
+			return fmt.Sprintf("host %s Received %v, want %v", id, ha.Received[:4], hb.Received[:4])
+		}
+		if !reflect.DeepEqual(rows(ha.ByPort), rows(hb.ByPort)) {
+			return fmt.Sprintf("host %s ByPort differs", id)
+		}
+		if !reflect.DeepEqual(rows(ha.BySrc), rows(hb.BySrc)) {
+			return fmt.Sprintf("host %s BySrc differs", id)
+		}
+	}
+	for id, s := range a.Switches {
+		if !sameEntries(s.Table(), b.Switches[id].Table()) {
+			return fmt.Sprintf("switch %s table\n%v\nwant\n%v", id, s.Table(), b.Switches[id].Table())
+		}
+	}
+	return ""
+}
+
+// recordDiverges plays the seed's script on prod — the seed's network,
+// hand-built or forked — and on a reference that walks every packet, and
+// describes the first divergence ("" if none). hits is how many of prod's
+// injections were answered from the record.
+func recordDiverges(seed int64, prod *Network) (diff string, hits int64) {
+	ref := buildRandomNet(seed)
+	var gotCap, wantCap captured
+	prod.Capture, ref.Capture = &gotCap, &wantCap
+	both := func(f func(n *Network)) { f(prod); f(ref) }
+	r := rand.New(rand.NewSource(seed ^ 0x5eed))
+	hostIDs := []string{"h0", "h1", "h2", "h3", "lost", "nobody"}
+	swIDs := []string{"s0", "s1", "s2"}
+	var injected int64
+	var src string
+	var p Packet
+	for run := 0; run < 120; run++ {
+		sw := swIDs[r.Intn(3)]
+		switch r.Intn(14) {
+		case 0, 9: // an effective install, every other one aimed at the packet in flight
+			e := randomEntries(r, 1)[0]
+			if r.Intn(2) == 0 {
+				e.Priority, e.Tags = 3+r.Intn(2), e.Tags|r.Uint64()&0b1111
+				e.Match = Match{SrcIP: ptr(p.SrcIP), DstPort: ptr(p.DstPort)}
+				if r.Intn(2) == 0 {
+					e.Match = Match{DstIP: ptr(p.DstIP)}
+				}
+			}
+			both(func(n *Network) { n.Switches[sw].Install(e) })
+		case 1: // a re-install an existing entry covers: a no-op
+			if tbl := ref.Switches[sw].Table(); len(tbl) > 0 {
+				e := tbl[r.Intn(len(tbl))]
+				e.Tags &= r.Uint64()
+				both(func(n *Network) { n.Switches[sw].Install(e) })
+			}
+		case 2:
+			if r.Intn(3) == 0 {
+				both(func(n *Network) { n.Switches[sw].ClearTable() })
+			}
+		case 3:
+			both(func(n *Network) { n.Ctrl = reactiveCtl{} })
+		case 4:
+			both(func(n *Network) { n.Ctrl = &packetOutCtl{} })
+		case 5:
+			both(func(n *Network) { n.Ctrl = nil })
+		case 6:
+			hops := r.Intn(5)
+			both(func(n *Network) { n.MaxHops = hops })
+		case 7:
+			both(func(n *Network) { n.MaxHops = 64 })
+		case 8:
+			if r.Intn(4) == 0 {
+				hits += injected - prod.Walks
+				both(func(n *Network) { n.ResetCounters() })
+				injected = 0
+			}
+		}
+		// Mostly the previous run's packet again, so that whatever changed
+		// above lies between two identical injections.
+		if run == 0 || r.Intn(3) == 0 {
+			src = hostIDs[r.Intn(len(hostIDs))]
+			_, p = randomPacket(r)
+			p.Tags = r.Uint64() & 0b1111 // zero: the single-variant default
+		}
+		for i, k := 0, 1+r.Intn(20); i < k; i++ {
+			prod.Inject(src, p)
+			ref.epoch++
+			ref.Inject(src, p)
+			if src != "nobody" {
+				injected++
+			}
+		}
+		if d := netDiff(prod, ref); d != "" {
+			return fmt.Sprintf("seed %d run %d (%s x %v): %s", seed, run, src, p, d), 0
+		}
+		if ref.Walks != injected || prod.Walks > injected {
+			return fmt.Sprintf("seed %d run %d: %d injections, reference walked %d, prod %d",
+				seed, run, injected, ref.Walks, prod.Walks), 0
+		}
+	}
+	if !slices.Equal(gotCap, wantCap) {
+		return fmt.Sprintf("seed %d: captured %d packets, want %d, or in another order", seed, len(gotCap), len(wantCap)), 0
+	}
+	return "", hits + injected - prod.Walks
+}
+
+func TestRecordedTraversalMatchesWalk(t *testing.T) {
+	var built, forked int64
+	for seed := int64(0); seed < 60; seed++ {
+		d, hits := recordDiverges(seed, buildRandomNet(seed))
+		if d != "" {
+			t.Fatalf("hand-built: %s", d)
+		}
+		built += hits
+		tmpl := buildRandomNet(seed)
+		tmpl.Freeze()
+		if d, hits = recordDiverges(seed, tmpl.Fork()); d != "" {
+			t.Fatalf("fork: %s", d)
+		}
+		forked += hits
+	}
+	if built == 0 || built != forked {
+		t.Fatalf("injections answered from the record: %d hand-built, %d forked; want equal and > 0", built, forked)
+	}
+	t.Logf("%d injections per mode answered from the record", built)
+}
+
+// An install on a switch the network only knows through a direct map write
+// must still be seen between two identical injections.
+func TestInstallOnMapWrittenSwitchIsHonoured(t *testing.T) {
+	n := NewNetwork()
+	s := NewSwitch("s", 1)
+	n.Switches["s"] = s
+	n.Hosts["a"], n.Hosts["b"] = NewHost("a", 1, "s"), NewHost("b", 2, "s")
+	s.Wire(1, "a")
+	s.Wire(2, "b")
+	s.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: 2}, Tags: 1})
+	n.Inject("a", Packet{DstIP: 2})
+	n.Inject("a", Packet{DstIP: 2})
+	if got := n.Hosts["b"].ReceivedFor(0); got != 2 || n.Walks != 1 {
+		t.Fatalf("b received %d after %d walks, want 2 after 1", got, n.Walks)
+	}
+	s.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: 2}, Tags: 1}) // covered: changes nothing
+	n.Inject("a", Packet{DstIP: 2})
+	if got := n.Hosts["b"].ReceivedFor(0); got != 3 || n.Walks != 1 {
+		t.Fatalf("after a covered re-install: b received %d after %d walks, want 3 after 1", got, n.Walks)
+	}
+	s.Install(FlowEntry{Priority: 1, Match: Match{DstIP: ptr(2)}, Action: Action{Kind: ActionDrop}, Tags: 1})
+	n.Inject("a", Packet{DstIP: 2})
+	if got := n.Hosts["b"].ReceivedFor(0); got != 3 || n.Dropped != 1 {
+		t.Fatalf("after the drop entry: b received %d, dropped %d; want 3 and 1", got, n.Dropped)
+	}
+}
+
+// A host whose attachment switch is not registered cannot inject: its
+// packets are dropped and counted, on a built network and on a fork.
+func TestUnattachedHostDrops(t *testing.T) {
+	n := twoSwitchNet()
+	n.Hosts["lost"] = NewHost("lost", 9, "nowhere")
+	n.Inject("lost", Packet{})
+	n.Inject("h1", Packet{}) // resolves the links
+	n.Inject("lost", Packet{})
+	if n.Dropped != 2 || n.Hops != 1 {
+		t.Fatalf("dropped %d hops %d, want 2 and 1", n.Dropped, n.Hops)
+	}
+	tmpl := twoSwitchNet()
+	tmpl.Hosts["lost"] = NewHost("lost", 9, "nowhere")
+	tmpl.Freeze()
+	f := tmpl.Fork()
+	f.Inject("lost", Packet{})
+	if f.Dropped != 1 || f.Hops != 0 {
+		t.Fatalf("fork: dropped %d hops %d, want 1 and 0", f.Dropped, f.Hops)
+	}
+}

@@ -91,6 +91,7 @@ func (s *Switch) Install(entries ...FlowEntry) {
 	if s.net != nil {
 		s.net.mutate("Install", sealAll)
 	}
+	before := len(s.table)
 	s.table = slices.Grow(s.table, len(entries))
 	for _, e := range entries {
 		// A batch is the best guess at how many buckets a new signature
@@ -98,6 +99,9 @@ func (s *Switch) Install(entries ...FlowEntry) {
 		if s.idx.install(e, len(entries)) {
 			s.table = append(s.table, e)
 		}
+	}
+	if s.net != nil && len(s.table) != before {
+		s.net.epoch++ // a covered re-install changes no match and keeps the record
 	}
 }
 
@@ -107,6 +111,7 @@ func (s *Switch) Install(entries ...FlowEntry) {
 func (s *Switch) ClearTable() {
 	if s.net != nil {
 		s.net.mutate("ClearTable", sealAll)
+		s.net.epoch++
 	}
 	s.table, s.baseTable = nil, nil
 	s.idx = flowIndex{}
@@ -168,7 +173,13 @@ type Host struct {
 	// Both maps are nil until the first delivery.
 	BySrc map[int64]*[64]int64
 
-	ord int // position in a frozen network's fork template
+	// sw and inPort are the attachment resolved against the host's network
+	// (see Network.attach); sw is nil while the host is unattached. ord is
+	// the position in a frozen network's fork template. inPort and ord are
+	// 32 bits wide (Wire keeps ports within 16) so that the pair costs a
+	// fork's host slab one word per host.
+	sw          *Switch
+	inPort, ord int32
 }
 
 // NewHost creates a host.
@@ -176,9 +187,10 @@ func NewHost(id string, ip int64, sw string) *Host {
 	return &Host{ID: id, IP: ip, Switch: sw}
 }
 
-// deliver records a packet delivery for every tag in the packet's set.
-func (h *Host) deliver(p Packet) {
-	pp := h.ByPort[p.DstPort]
+// deliver records a packet delivery for every tag in the packet's set and
+// returns the per-port and per-source counter rows it counted into.
+func (h *Host) deliver(p Packet) (pp, ps *[64]int64) {
+	pp = h.ByPort[p.DstPort]
 	if pp == nil {
 		if h.ByPort == nil {
 			h.ByPort = make(map[int64]*[64]int64)
@@ -186,7 +198,7 @@ func (h *Host) deliver(p Packet) {
 		pp = &[64]int64{}
 		h.ByPort[p.DstPort] = pp
 	}
-	ps := h.BySrc[p.SrcIP]
+	ps = h.BySrc[p.SrcIP]
 	if ps == nil {
 		if h.BySrc == nil {
 			h.BySrc = make(map[int64]*[64]int64)
@@ -194,7 +206,14 @@ func (h *Host) deliver(p Packet) {
 		ps = &[64]int64{}
 		h.BySrc[p.SrcIP] = ps
 	}
-	for t := p.Tags; t != 0; t &= t - 1 {
+	h.count(p.Tags, pp, ps)
+	return pp, ps
+}
+
+// count adds one delivery under every tag of the set to the host's totals
+// and to the two resolved counter rows.
+func (h *Host) count(tags uint64, pp, ps *[64]int64) {
+	for t := tags; t != 0; t &= t - 1 {
 		b := bits.TrailingZeros64(t)
 		h.Received[b]++
 		pp[b]++
@@ -265,12 +284,26 @@ type Network struct {
 	swOrder   []*Switch
 	hostOrder []*Host
 
+	// epoch advances whenever a walk could come out differently or count
+	// into different rows: on every effective Install, ClearTable, wiring
+	// change and ResetCounters. last is the previous injection's traversal,
+	// valid while the epoch stands (see Inject); recording is set while
+	// Inject walks a packet that has so far hit neither a table miss nor
+	// the hop limit.
+	epoch     uint64
+	last      traversal
+	recording bool
+
 	// Stats.
 	Delivered int64
 	Dropped   int64
 	Missed    int64 // packets (or packet forks) that died on a table miss
 	PacketIns int64
 	Hops      int64
+	// Walks counts the injections that walked the flow tables; the others
+	// (injections at a known host minus Walks) were applied from the
+	// previous traversal's record.
+	Walks int64
 	// PacketInsByTag counts controller PacketIns per backtesting tag,
 	// the controller-load metric used to reject repairs that degenerate
 	// into per-packet forwarding (§4.3 operator metrics).
@@ -375,10 +408,46 @@ func (n *Network) HostByIP(ip int64) *Host {
 	return nil
 }
 
+// delivery is one host delivery of a recorded traversal, with the host's
+// counter rows for the packet's destination port and source IP resolved.
+type delivery struct {
+	host   *Host
+	tags   uint64
+	pp, ps *[64]int64
+}
+
+// traversal is everything one injection did, in the form a repeat of it
+// needs: who sent what, under which epoch and hop limit, where copies were
+// delivered, and how far the network counters moved. src is nil while
+// there is no record.
+type traversal struct {
+	src        *Host
+	pkt        Packet
+	epoch      uint64
+	maxHops    int
+	deliveries []delivery
+
+	delivered, dropped, hops int64
+}
+
 // Inject introduces a packet at a host's attachment switch and forwards it
 // until delivery, drop, miss, or hop exhaustion. Packets with a zero tag
-// set default to tag bit 0 (the single-variant case). It panics on a
-// frozen network, whose counters every fork starts from.
+// set default to tag bit 0 (the single-variant case); a packet from an
+// unknown host is ignored and one from a host whose attachment switch is
+// not registered is counted as Dropped. It panics on a frozen network,
+// whose counters every fork starts from.
+//
+// A trace is runs of identical packets, so the network remembers its
+// previous injection — source, header and tag set, every delivery with the
+// host's counter rows resolved, and the Delivered/Dropped/Hops deltas —
+// and applies that record when the next injection is identical, instead of
+// walking the tables again. The record is exact, not approximate: it is
+// stamped with MaxHops and with an epoch that every effective Install,
+// ClearTable, wiring change and ResetCounters advances, and a traversal
+// that met a table miss or the hop limit is never recorded — so whatever
+// reaches the controller (whose answer may depend on state the network
+// cannot see) or follows a table change is walked packet by packet. The
+// Capture hook sees every packet either way.
 func (n *Network) Inject(hostID string, pkt Packet) {
 	n.mutate("Inject", sealAll)
 	h := n.Hosts[hostID]
@@ -391,9 +460,34 @@ func (n *Network) Inject(hostID string, pkt Packet) {
 	if pkt.Tags == 0 {
 		pkt.Tags = 1
 	}
-	sw := n.Switches[h.Switch]
-	inPort := int64(sw.PortTo(hostID))
-	n.forward(sw, inPort, pkt, 0)
+	r := &n.last
+	if r.src == h && r.pkt == pkt && r.epoch == n.epoch && r.maxHops == n.MaxHops {
+		for i := range r.deliveries {
+			d := &r.deliveries[i]
+			d.host.count(d.tags, d.pp, d.ps)
+		}
+		n.Delivered += r.delivered
+		n.Dropped += r.dropped
+		n.Hops += r.hops
+		return
+	}
+	n.Walks++
+	if !n.linked {
+		n.resolveLinks()
+	}
+	if h.sw == nil && !n.attach(h) {
+		n.Dropped++
+		return
+	}
+	r.src, r.deliveries = nil, r.deliveries[:0]
+	epoch, delivered, dropped, hops := n.epoch, n.Delivered, n.Dropped, n.Hops
+	n.recording = true
+	n.forward(h.sw, int64(h.inPort), pkt, 0)
+	if n.recording {
+		n.recording = false
+		*r = traversal{src: h, pkt: pkt, epoch: epoch, maxHops: n.MaxHops, deliveries: r.deliveries,
+			delivered: n.Delivered - delivered, dropped: n.Dropped - dropped, hops: n.Hops - hops}
+	}
 }
 
 // SendFromSwitch emits a packet out of a switch port (the PacketOut
@@ -407,6 +501,7 @@ func (n *Network) SendFromSwitch(sw *Switch, port int, pkt Packet) {
 func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 	if hops > n.MaxHops {
 		n.Dropped++
+		n.recording = false
 		return
 	}
 	n.Hops++
@@ -414,6 +509,7 @@ func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 	acts, miss := sw.matchActions(inPort, pkt, actsBuf[:0])
 	if miss != 0 {
 		n.Missed++
+		n.recording = false
 		if n.Ctrl != nil {
 			n.PacketIns++
 			for t := miss; t != 0; t &= t - 1 {
@@ -465,11 +561,15 @@ type link struct {
 }
 
 // resolveLinks resolves every switch's wiring from neighbour names to
-// nodes, so that a hop is a slice index instead of four map lookups. A
+// nodes and every host's attachment, so that a hop is a slice index
+// instead of four map lookups and an injection starts without any. A
 // fork is born resolved; a hand-built network resolves on its first
 // forward after a wiring change (Wire and the Add* mutators clear linked).
+// It also adopts switches registered by a direct map write, whose Install,
+// ClearTable and Wire could not otherwise reach the network's epoch.
 func (n *Network) resolveLinks() {
 	for _, sw := range n.Switches {
+		sw.net = n
 		top := -1
 		for p := range sw.ports {
 			if p > top {
@@ -485,7 +585,23 @@ func (n *Network) resolveLinks() {
 			}
 		}
 	}
+	for _, h := range n.Hosts {
+		n.attach(h)
+	}
 	n.linked = true
+}
+
+// attach resolves a host's attachment switch and the port it injects on,
+// adopting the switch; it reports false, leaving the host unattached,
+// when that switch is not registered.
+func (n *Network) attach(h *Host) bool {
+	h.sw = n.Switches[h.Switch]
+	if h.sw == nil {
+		return false
+	}
+	h.sw.net = n
+	h.inPort = int32(h.sw.PortTo(h.ID))
+	return true
 }
 
 // emit sends a packet out of a switch port to whatever is wired there.
@@ -499,8 +615,11 @@ func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
 	}
 	switch l := &sw.links[port]; {
 	case l.host != nil:
-		l.host.deliver(pkt)
+		pp, ps := l.host.deliver(pkt)
 		n.Delivered++
+		if n.recording {
+			n.last.deliveries = append(n.last.deliveries, delivery{l.host, pkt.Tags, pp, ps})
+		}
 	case l.sw != nil:
 		n.forward(l.sw, l.inPort, pkt, hops)
 	default:
@@ -510,7 +629,8 @@ func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
 
 // ResetCounters zeroes delivery statistics (flow tables are kept).
 func (n *Network) ResetCounters() {
-	n.Delivered, n.Dropped, n.Missed, n.PacketIns, n.Hops = 0, 0, 0, 0, 0
+	n.epoch++ // the recorded counter rows are dropped below
+	n.Delivered, n.Dropped, n.Missed, n.PacketIns, n.Hops, n.Walks = 0, 0, 0, 0, 0, 0
 	n.PacketInsByTag = [64]int64{}
 	for _, h := range n.Hosts {
 		h.Received = [64]int64{}

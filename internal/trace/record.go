@@ -47,8 +47,19 @@ func AppendRecord(dst []byte, e Entry) ([]byte, error) {
 	return append(dst, rec[:]...), nil
 }
 
-// DecodeRecord decodes one fixed-width binary record.
-func DecodeRecord(rec []byte) (Entry, error) {
+// DecodeRecord decodes one fixed-width binary record. It reads rec in
+// place and keeps no reference to it: every field of the entry is a value
+// and SrcHost is a string of its own, so the caller may reuse rec's
+// memory (a reader's buffer, say) as soon as the call returns.
+func DecodeRecord(rec []byte) (Entry, error) { return DecodeRecordAfter(rec, "") }
+
+// DecodeRecordAfter is DecodeRecord for a reader of consecutive records:
+// prevHost is the SrcHost of the record decoded before this one, and when
+// this record names the same host the entry shares that string instead of
+// allocating an equal one. A trace is runs of packets from one host, so
+// nearly every record does; sharing is safe because entries are values
+// and strings are immutable.
+func DecodeRecordAfter(rec []byte, prevHost string) (Entry, error) {
 	if len(rec) < RecordSize {
 		return Entry{}, fmt.Errorf("trace: short record (%d of %d bytes)", len(rec), RecordSize)
 	}
@@ -56,9 +67,13 @@ func DecodeRecord(rec []byte) (Entry, error) {
 	if n > MaxHostLen {
 		return Entry{}, fmt.Errorf("trace: corrupt record: host length %d", n)
 	}
+	host := prevHost
+	if string(rec[recHost:recHost+n]) != host { // the conversion in a comparison does not allocate
+		host = string(rec[recHost : recHost+n])
+	}
 	return Entry{
 		Time:    int64(binary.BigEndian.Uint64(rec[recTime:])),
-		SrcHost: string(rec[recHost : recHost+n]),
+		SrcHost: host,
 		Pkt: sdn.Packet{
 			SrcIP:   int64(binary.BigEndian.Uint64(rec[recSrcIP:])),
 			DstIP:   int64(binary.BigEndian.Uint64(rec[recDstIP:])),

@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"repro/internal/trace"
 )
@@ -30,15 +31,22 @@ type Codec interface {
 	Ext() string
 	// AppendRecord encodes one entry onto dst.
 	AppendRecord(dst []byte, e trace.Entry) ([]byte, error)
-	// ReadRecord decodes the next record from r; io.EOF signals a clean
-	// end of segment.
+	// ReadRecord decodes the next record from r and consumes exactly its
+	// bytes. A clean end of input between records is the bare io.EOF; an
+	// input that ends inside a record is an error wrapping
+	// io.ErrUnexpectedEOF (a torn tail, which recovery truncates); a
+	// record that cannot be decoded is any other error, and a read error
+	// from r is returned as it came. After an error nothing of the failed
+	// record is promised consumed. The entry owns nothing of r's buffer,
+	// so it stays valid across later reads. The binary codec decodes in
+	// place, so r's buffer must hold one record (bufio's default does).
 	ReadRecord(r *bufio.Reader) (trace.Entry, error)
 }
 
 // Binary is the default codec: the paper's fixed-width 120-byte log
 // record (§5.4), delegated to the trace package so size accounting and
 // encoding share one definition.
-var Binary Codec = binaryCodec{}
+var Binary Codec = &binaryCodec{}
 
 // JSONL encodes one JSON object per line — a debuggable alternative
 // backend readable with standard tools.
@@ -55,24 +63,47 @@ func CodecByName(name string) (Codec, error) {
 	return nil, fmt.Errorf("tracestore: unknown codec %q (want binary or jsonl)", name)
 }
 
-type binaryCodec struct{}
+// binaryCodec remembers the source host of the record it decoded last, so
+// that a run of records from one host shares one string (see
+// trace.DecodeRecordAfter). The memory is a hint and never part of a
+// result: readers on several goroutines may overwrite each other's and
+// only allocate the string they would have allocated anyway.
+type binaryCodec struct {
+	lastHost atomic.Pointer[string]
+}
 
-func (binaryCodec) Name() string { return "binary" }
-func (binaryCodec) Ext() string  { return ".bin" }
+func (*binaryCodec) Name() string { return "binary" }
+func (*binaryCodec) Ext() string  { return ".bin" }
 
-func (binaryCodec) AppendRecord(dst []byte, e trace.Entry) ([]byte, error) {
+func (*binaryCodec) AppendRecord(dst []byte, e trace.Entry) ([]byte, error) {
 	return trace.AppendRecord(dst, e)
 }
 
-func (binaryCodec) ReadRecord(r *bufio.Reader) (trace.Entry, error) {
-	var rec [trace.RecordSize]byte
-	if _, err := io.ReadFull(r, rec[:]); err != nil {
-		if err == io.ErrUnexpectedEOF {
-			err = fmt.Errorf("tracestore: torn binary record: %w", err)
+// ReadRecord decodes the record where it lies in r's buffer and then
+// discards it, so a record costs no copy and, within a run of one host,
+// no allocation.
+func (c *binaryCodec) ReadRecord(r *bufio.Reader) (trace.Entry, error) {
+	rec, err := r.Peek(trace.RecordSize)
+	if err != nil {
+		if err == io.EOF && len(rec) > 0 {
+			err = fmt.Errorf("tracestore: torn binary record: %w", io.ErrUnexpectedEOF)
 		}
 		return trace.Entry{}, err
 	}
-	return trace.DecodeRecord(rec[:])
+	prev := ""
+	if last := c.lastHost.Load(); last != nil {
+		prev = *last
+	}
+	e, err := trace.DecodeRecordAfter(rec, prev)
+	if err != nil {
+		return trace.Entry{}, err
+	}
+	if e.SrcHost != prev {
+		host := e.SrcHost // a copy, so that only a changed host reaches the heap
+		c.lastHost.Store(&host)
+	}
+	r.Discard(trace.RecordSize) // cannot fail: Peek buffered that many bytes
+	return e, nil
 }
 
 // jsonRecord is the JSONL wire shape; short keys keep lines compact.
