@@ -22,8 +22,10 @@ type StressResult struct {
 	Throughput float64       // events per second
 	MeanLat    time.Duration // mean per-event controller latency
 	// Eval are the engine's work counters for the run — firings, and the
-	// index-lookup vs full-scan split introduced by the join planner.
-	Eval ndlog.EngineStats
+	// index-lookup vs full-scan split introduced by the join planner —
+	// and Rules their per-rule share, in program order.
+	Eval  ndlog.EngineStats
+	Rules []ndlog.RuleStats
 }
 
 // StressController streams n synthetic PacketIn events through a fresh
@@ -51,7 +53,7 @@ func StressController(prog *ndlog.Program, n int, withProvenance bool) (StressRe
 		))
 	}
 	elapsed := time.Since(start)
-	res := StressResult{Events: n, Elapsed: elapsed, Eval: eng.Stats}
+	res := StressResult{Events: n, Elapsed: elapsed, Eval: eng.Stats, Rules: eng.RuleStats()}
 	if elapsed > 0 {
 		res.Throughput = float64(n) / elapsed.Seconds()
 		res.MeanLat = elapsed / time.Duration(n)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 	"time"
 
@@ -421,7 +422,8 @@ func Overhead(sc scenarios.Scale, events int) (OverheadReport, error) {
 
 // FormatOverhead renders the §5.4 numbers plus the evaluation-core work
 // counters: the controller run's firings (Q1's reactive rules are
-// single-atom, so it extends no joins), the 3-way-join stress showing
+// single-atom, so it extends no joins) with the rules that account for
+// most of them, the 3-way-join stress showing
 // how many extensions the compile-time planner answered from hash indexes
 // versus full table scans, and the rule-edit stress showing the counted-
 // derivation bookkeeping behind incremental backtesting (tuples seeded,
@@ -434,14 +436,27 @@ func FormatOverhead(r OverheadReport) string {
 			"  throughput reduction:               %.1f%% (%.0f -> %.0f events/s)\n"+
 			"  storage rate:                       %.1f KB/s per switch (measured from trace-store segments)\n"+
 			"  controller evaluation:              %d firings, %d derivations, %d index lookups, %d scans\n"+
+			"  busiest controller rules:           %s\n"+
 			"  3-way-join stress (%d probes):      %v/event; %d index lookups (%d rows) vs %d scans (%d rows)\n"+
 			"  rule-edit stress (%d edit rounds):  %v/round; %d delta inserts, %d delta retractions, %d recounted tuples\n",
 		100*r.LatencyIncrease, r.Off.MeanLat, r.On.MeanLat,
 		100*r.ThroughputReduction, r.Off.Throughput, r.On.Throughput,
 		r.StorageRate/1024,
 		on.Firings, on.Derivations, on.IndexLookups, on.Scans,
+		topRules(r.On.Rules, 3),
 		r.Join.Events, r.Join.MeanLat, jn.IndexLookups, jn.IndexRows, jn.Scans, jn.ScanRows,
 		r.Delta.Events, r.Delta.MeanLat, dl.DeltaInserts, dl.DeltaRetractions, dl.RecountedTuples)
+}
+
+// topRules names the n rules with the most firings, busiest first.
+func topRules(rules []ndlog.RuleStats, n int) string {
+	rules = append([]ndlog.RuleStats(nil), rules...)
+	sort.SliceStable(rules, func(i, j int) bool { return rules[i].Firings > rules[j].Firings })
+	parts := make([]string, 0, n)
+	for _, rs := range rules[:min(n, len(rules))] {
+		parts = append(parts, fmt.Sprintf("%s %d firings / %d derivations", rs.ID, rs.Firings, rs.Derivations))
+	}
+	return strings.Join(parts, ", ")
 }
 
 // AblationCostOrder compares cost-ordered exploration against naive FIFO

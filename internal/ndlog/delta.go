@@ -11,8 +11,8 @@ package ndlog
 // (EvalDelta) instead groups adjacent trigger plans with identical bodies,
 // runs the shared join once under the union of the members' tag masks, and
 // replays the collected bindings through each member: a per-member firing
-// is then a tag-mask intersection plus a fail-fast selection check on the
-// shared environment, and only members that pass clone the environment.
+// is then a tag-mask intersection plus the member's guard schedule run on
+// the shared body slots, and only members that assign copy them.
 //
 // Emission order is preserved exactly: groups are contiguous runs of the
 // trigger list, members iterate in registration order, and bindings are
@@ -47,7 +47,7 @@ const (
 	EvalFull EvalMode = iota
 	// EvalDelta groups trigger plans with identical bodies, runs each
 	// group's join once under the union tag mask, and replays the bindings
-	// through the members with precompiled guard schedules. Derivations,
+	// through the members. Derivations,
 	// their order, and all observable behavior are identical to EvalFull;
 	// only the amount of repeated work differs.
 	EvalDelta
@@ -118,307 +118,65 @@ func (e *Engine) triggerGroups(table string) []*triggerGroup {
 	return out
 }
 
-// binding is one complete body match produced by a group's shared join.
+// binding is one complete body match produced by a group's shared join:
+// the body slots (identical numbering for every member, see compile.go),
+// the tags the matched rows left, and the rows by body position. It is
+// read-only to the members; a member that assigns copies vals into its own
+// frame.
 type binding struct {
-	env  Env
+	vals []Value
 	tags uint64
 	rows []*Row
 }
 
 // bindingSet pools the per-fire binding collection: the slice of bindings
-// plus one arena backing all their row slices. If the arena reallocates
-// mid-collection, earlier bindings keep the old backing array — their
-// contents are already complete — so carving stays safe.
+// plus one arena each backing all their slot and row slices. If an arena
+// reallocates mid-collection, earlier bindings keep the old backing array —
+// their contents are already complete — so carving stays safe.
 type bindingSet struct {
 	items []binding
-	arena []*Row
+	vals  []Value
+	rows  []*Row
 }
 
 var bindingSetPool = sync.Pool{New: func() any { return new(bindingSet) }}
 
+// add copies a complete match out of the join's frame and row vector.
+func (bs *bindingSet) add(frame []Value, tags uint64, bound []*Row) {
+	v, r := len(bs.vals), len(bs.rows)
+	bs.vals = append(bs.vals, frame...)
+	bs.rows = append(bs.rows, bound...)
+	bs.items = append(bs.items, binding{
+		vals: bs.vals[v:len(bs.vals):len(bs.vals)],
+		tags: tags,
+		rows: bs.rows[r:len(bs.rows):len(bs.rows)],
+	})
+}
+
 // fireDelta is fire() under EvalDelta: one shared join per trigger group,
-// bindings replayed member-major. See the file comment for the order- and
-// count-equivalence argument.
-func (e *Engine) fireDelta(row *Row, tags uint64) []workItem {
-	// run() copies the returned slice into its queue before the next fire,
-	// so the backing array is engine-owned and reused across fires.
-	out := e.fireBuf[:0]
+// in joinStep's exact depth-first order, its bindings replayed
+// member-major. See the file comment for the order- and count-equivalence
+// argument.
+func (e *Engine) fireDelta(row *Row, tags uint64, out []workItem) []workItem {
 	for _, g := range e.triggerGroups(row.Tuple.Table) {
 		gt := tags & g.union
 		if gt == 0 {
 			continue
 		}
-		p0 := g.plans[0]
-		env, ok := e.unify(Env{}, p0.rule.Body[p0.pred], row.Tuple)
-		if !ok {
-			continue
-		}
-		e.Stats.GroupJoins++
 		bs := bindingSetPool.Get().(*bindingSet)
-		bs.items = bs.items[:0]
-		bs.arena = bs.arena[:0]
-		nbody := len(p0.rule.Body)
-		if cap(e.boundBuf) < nbody {
-			e.boundBuf = make([]*Row, nbody)
-		}
-		cur := e.boundBuf[:nbody]
-		for i := range cur {
-			cur[i] = nil
-		}
-		cur[p0.pred] = row
-		e.collect(p0, 0, env, gt, cur, bs)
+		bs.items, bs.vals, bs.rows = bs.items[:0], bs.vals[:0], bs.rows[:0]
+		out = e.joinFrom(g.plans[0], row, gt, bs, out)
 		for _, p := range g.plans {
-			gp := e.guardPlanFor(p.rule)
 			for bi := range bs.items {
 				b := &bs.items[bi]
-				mt := b.tags & p.rule.TagMask
-				if mt == 0 {
-					continue
-				}
-				e.Stats.Firings++
-				if gp.err != nil {
-					continue // guards can never bind: full mode derives nothing either
-				}
-				if !e.evalFastSels(gp, b.env) {
-					continue
-				}
-				env2 := b.env
-				if gp.clone || len(e.listeners) > 0 {
-					env2 = b.env.Clone()
-				}
-				if !e.runGuardSeq(gp, env2) {
-					continue
-				}
-				if it, derived := e.derive(p.rule, p.pred, env2, mt, b.rows); derived {
-					out = append(out, it)
+				if mt := b.tags & p.rule.TagMask; mt != 0 {
+					out = e.emit(p, b.vals, mt, b.rows, out)
 				}
 			}
 		}
 		bindingSetPool.Put(bs)
 	}
-	e.fireBuf = out
 	return out
-}
-
-// collect enumerates the group's complete bindings in joinStep's exact
-// depth-first order, narrowing tags by each matched row, and appends them
-// to the binding set.
-func (e *Engine) collect(p *rulePlan, step int, env Env, tags uint64, cur []*Row, bs *bindingSet) {
-	if step == len(p.steps) {
-		start := len(bs.arena)
-		bs.arena = append(bs.arena, cur...)
-		bs.items = append(bs.items, binding{
-			env: env, tags: tags,
-			rows: bs.arena[start : start+len(cur) : start+len(cur)],
-		})
-		return
-	}
-	st := &p.steps[step]
-	if st.tbl == nil || st.tbl.live == 0 {
-		return
-	}
-	var rows []*Row
-	if st.idx != nil && e.strategy == JoinIndexed {
-		if hasWildKey(st.key, env) {
-			rows = st.tbl.rows
-			e.Stats.Scans++
-			e.Stats.ScanRows += int64(st.tbl.live)
-		} else {
-			e.keyBuf = appendStepKey(e.keyBuf[:0], st.key, env)
-			rows = st.idx.rowsFor(string(e.keyBuf))
-			e.Stats.IndexLookups++
-			e.Stats.IndexRows += int64(len(rows))
-		}
-	} else {
-		rows = st.tbl.rows
-		e.Stats.Scans++
-		e.Stats.ScanRows += int64(st.tbl.live)
-	}
-	for _, other := range rows {
-		if other.gone {
-			continue
-		}
-		jt := tags & other.Tuple.Tags
-		if jt == 0 {
-			continue
-		}
-		env2, ok := e.unify(env, st.f, other.Tuple)
-		if !ok {
-			continue
-		}
-		cur[st.body] = other
-		e.collect(p, step+1, env2, jt, cur, bs)
-	}
-	cur[st.body] = nil
-}
-
-// guardOp is one precompiled guard step: an assignment or a selection.
-type guardOp struct {
-	assign bool
-	idx    int
-}
-
-// guardPlan is a rule's precompiled guard schedule. seq replays
-// checkGuards' exact evaluation order (per round: every ready assignment in
-// source order, then every ready selection in source order), with readiness
-// resolved statically — every body-atom variable is bound once the join
-// completes, so the runtime fixpoint and its per-op Vars allocations are
-// unnecessary. fast holds the selections safe to hoist before the schedule
-// and evaluate on the shared, unclonied environment: their variables come
-// entirely from body atoms and no function call (the only possible side
-// effect, e.g. f_unique advancing the counter) can be skipped or reordered
-// by failing early.
-type guardPlan struct {
-	r     *Rule
-	fast  []int
-	seq   []guardOp
-	clone bool  // rule has assignments: the env mutates, clone before seq
-	err   error // guards can never become bound: the rule derives nothing
-}
-
-func (e *Engine) guardPlanFor(r *Rule) *guardPlan {
-	if gp, ok := e.guardPlans[r]; ok {
-		return gp
-	}
-	gp := buildGuardPlan(r)
-	e.guardPlans[r] = gp
-	return gp
-}
-
-func buildGuardPlan(r *Rule) *guardPlan {
-	gp := &guardPlan{r: r, clone: len(r.Assigns) > 0}
-	bound := make(map[string]bool)
-	for _, f := range r.Body {
-		bindAtomVars(bound, f)
-	}
-	bodyVars := make(map[string]bool, len(bound))
-	for v := range bound {
-		bodyVars[v] = true
-	}
-	doneA := make([]bool, len(r.Assigns))
-	doneS := make([]bool, len(r.Sels))
-	remaining := len(r.Assigns) + len(r.Sels)
-	for remaining > 0 {
-		progress := false
-		for i, a := range r.Assigns {
-			if doneA[i] || !varsIn(bound, a.Expr) {
-				continue
-			}
-			gp.seq = append(gp.seq, guardOp{assign: true, idx: i})
-			bound[a.Var] = true
-			doneA[i] = true
-			remaining--
-			progress = true
-		}
-		for i, s := range r.Sels {
-			if doneS[i] || !varsIn(bound, s.Left) || !varsIn(bound, s.Right) {
-				continue
-			}
-			gp.seq = append(gp.seq, guardOp{idx: i})
-			doneS[i] = true
-			remaining--
-			progress = true
-		}
-		if !progress {
-			gp.err = fmt.Errorf("ndlog: rule %s: guards never become bound", r.ID)
-			return gp
-		}
-	}
-	// Hoist body-only, call-free selections ahead of the schedule, but not
-	// past an assignment whose evaluation could have a side effect.
-	sawCallAssign := false
-	kept := gp.seq[:0]
-	for _, op := range gp.seq {
-		if op.assign {
-			if exprHasCall(r.Assigns[op.idx].Expr) {
-				sawCallAssign = true
-			}
-			kept = append(kept, op)
-			continue
-		}
-		s := r.Sels[op.idx]
-		if !sawCallAssign && varsIn(bodyVars, s.Left) && varsIn(bodyVars, s.Right) &&
-			!exprHasCall(s.Left) && !exprHasCall(s.Right) {
-			gp.fast = append(gp.fast, op.idx)
-			continue
-		}
-		kept = append(kept, op)
-	}
-	gp.seq = kept
-	gp.clone = gp.clone && len(gp.seq) > 0
-	return gp
-}
-
-// varsIn reports whether every free variable of x is in the bound set.
-func varsIn(bound map[string]bool, x Expr) bool {
-	for _, v := range x.Vars(nil) {
-		if v != "_" && !bound[v] {
-			return false
-		}
-	}
-	return true
-}
-
-// exprHasCall reports whether evaluating x can invoke a registered
-// function — the only evaluation step with a possible side effect.
-func exprHasCall(x Expr) bool {
-	switch x := x.(type) {
-	case *Binary:
-		return exprHasCall(x.L) || exprHasCall(x.R)
-	case *Call:
-		return true
-	}
-	return false
-}
-
-// evalFastSels runs the hoisted selections read-only on the shared env.
-func (e *Engine) evalFastSels(gp *guardPlan, env Env) bool {
-	for _, i := range gp.fast {
-		s := gp.r.Sels[i]
-		l, err := e.Eval(env, s.Left)
-		if err != nil {
-			return false
-		}
-		rv, err := e.Eval(env, s.Right)
-		if err != nil {
-			return false
-		}
-		res, err := applyOp(s.Op, l, rv)
-		if err != nil || !res.IsTrue() {
-			return false
-		}
-	}
-	return true
-}
-
-// runGuardSeq replays the precompiled schedule; env is the member's own
-// clone when the rule assigns.
-func (e *Engine) runGuardSeq(gp *guardPlan, env Env) bool {
-	for _, op := range gp.seq {
-		if op.assign {
-			a := gp.r.Assigns[op.idx]
-			v, err := e.Eval(env, a.Expr)
-			if err != nil {
-				return false
-			}
-			env[a.Var] = v
-			continue
-		}
-		s := gp.r.Sels[op.idx]
-		l, err := e.Eval(env, s.Left)
-		if err != nil {
-			return false
-		}
-		rv, err := e.Eval(env, s.Right)
-		if err != nil {
-			return false
-		}
-		res, err := applyOp(s.Op, l, rv)
-		if err != nil || !res.IsTrue() {
-			return false
-		}
-	}
-	return true
 }
 
 // invalidatePlans drops the caches derived from the trigger list after a
@@ -461,7 +219,12 @@ func (e *Engine) RetractRule(id string) (*Rule, error) {
 		}
 		e.triggers[tbl] = kept
 	}
-	delete(e.guardPlans, target)
+	for i, cr := range e.rules {
+		if cr.rule == target {
+			e.rules = append(e.rules[:i:i], e.rules[i+1:]...)
+			break
+		}
+	}
 	e.invalidatePlans()
 
 	// Gather the rule's live derivations before touching anything: the
@@ -495,15 +258,7 @@ func (e *Engine) RetractRule(id string) (*Rule, error) {
 		}
 		d.dead = true
 		e.Stats.DeltaRetractions++
-		if len(e.listeners) > 0 {
-			body := make([]Tuple, len(d.body))
-			for i, b := range d.body {
-				body[i] = b.Tuple
-			}
-			for _, l := range e.listeners {
-				l.OnUnderive(e.now, d.rule, d.head.Tuple, body)
-			}
-		}
+		e.notifyUnderive(d)
 		e.unsupport(d.head)
 	}
 	e.retracting = false
@@ -538,9 +293,11 @@ func (e *Engine) AssertRule(r *Rule) ([]Tuple, error) {
 		}
 	}
 	e.prog.Rules = append(e.prog.Rules, r)
+	cr := compileRule(r)
+	e.rules = append(e.rules, cr)
 	plans := make([]*rulePlan, len(r.Body))
 	for i, b := range r.Body {
-		plans[i] = e.planRule(r, i)
+		plans[i] = e.planRule(cr, i)
 		e.triggers[b.Table] = append(e.triggers[b.Table], plans[i])
 	}
 	e.invalidatePlans()
@@ -558,17 +315,9 @@ func (e *Engine) AssertRule(r *Rule) ([]Tuple, error) {
 	e.Tick()
 	var work []workItem
 	for _, row := range e.tables[r.Body[seed].Table].snapshot() {
-		rtags := row.Tuple.Tags & r.TagMask
-		if rtags == 0 {
-			continue
+		if rtags := row.Tuple.Tags & r.TagMask; rtags != 0 {
+			work = e.joinFrom(plans[seed], row, rtags, nil, work)
 		}
-		env, ok := e.unify(Env{}, r.Body[seed], row.Tuple)
-		if !ok {
-			continue
-		}
-		bound := make([]*Row, len(r.Body))
-		bound[seed] = row
-		work = append(work, e.joinStep(plans[seed], 0, env, rtags, bound)...)
 	}
 	appeared := e.run(work, nil)
 	e.Stats.DeltaInserts += int64(len(appeared))

@@ -14,7 +14,10 @@ type Listener interface {
 	OnInsert(time int64, t Tuple)
 	// OnDelete fires when a base tuple is deleted.
 	OnDelete(time int64, t Tuple)
-	// OnDerive fires for every rule firing, with the bound environment.
+	// OnDerive fires for every rule firing, with the bound environment:
+	// every body variable and assignment target of the rule. env is a fresh
+	// map per derivation, shared by the listeners of that derivation; it
+	// may be retained (the provenance recorder does) but not mutated.
 	OnDerive(time int64, rule *Rule, head Tuple, body []Tuple, env Env)
 	// OnUnderive fires when a derivation loses support.
 	OnUnderive(time int64, rule *Rule, head Tuple, body []Tuple)
@@ -120,7 +123,6 @@ func (s *EngineStats) Add(o EngineStats) {
 // group, where the group is the tuple of non-aggregate head arguments.
 type aggState struct {
 	groups map[string]map[string]struct{}
-	heads  map[string][]Value // group key -> evaluated non-agg head args
 }
 
 // Engine evaluates an NDlog program bottom-up with semi-naive firing over
@@ -134,7 +136,7 @@ type Engine struct {
 	locIdx   map[string]int
 	tables   map[string]*table
 	triggers map[string][]*rulePlan
-	aggs     map[string]*aggState // rule ID -> aggregation state
+	rules    []*compiledRule // slot form of prog.Rules, in program order
 	Funcs    map[string]Func
 
 	strategy  JoinStrategy
@@ -145,23 +147,25 @@ type Engine struct {
 
 	keyBuf   []byte // scratch for join-step index keys
 	groupBuf []byte // scratch for aggregate group keys
-	boundBuf []*Row // scratch for delta binding collection
+
+	// frames holds the slot frames of the joins in progress and rows their
+	// positional body-row vectors (see compile.go); a join pops what it
+	// pushed, so both are empty between top-level calls.
+	frames stack[Value]
+	rows   stack[*Row]
 
 	// Delta-evaluation caches (see delta.go): contiguous same-body trigger
-	// groups per table, precompiled guard schedules per rule, and the
-	// reusable retraction worklist. retracting attributes cascade
-	// underivations to Stats.DeltaRetractions during RetractRule.
+	// groups per table and the reusable retraction worklist. retracting
+	// attributes cascade underivations to Stats.DeltaRetractions during
+	// RetractRule.
 	groups     map[string][]*triggerGroup
-	guardPlans map[*Rule]*guardPlan
 	retractBuf []*derivation
 	retracting bool
 
 	// workBuf backs run's fixpoint queue between calls; running guards the
-	// reuse against re-entrant runs (a listener inserting tuples). fireBuf
-	// backs fireDelta's output, copied into the queue before the next fire;
-	// seedBuf is Insert's one-item work list.
+	// reuse against re-entrant runs (a listener inserting tuples). seedBuf
+	// is Insert's one-item work list.
 	workBuf []workItem
-	fireBuf []workItem
 	seedBuf [1]workItem
 	running bool
 
@@ -171,8 +175,9 @@ type Engine struct {
 
 // NewEngine compiles a program into an engine: it validates that every
 // table is used with a consistent arity and location position, creates the
-// indexed store for each materialized table, and compiles a join plan (and
-// the hash indexes it needs) for every rule × trigger-predicate pair.
+// indexed store for each materialized table, compiles every rule into slot
+// form and a join plan (and the hash indexes it needs) for every rule ×
+// trigger-predicate pair.
 func NewEngine(prog *Program) (*Engine, error) {
 	e := &Engine{
 		prog:     prog,
@@ -180,11 +185,9 @@ func NewEngine(prog *Program) (*Engine, error) {
 		locIdx:   make(map[string]int),
 		tables:   make(map[string]*table),
 		triggers: make(map[string][]*rulePlan),
-		aggs:     make(map[string]*aggState),
 		Funcs:    make(map[string]Func),
 		strategy: DefaultJoinStrategy(),
 	}
-	e.guardPlans = make(map[*Rule]*guardPlan)
 	RegisterBuiltins(e)
 	for _, d := range prog.Decls {
 		if _, dup := e.decls[d.Name]; dup {
@@ -202,17 +205,13 @@ func NewEngine(prog *Program) (*Engine, error) {
 		if err := e.noteLoc(r.Head); err != nil {
 			return nil, err
 		}
+		cr := compileRule(r)
+		e.rules = append(e.rules, cr)
 		for i, b := range r.Body {
 			if err := e.noteLoc(b); err != nil {
 				return nil, err
 			}
-			e.triggers[b.Table] = append(e.triggers[b.Table], e.planRule(r, i))
-		}
-		if hasAgg(r.Head) {
-			e.aggs[r.ID] = &aggState{
-				groups: make(map[string]map[string]struct{}),
-				heads:  make(map[string][]Value),
-			}
+			e.triggers[b.Table] = append(e.triggers[b.Table], e.planRule(cr, i))
 		}
 	}
 	return e, nil
@@ -382,16 +381,24 @@ func (e *Engine) unsupport(row *Row) {
 		if e.retracting {
 			e.Stats.DeltaRetractions++
 		}
-		body := make([]Tuple, len(d.body))
-		for i, b := range d.body {
-			body[i] = b.Tuple
-		}
-		for _, l := range e.listeners {
-			l.OnUnderive(e.now, d.rule, d.head.Tuple, body)
-		}
+		e.notifyUnderive(d)
 		e.unsupport(d.head)
 	}
 	row.usedBy = nil
+}
+
+// notifyUnderive reports a killed derivation to the listeners.
+func (e *Engine) notifyUnderive(d *derivation) {
+	if len(e.listeners) == 0 {
+		return
+	}
+	body := make([]Tuple, len(d.body))
+	for i, b := range d.body {
+		body[i] = b.Tuple
+	}
+	for _, l := range e.listeners {
+		l.OnUnderive(e.now, d.rule, d.head.Tuple, body)
+	}
 }
 
 // run drives the semi-naive fixpoint over the work list.
@@ -470,7 +477,7 @@ func (e *Engine) run(work []workItem, appeared []Tuple) []Tuple {
 				appeared = append(appeared, t)
 			}
 		}
-		q = append(q, e.fire(row, fireTags)...)
+		q = e.fire(row, fireTags, q)
 	}
 	if reuse {
 		e.workBuf = q[:0]
@@ -498,136 +505,182 @@ func (e *Engine) storeNew(tbl *table, t Tuple, item workItem) *Row {
 	return row
 }
 
-// fire evaluates every rule triggered by the new row, restricted to tags.
-// bound is positional: bound[i] is the row matched to body atom i.
-func (e *Engine) fire(row *Row, tags uint64) []workItem {
+// fire evaluates every rule triggered by the new row, restricted to tags,
+// appending the derived heads to out. Each trigger plan matches the row
+// into a fresh slot frame and extends it along the plan; bound is
+// positional: bound[i] is the row matched to body atom i.
+func (e *Engine) fire(row *Row, tags uint64, out []workItem) []workItem {
 	if e.mode == EvalDelta {
-		return e.fireDelta(row, tags)
+		return e.fireDelta(row, tags, out)
 	}
-	var out []workItem
 	for _, p := range e.triggers[row.Tuple.Table] {
 		rtags := tags & p.rule.TagMask
 		if rtags == 0 {
 			continue
 		}
-		env, ok := e.unify(Env{}, p.rule.Body[p.pred], row.Tuple)
-		if !ok {
-			continue
-		}
-		bound := make([]*Row, len(p.rule.Body))
-		bound[p.pred] = row
-		out = append(out, e.joinStep(p, 0, env, rtags, bound)...)
+		out = e.joinFrom(p, row, rtags, nil, out)
 	}
+	return out
+}
+
+// joinFrom runs plan p's join from one row of its trigger atom. With a
+// binding set the complete matches are collected there (a delta group's
+// shared join); without one each match fires p's rule.
+func (e *Engine) joinFrom(p *rulePlan, row *Row, tags uint64, bs *bindingSet, out []workItem) []workItem {
+	fm, rm := e.frames.top, e.rows.top
+	frame := e.frames.push(p.cr.nbody)
+	if e.match(&p.trig, &row.Tuple, frame) {
+		if bs != nil {
+			e.Stats.GroupJoins++
+			p.cr.stats.GroupJoins++
+		}
+		bound := e.rows.push(len(p.rule.Body))
+		bound[p.pred] = row
+		out = e.joinStep(p, 0, frame, tags, bound, bs, out)
+	}
+	e.frames.top, e.rows.top = fm, rm
 	return out
 }
 
 // joinStep extends the partial binding along the compiled plan: each step
 // answers from its hash index when the plan bound columns (JoinIndexed), or
-// from a sequential scan in the same insertion order (JoinScan).
-func (e *Engine) joinStep(p *rulePlan, step int, env Env, tags uint64, bound []*Row) []workItem {
+// from a sequential scan in the same insertion order (JoinScan). A step
+// owns the slots its atom binds: the next row overwrites them, so
+// backtracking copies nothing. Tags narrow by each matched row.
+func (e *Engine) joinStep(p *rulePlan, step int, frame []Value, tags uint64, bound []*Row, bs *bindingSet, out []workItem) []workItem {
 	if step == len(p.steps) {
-		return e.emit(p.rule, p.pred, env, tags, bound)
+		if bs != nil {
+			bs.add(frame, tags, bound)
+			return out
+		}
+		return e.emit(p, frame, tags, bound, out)
 	}
 	st := &p.steps[step]
 	if st.tbl == nil || st.tbl.live == 0 {
-		return nil
+		return out
 	}
-	var rows []*Row
-	if st.idx != nil && e.strategy == JoinIndexed {
-		if hasWildKey(st.key, env) {
-			// A bound variable carrying a wildcard matches only stored
-			// wildcards, which live outside the buckets: scan.
-			rows = st.tbl.rows
-			e.Stats.Scans++
-			e.Stats.ScanRows += int64(st.tbl.live)
-		} else {
-			e.keyBuf = appendStepKey(e.keyBuf[:0], st.key, env)
-			rows = st.idx.rowsFor(string(e.keyBuf))
-			e.Stats.IndexLookups++
-			e.Stats.IndexRows += int64(len(rows))
-		}
+	rows := st.tbl.rows
+	if st.idx != nil && e.strategy == JoinIndexed && !hasWildKey(st.key, frame) {
+		e.keyBuf = appendStepKey(e.keyBuf[:0], st.key, frame)
+		rows = st.idx.rowsFor(string(e.keyBuf))
+		e.Stats.IndexLookups++
+		e.Stats.IndexRows += int64(len(rows))
 	} else {
-		rows = st.tbl.rows
+		// No planned columns, the scan oracle, or a bound variable carrying
+		// a wildcard (it matches only stored wildcards, which live outside
+		// the buckets): scan.
 		e.Stats.Scans++
 		e.Stats.ScanRows += int64(st.tbl.live)
 	}
-	var out []workItem
 	for _, other := range rows {
 		if other.gone {
 			continue
 		}
 		jt := tags & other.Tuple.Tags
-		if jt == 0 {
-			continue
-		}
-		env2, ok := e.unify(env, st.f, other.Tuple)
-		if !ok {
+		if jt == 0 || !e.match(&st.atom, &other.Tuple, frame) {
 			continue
 		}
 		bound[st.body] = other
-		out = append(out, e.joinStep(p, step+1, env2, jt, bound)...)
+		out = e.joinStep(p, step+1, frame, jt, bound, bs, out)
 	}
 	bound[st.body] = nil
 	return out
 }
 
 // hasWildKey reports whether any planned key variable is bound to a
-// wildcard value under env.
-func hasWildKey(key []keyCol, env Env) bool {
+// wildcard value in the frame.
+func hasWildKey(key []keyCol, frame []Value) bool {
 	for _, kc := range key {
-		if kc.varName != "" && env[kc.varName].Kind == KindWild {
+		if kc.varName != "" && frame[kc.slot].Kind == KindWild {
 			return true
 		}
 	}
 	return false
 }
 
-// emit checks guards and derives the head for a fully-bound rule body.
-// bound is positional over r.Body with every slot filled; pred marks the
-// trigger atom.
-func (e *Engine) emit(r *Rule, pred int, env Env, tags uint64, bound []*Row) []workItem {
+// emit is one rule firing on a complete body match: it counts the firing,
+// runs the rule's guard schedule and derives the head. body holds the body
+// slots (the join's frame, or a delta binding's copy of it) and is left
+// untouched — a rule that assigns runs on its own frame, since the join
+// backtracks over body and a delta binding serves other members. bound is
+// positional over the rule body with every position filled.
+func (e *Engine) emit(p *rulePlan, body []Value, tags uint64, bound []*Row, out []workItem) []workItem {
+	cr := p.cr
 	e.Stats.Firings++
-	env, ok, err := e.checkGuards(r, env)
-	if err != nil || !ok {
-		return nil
+	cr.stats.Firings++
+	if cr.dead {
+		return out
 	}
-	it, derived := e.derive(r, pred, env, tags, bound)
-	if !derived {
-		return nil
+	for i := range cr.fast {
+		if v, ok := e.evalSlots(&cr.fast[i], body); !ok || !v.IsTrue() {
+			return out
+		}
 	}
-	return []workItem{it}
+	if !cr.assigns {
+		return e.finish(p, body, tags, bound, out)
+	}
+	mark := e.frames.top
+	frame := e.frames.push(len(cr.names))
+	copy(frame, body[:cr.nbody])
+	out = e.finish(p, frame, tags, bound, out)
+	e.frames.top = mark
+	return out
 }
 
-// derive produces the head for a firing whose guards already passed; the
-// delta path calls it directly after its precompiled guard schedule.
-func (e *Engine) derive(r *Rule, pred int, env Env, tags uint64, bound []*Row) (workItem, bool) {
+// finish runs the scheduled guards on the firing's frame and derives.
+func (e *Engine) finish(p *rulePlan, frame []Value, tags uint64, bound []*Row, out []workItem) []workItem {
+	cr := p.cr
+	for i := range cr.seq {
+		g := &cr.seq[i]
+		v, ok := e.evalSlots(&g.x, frame)
+		if !ok {
+			return out
+		}
+		if g.slot >= 0 {
+			frame[g.slot] = v
+		} else if !v.IsTrue() {
+			return out
+		}
+	}
+	if it, derived := e.derive(p, frame, tags, bound); derived {
+		out = append(out, it)
+	}
+	return out
+}
+
+// derive produces the head for a firing whose guards passed. The Env map
+// listeners receive is built here, once per derivation, and only when a
+// listener is registered.
+func (e *Engine) derive(p *rulePlan, frame []Value, tags uint64, bound []*Row) (workItem, bool) {
+	r, cr := p.rule, p.cr
 	var head Tuple
-	if agg := e.aggs[r.ID]; agg != nil {
+	if cr.agg != nil {
 		var ok bool
-		head, ok = e.aggregate(r, agg, env)
+		head, ok = e.aggregate(cr, frame)
 		if !ok {
 			return workItem{}, false
 		}
 	} else {
-		head = Tuple{Table: r.Head.Table, Args: make([]Value, 0, len(r.Head.Args))}
-		for _, a := range r.Head.Args {
-			v, err := e.Eval(env, a)
-			if err != nil {
+		head = Tuple{Table: r.Head.Table, Args: make([]Value, len(cr.head))}
+		for i := range cr.head {
+			v, ok := e.evalSlots(&cr.head[i], frame)
+			if !ok {
 				return workItem{}, false
 			}
-			head.Args = append(head.Args, v)
+			head.Args[i] = v
 		}
 	}
 	head.Tags = tags
 	e.Stats.Derivations++
+	cr.stats.Derivations++
 
 	// Body rows in the seed's reporting order: the trigger first, then the
 	// remaining atoms in source order — provenance shape is independent of
 	// the planned join order.
 	ordered := make([]*Row, 0, len(bound))
-	ordered = append(ordered, bound[pred])
+	ordered = append(ordered, bound[p.pred])
 	for i, b := range bound {
-		if i != pred {
+		if i != p.pred {
 			ordered = append(ordered, b)
 		}
 	}
@@ -637,6 +690,7 @@ func (e *Engine) derive(r *Rule, pred int, env Env, tags uint64, bound []*Row) (
 		for i, b := range ordered {
 			bodyTuples[i] = b.Tuple
 		}
+		env := cr.env(frame)
 		for _, l := range e.listeners {
 			l.OnDerive(e.now, r, head, bodyTuples, env)
 		}
@@ -644,7 +698,7 @@ func (e *Engine) derive(r *Rule, pred int, env Env, tags uint64, bound []*Row) (
 	// Cross-node routing: if the head's location differs from the trigger
 	// body tuple's location, record a send.
 	if r.Head.Loc >= 0 {
-		from := e.locationOf(bound[pred].Tuple)
+		from := e.locationOf(bound[p.pred].Tuple)
 		to := head.Args[r.Head.Loc]
 		if from.Kind != KindWild && !from.Equal(to) {
 			e.Stats.Sends++
@@ -661,24 +715,19 @@ func (e *Engine) derive(r *Rule, pred int, env Env, tags uint64, bound []*Row) (
 // the aggregate argument replaced by the current distinct count. Group keys
 // use the shared length-prefixed value encoding, so string values
 // containing the old separator can no longer merge distinct groups.
-func (e *Engine) aggregate(r *Rule, st *aggState, env Env) (Tuple, bool) {
-	groupVals := make([]Value, 0, len(r.Head.Args))
+func (e *Engine) aggregate(cr *compiledRule, frame []Value) (Tuple, bool) {
+	r, st := cr.rule, cr.agg
+	groupVals := make([]Value, 0, len(cr.head))
 	aggIdx := -1
 	var aggVal Value
 	for i, a := range r.Head.Args {
-		if ag, ok := a.(*Agg); ok {
-			aggIdx = i
-			v, err := e.Eval(env, &Var{Name: ag.Arg})
-			if err != nil {
-				return Tuple{}, false
-			}
-			aggVal = v
-			groupVals = append(groupVals, Value{}) // placeholder
-			continue
-		}
-		v, err := e.Eval(env, a)
-		if err != nil {
+		v, ok := e.evalSlots(&cr.head[i], frame)
+		if !ok {
 			return Tuple{}, false
+		}
+		if _, isAgg := a.(*Agg); isAgg {
+			aggIdx, aggVal = i, v
+			v = Value{} // placeholder
 		}
 		groupVals = append(groupVals, v)
 	}

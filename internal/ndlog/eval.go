@@ -1,11 +1,11 @@
 package ndlog
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
-// Env binds rule variables to values during a rule firing.
+// Env binds rule variables to values by name. Inside the engine a firing's
+// bindings live in a slot frame (compile.go); an Env is the exported form,
+// materialised once per derivation for Listener.OnDerive, and the input of
+// Eval for callers that re-evaluate expressions outside the engine.
 type Env map[string]Value
 
 // Clone copies the environment.
@@ -22,7 +22,9 @@ type Func func(e *Engine, args []Value) (Value, error)
 
 // Eval evaluates an expression under the environment using the engine's
 // function registry. Aggregates are rejected here; they are evaluated by the
-// engine's aggregation path.
+// engine's aggregation path. It is the map-based walker for callers outside
+// the engine (the repair generator's deferred terms); rule evaluation runs
+// the slot-compiled form of the same semantics.
 func (e *Engine) Eval(env Env, x Expr) (Value, error) {
 	switch x := x.(type) {
 	case *ConstExpr:
@@ -118,130 +120,3 @@ func applyOp(op BinOp, l, r Value) (Value, error) {
 // EvalOp exposes operator application for packages that re-execute
 // derivations (symbolic propagation in the repair generator).
 func EvalOp(op BinOp, l, r Value) (Value, error) { return applyOp(op, l, r) }
-
-// unify matches a concrete tuple against a body functor, extending env.
-// It returns false when the tuple cannot match. env is mutated only on a
-// true result if mutate is set; callers pass a scratch clone otherwise.
-func (e *Engine) unify(env Env, f *Functor, t Tuple) (Env, bool) {
-	if f.Table != t.Table || len(f.Args) != len(t.Args) {
-		return nil, false
-	}
-	out := env
-	cloned := false
-	for i, arg := range f.Args {
-		switch a := arg.(type) {
-		case *Var:
-			if a.Name == "_" {
-				continue
-			}
-			if v, ok := out[a.Name]; ok {
-				if !v.Equal(t.Args[i]) {
-					return nil, false
-				}
-			} else {
-				if !cloned {
-					out = out.Clone()
-					cloned = true
-				}
-				out[a.Name] = t.Args[i]
-			}
-		case *ConstExpr:
-			if !a.Val.Matches(t.Args[i]) {
-				return nil, false
-			}
-		default:
-			// Body arguments that are computed expressions: evaluate if
-			// fully bound and compare.
-			v, err := e.Eval(out, arg)
-			if err != nil {
-				return nil, false
-			}
-			if !v.Equal(t.Args[i]) {
-				return nil, false
-			}
-		}
-	}
-	if !cloned {
-		out = out.Clone()
-	}
-	return out, true
-}
-
-// checkGuards evaluates the rule's assignments and selections under env,
-// handling dependency order: any assignment whose inputs are bound runs
-// first, selections run as soon as both sides are bound. It returns the
-// final environment and whether all selections passed. An error indicates a
-// program bug (e.g. a variable never bound).
-func (e *Engine) checkGuards(r *Rule, env Env) (Env, bool, error) {
-	doneA := make([]bool, len(r.Assigns))
-	doneS := make([]bool, len(r.Sels))
-	remaining := len(r.Assigns) + len(r.Sels)
-	for remaining > 0 {
-		progress := false
-		for i, a := range r.Assigns {
-			if doneA[i] || !boundVars(env, a.Expr) {
-				continue
-			}
-			v, err := e.Eval(env, a.Expr)
-			if err != nil {
-				return env, false, err
-			}
-			env[a.Var] = v
-			doneA[i] = true
-			remaining--
-			progress = true
-		}
-		for i, s := range r.Sels {
-			if doneS[i] || !boundVars(env, s.Left) || !boundVars(env, s.Right) {
-				continue
-			}
-			l, err := e.Eval(env, s.Left)
-			if err != nil {
-				return env, false, err
-			}
-			rv, err := e.Eval(env, s.Right)
-			if err != nil {
-				return env, false, err
-			}
-			res, err := applyOp(s.Op, l, rv)
-			if err != nil {
-				return env, false, err
-			}
-			if !res.IsTrue() {
-				return env, false, nil
-			}
-			doneS[i] = true
-			remaining--
-			progress = true
-		}
-		if !progress {
-			var unbound []string
-			for i, a := range r.Assigns {
-				if !doneA[i] {
-					unbound = append(unbound, a.String())
-				}
-			}
-			for i, s := range r.Sels {
-				if !doneS[i] {
-					unbound = append(unbound, s.String())
-				}
-			}
-			sort.Strings(unbound)
-			return env, false, fmt.Errorf("ndlog: rule %s: guards never became bound: %v", r.ID, unbound)
-		}
-	}
-	return env, true, nil
-}
-
-// boundVars reports whether every free variable of x is bound in env.
-func boundVars(env Env, x Expr) bool {
-	for _, v := range x.Vars(nil) {
-		if v == "_" {
-			continue
-		}
-		if _, ok := env[v]; !ok {
-			return false
-		}
-	}
-	return true
-}

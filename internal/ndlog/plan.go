@@ -15,32 +15,40 @@ package ndlog
 type keyCol struct {
 	col      int
 	varName  string // "" when constant
+	slot     int    // the variable's frame slot
 	constVal Value
 }
 
 // joinStep is one planned body-atom extension.
 type joinStep struct {
 	body int      // position in rule.Body
-	f    *Functor // == rule.Body[body]
+	atom atom     // that atom, compiled against the slots bound before this step
 	tbl  *table   // nil: transient event table, never stored, joins empty
 	idx  *index   // nil: no bound columns, full sequential scan
 	key  []keyCol // index-key recipe, aligned with idx.cols
 }
 
 // rulePlan is the compiled join program for one rule triggered at one body
-// position.
+// position: the trigger atom compiled against an empty frame, then the
+// remaining atoms in join order, each compiled against the slots its
+// predecessors bind. cr is the rule's slot form (guards, head, counters),
+// shared by the rule's plans.
 type rulePlan struct {
 	rule  *Rule
+	cr    *compiledRule
 	pred  int
+	trig  atom
 	steps []joinStep
 	sig   string // lazily-computed body signature for delta trigger grouping
 }
 
 // planRule compiles the (rule, trigger) join order and registers the
 // required indexes on the engine's table stores.
-func (e *Engine) planRule(r *Rule, pred int) *rulePlan {
-	bound := make(map[string]bool)
-	bindAtomVars(bound, r.Body[pred])
+func (e *Engine) planRule(cr *compiledRule, pred int) *rulePlan {
+	r := cr.rule
+	bound := make(map[string]int) // variable -> slot, for the variables bound so far
+	p := &rulePlan{rule: r, cr: cr, pred: pred}
+	p.trig = compileAtom(r.Body[pred], bound, cr.slotOf)
 
 	remaining := make([]int, 0, len(r.Body)-1)
 	for i := range r.Body {
@@ -49,7 +57,6 @@ func (e *Engine) planRule(r *Rule, pred int) *rulePlan {
 		}
 	}
 
-	p := &rulePlan{rule: r, pred: pred}
 	// Never-stored atoms first: a transient event table in a non-trigger
 	// body position is always empty, so the whole join short-circuits
 	// before any scan or lookup happens.
@@ -57,8 +64,7 @@ func (e *Engine) planRule(r *Rule, pred int) *rulePlan {
 	for _, bi := range remaining {
 		f := r.Body[bi]
 		if e.tables[f.Table] == nil {
-			p.steps = append(p.steps, joinStep{body: bi, f: f})
-			bindAtomVars(bound, f)
+			p.steps = append(p.steps, joinStep{body: bi, atom: compileAtom(f, bound, cr.slotOf)})
 			continue
 		}
 		kept = append(kept, bi)
@@ -76,7 +82,8 @@ func (e *Engine) planRule(r *Rule, pred int) *rulePlan {
 		remaining = append(remaining[:bestPos], remaining[bestPos+1:]...)
 
 		f := r.Body[bi]
-		step := joinStep{body: bi, f: f, tbl: e.tables[f.Table], key: bestCols}
+		step := joinStep{body: bi, tbl: e.tables[f.Table], key: bestCols}
+		step.atom = compileAtom(f, bound, cr.slotOf)
 		if len(bestCols) > 0 {
 			cols := make([]int, len(bestCols))
 			for i, kc := range bestCols {
@@ -85,31 +92,21 @@ func (e *Engine) planRule(r *Rule, pred int) *rulePlan {
 			step.idx = step.tbl.ensureIndex(cols)
 		}
 		p.steps = append(p.steps, step)
-		bindAtomVars(bound, f)
 	}
 	return p
 }
 
-// bindAtomVars marks every variable the atom binds on unification.
-func bindAtomVars(bound map[string]bool, f *Functor) {
-	for _, a := range f.Args {
-		if v, ok := a.(*Var); ok && v.Name != "_" {
-			bound[v.Name] = true
-		}
-	}
-}
-
 // boundCols returns the atom's equality-constrained columns given the
 // currently bound variable set: constant arguments and already-bound
-// variables. Computed expressions stay filter-only (unify evaluates them),
-// matching the seed's semantics.
-func boundCols(bound map[string]bool, f *Functor) []keyCol {
+// variables. Computed expressions stay filter-only (the atom evaluates
+// them), matching the seed's semantics.
+func boundCols(bound map[string]int, f *Functor) []keyCol {
 	var cols []keyCol
 	for i, a := range f.Args {
 		switch a := a.(type) {
 		case *Var:
-			if a.Name != "_" && bound[a.Name] {
-				cols = append(cols, keyCol{col: i, varName: a.Name})
+			if s, ok := bound[a.Name]; ok && a.Name != "_" {
+				cols = append(cols, keyCol{col: i, varName: a.Name, slot: s})
 			}
 		case *ConstExpr:
 			// Wildcard constants match anything; they constrain nothing.
@@ -121,13 +118,13 @@ func boundCols(bound map[string]bool, f *Functor) []keyCol {
 	return cols
 }
 
-// appendStepKey evaluates a step's index-key recipe under env, in the
+// appendStepKey evaluates a step's index-key recipe on the frame, in the
 // index's normalized hash encoding (appendHashKey, not the identity
 // encoding: buckets must unite the int/bool values Equal unites).
-func appendStepKey(dst []byte, key []keyCol, env Env) []byte {
+func appendStepKey(dst []byte, key []keyCol, frame []Value) []byte {
 	for _, kc := range key {
 		if kc.varName != "" {
-			dst = appendHashKey(dst, env[kc.varName])
+			dst = appendHashKey(dst, frame[kc.slot])
 		} else {
 			dst = appendHashKey(dst, kc.constVal)
 		}
