@@ -256,9 +256,14 @@ func BenchmarkExplorePipeline(b *testing.B) {
 		return rep
 	}
 	b.Run("Barrier", func(b *testing.B) {
+		var rep *metarepair.Report
 		for i := 0; i < b.N; i++ {
-			repair(b, metarepair.WithPipelineMode(metarepair.PipelineBarrier))
+			rep = repair(b, metarepair.WithPipelineMode(metarepair.PipelineBarrier))
 		}
+		// Exact and the same in every mode: what the search did for what
+		// it emitted.
+		b.Logf("%d steps, %d repairs extracted: %d emitted, %d duplicate signatures, %d over the structure cap; %d batches",
+			rep.Steps, rep.Extracted, rep.Generated, rep.DuplicateSignatures, rep.CappedStructures, rep.Batches)
 	})
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("Stream%d", workers), func(b *testing.B) {

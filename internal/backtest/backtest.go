@@ -14,7 +14,6 @@ package backtest
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/meta"
 	"repro/internal/metaprov"
@@ -163,12 +162,13 @@ func (j *Job) RunSequential(ctx context.Context) ([]Result, error) {
 		return nil, err
 	}
 	out := make([]Result, 0, len(j.Candidates))
+	baseErr := meta.Validate(j.Prog) // Apply validates only what a patch edits
 	for _, c := range j.Candidates {
 		if err := ctx.Err(); err != nil {
 			return out, err
 		}
 		patch, err := c.Apply(j.Prog)
-		if err != nil {
+		if err != nil || baseErr != nil {
 			out = append(out, Result{Candidate: c})
 			continue
 		}
@@ -292,8 +292,11 @@ func (j *Job) judge(c metaprov.Candidate, baseline, dist []int64, net *sdn.Netwo
 // BuildSharedProgram assembles the §4.4 backtesting program: every
 // original rule restricted away from the candidates that modify or delete
 // it, plus per-candidate copies of the modified rules restricted to that
-// candidate's tag. It returns the program, per-candidate-bit manual
-// insertions, and a map from base-tuple key to the tag bits that delete it.
+// candidate's tag. Which rules those are is read off each candidate's
+// patch (meta.Patch.Edited / Dropped): the candidate is applied once and no
+// Change kind needs to be known here. It returns the program,
+// per-candidate-bit manual insertions, and a map from base-tuple key to the
+// tag bits that delete it.
 func BuildSharedProgram(prog *ndlog.Program, cands []metaprov.Candidate, coalesce bool) (*ndlog.Program, map[int][]ndlog.Tuple, map[string]uint64, error) {
 	type variant struct {
 		rule   *ndlog.Rule
@@ -305,34 +308,12 @@ func BuildSharedProgram(prog *ndlog.Program, cands []metaprov.Candidate, coalesc
 	inserts := make(map[int][]ndlog.Tuple)
 	deletes := make(map[string]uint64)
 
-	origByID := make(map[string]*ndlog.Rule, len(prog.Rules))
-	rulePos := make(map[string]int, len(prog.Rules))
-	for i, r := range prog.Rules {
-		origByID[r.ID] = r
-		rulePos[r.ID] = i
-	}
-	origStr := make(map[string]string, len(prog.Rules)) // lazy render cache
-
-	// differs reports whether a patched rule diverged from the base
-	// program's rule of the same ID (or is new), rendering the original at
-	// most once across all candidates.
-	differs := func(r *ndlog.Rule) (exists, changed bool) {
-		orig, ok := origByID[r.ID]
-		if !ok {
-			return false, true
-		}
-		os, cached := origStr[r.ID]
-		if !cached {
-			os = orig.String()
-			origStr[r.ID] = os
-		}
-		return true, os != r.String()
-	}
-
+	origStr := make(map[string]string) // base rules rendered, at most once each
+	baseErr := meta.Validate(prog)     // Apply validates only what a patch edits
 	for i, c := range cands {
 		bit := uint64(1) << uint(i+1)
 		patch, err := c.Apply(prog)
-		if err != nil {
+		if err != nil || baseErr != nil {
 			// Unapplicable candidate: give it no rules at all so it is
 			// judged ineffective rather than failing the whole batch.
 			continue
@@ -343,55 +324,29 @@ func BuildSharedProgram(prog *ndlog.Program, cands []metaprov.Candidate, coalesc
 		for _, del := range patch.Deletes {
 			deletes[del.Key()] |= bit
 		}
-		addVariant := func(r *ndlog.Rule, exists bool) {
+		// The patch's own edit log names the rules it touched, in program
+		// order with added rules last — the variant order of each
+		// candidate's sequential run.
+		for _, id := range patch.Dropped() {
+			touched[id] |= bit
+		}
+		for _, r := range patch.Edited() {
+			origID := ""
+			if orig := prog.Rule(r.ID); orig != nil {
+				os, cached := origStr[r.ID]
+				if !cached {
+					os = orig.String()
+					origStr[r.ID] = os
+				}
+				if os == r.String() {
+					continue // edited back to what it was: the original serves
+				}
+				origID = r.ID
+			}
 			touched[r.ID] |= bit
 			cp := r.Clone()
 			cp.ID = fmt.Sprintf("%s~c%d", r.ID, i+1)
-			origID := ""
-			if exists {
-				origID = r.ID
-			}
 			variants = append(variants, variant{rule: cp, bits: bit, origID: origID})
-		}
-		// Every Change names the one rule it can create, modify, or delete,
-		// so only those rules need the rendered comparison; the full
-		// program sweep remains as the fallback for unknown change kinds.
-		// IDs are visited in program order (added rules last, in change
-		// order) to keep the variant sequence identical to the sweep's.
-		if ids, exact := changedRuleIDs(c.Changes); exact {
-			sort.SliceStable(ids, func(a, b int) bool {
-				pa, oka := rulePos[ids[a]]
-				pb, okb := rulePos[ids[b]]
-				if oka && okb {
-					return pa < pb
-				}
-				return oka && !okb
-			})
-			for _, id := range ids {
-				r := patch.Prog.Rule(id)
-				if r == nil {
-					if _, orig := origByID[id]; orig {
-						touched[id] |= bit // rule deleted by this candidate
-					}
-					continue
-				}
-				if exists, changed := differs(r); changed {
-					addVariant(r, exists)
-				}
-			}
-			continue
-		}
-		seen := make(map[string]bool)
-		for _, r := range patch.Prog.Rules {
-			seen[r.ID] = true
-			if exists, changed := differs(r); changed {
-				addVariant(r, exists)
-			}
-		}
-		for id := range origByID {
-			if !seen[id] {
-				touched[id] |= bit // rule deleted by this candidate
-			}
 		}
 	}
 	// Coalescing (§4.4): merge candidate copies whose bodies are
@@ -438,46 +393,6 @@ func BuildSharedProgram(prog *ndlog.Program, cands []metaprov.Candidate, coalesc
 	}
 	shared.Rules = rules
 	return shared, inserts, deletes, nil
-}
-
-// changedRuleIDs lists the rule IDs a change list can create, modify, or
-// delete, deduplicated in first-mention order. exact is false when the list
-// contains a change kind this function does not recognize, in which case
-// the caller must fall back to comparing every rule.
-func changedRuleIDs(changes []meta.Change) (ids []string, exact bool) {
-	add := func(id string) {
-		for _, have := range ids {
-			if have == id {
-				return
-			}
-		}
-		ids = append(ids, id)
-	}
-	for _, ch := range changes {
-		switch c := ch.(type) {
-		case meta.SetConst:
-			add(c.RuleID)
-		case meta.SetOper:
-			add(c.RuleID)
-		case meta.SetExpr:
-			add(c.RuleID)
-		case meta.DropSel:
-			add(c.RuleID)
-		case meta.DropBodyPred:
-			add(c.RuleID)
-		case meta.DropRule:
-			add(c.RuleID)
-		case meta.SetHeadTable:
-			add(c.RuleID)
-		case meta.AddRule:
-			add(c.Rule.ID)
-		case meta.InsertTuple, meta.DeleteTuple:
-			// Base-tuple edits touch no rule.
-		default:
-			return nil, false
-		}
-	}
-	return ids, true
 }
 
 // ruleBodyKey canonicalizes a rule for coalescing: everything except its ID.

@@ -1,7 +1,6 @@
 package backtest
 
 import (
-	"slices"
 	"testing"
 
 	"repro/internal/meta"
@@ -91,26 +90,51 @@ func TestResultString(t *testing.T) {
 	}
 }
 
-// TestChangedRuleIDs: every change kind names the one rule it can touch
-// (first-mention order, deduplicated), base-tuple edits name none, and an
-// unknown kind makes the list inexact so BuildSharedProgram falls back to
-// the full program sweep.
-func TestChangedRuleIDs(t *testing.T) {
-	ids, exact := changedRuleIDs([]meta.Change{
-		meta.SetConst{RuleID: "r7"},
-		meta.DropSel{RuleID: "r6"},
-		meta.InsertTuple{Tuple: ndlog.NewTuple("FlowTable")},
-		meta.SetHeadTable{RuleID: "r5"},
-		meta.AddRule{Rule: &ndlog.Rule{ID: "r9"}},
-		meta.DropRule{RuleID: "r7"},
-	})
-	if want := []string{"r7", "r6", "r5", "r9"}; !exact || !slices.Equal(ids, want) {
-		t.Fatalf("ids = %v (exact %v), want %v", ids, exact, want)
+// TestSharedProgramFromUnknownChangeKind: BuildSharedProgram reads which
+// rules a candidate touched off the patch's edit log, so a Change kind this
+// package has never heard of — it can reach a rule only through Patch.Edit —
+// still gets its variant and clears its bit on the original.
+func TestSharedProgramFromUnknownChangeKind(t *testing.T) {
+	job, _ := q1Job(t)
+	cands := []metaprov.Candidate{
+		{Changes: []meta.Change{meta.DropRule{RuleID: "r6"}}},
+		{Changes: []meta.Change{flipFirstSel{RuleID: "r7"}}},
 	}
-	if _, exact := changedRuleIDs([]meta.Change{unknownChange{}}); exact {
-		t.Fatal("an unrecognized change kind must not be reported exact")
+	shared, _, _, err := BuildSharedProgram(job.Prog, cands, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := job.Prog.Rule("r7").Clone()
+	want.Sels[0].Op = ndlog.OpNe
+	variant := shared.Rule("r7~c2")
+	if variant == nil || variant.TagMask != 1<<2 || ruleBodyKey(variant) != ruleBodyKey(want) {
+		t.Fatalf("variant of r7 for candidate 2 = %v", variant)
+	}
+	for id, mask := range map[string]uint64{"r5": 0b111, "r6": 0b101, "r7": 0b011} {
+		if got := shared.Rule(id).TagMask; got != mask {
+			t.Errorf("%s runs under tags %03b, want %03b", id, got, mask)
+		}
+	}
+	if len(shared.Rules) != len(job.Prog.Rules)+1 {
+		t.Fatalf("shared program has %d rules, want the %d originals and one variant", len(shared.Rules), len(job.Prog.Rules))
+	}
+	if got := job.Prog.Rule("r7").Sels[0].Op; got != ndlog.OpEq {
+		t.Fatalf("base program was edited: r7's operator is now %s", got)
 	}
 }
 
-// unknownChange is a change kind changedRuleIDs has never heard of.
-type unknownChange struct{ meta.Change }
+// flipFirstSel negates a rule's first selection: a change kind defined
+// outside package meta.
+type flipFirstSel struct {
+	meta.Change
+	RuleID string
+}
+
+func (c flipFirstSel) ApplyTo(p *meta.Patch) error {
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
+	}
+	r.Sels[0].Op = ndlog.OpNe
+	return nil
+}

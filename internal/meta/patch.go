@@ -1,70 +1,121 @@
 package meta
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cost"
 	"repro/internal/ndlog"
 )
 
-// Patch is the result of applying a repair candidate: a modified program
+// Patch is the result of applying a repair candidate: a patched program
 // plus any manual base-tuple insertions or deletions the candidate calls
-// for. The original program is never mutated.
+// for. A Patch is copy-on-write: it shares every rule it did not edit (and
+// all declarations) with its base program, which is never mutated, so
+// Patch.Prog is read-only — as it already is for engines, which never
+// write rule ASTs. The only way to a writable rule is Edit.
 type Patch struct {
 	Prog    *ndlog.Program
 	Inserts []ndlog.Tuple
 	Deletes []ndlog.Tuple
+
+	// The edit log: every rule the patch cloned for editing or added, how
+	// many rules at the tail of Prog.Rules it added, and the IDs of the
+	// base rules it dropped.
+	owned   []*ndlog.Rule
+	added   int
+	dropped []string
 }
 
 // Change is one meta-tuple edit: an update, insertion, or deletion of a
-// syntactic element or base tuple. Changes apply to a Patch in place.
+// syntactic element or base tuple. Changes apply to a Patch in place and
+// reach a rule only through Patch.Edit.
 type Change interface {
 	ApplyTo(p *Patch) error
 	Kind() cost.Kind
 	String() string
 }
 
-// Apply clones the program and applies all changes, returning the patch.
-// Rule additions apply first (so follow-up edits can target the new rule);
-// changes that delete indexed elements from the same rule are applied in
-// descending index order so earlier deletions do not shift later ones.
-func Apply(prog *ndlog.Program, changes []Change) (*Patch, error) {
-	p := &Patch{Prog: prog.Clone()}
-	ordered := append([]Change(nil), changes...)
-	sort.SliceStable(ordered, func(i, j int) bool {
-		pi, pj := precedence(ordered[i]), precedence(ordered[j])
-		if pi != pj {
-			return pi < pj
+// Edit returns rule ruleID of the patched program for writing: the first
+// call clones the base program's rule into Prog and logs it, later calls
+// (and calls for a rule the patch added) return the patch's own copy.
+func (p *Patch) Edit(ruleID string) (*ndlog.Rule, error) {
+	for i, r := range p.Prog.Rules {
+		if r.ID != ruleID {
+			continue
 		}
-		return deleteIndex(ordered[i]) > deleteIndex(ordered[j])
-	})
-	for _, c := range ordered {
+		if !slices.Contains(p.owned, r) {
+			r = r.Clone()
+			p.Prog.Rules[i] = r
+			p.owned = append(p.owned, r)
+		}
+		return r, nil
+	}
+	return nil, fmt.Errorf("meta: no rule %s", ruleID)
+}
+
+// Edited returns the rules of Prog the patch edited or added, in program
+// order (added rules come last, in the order they were added). A rule
+// edited or added and then dropped is in no program, so not among them.
+func (p *Patch) Edited() []*ndlog.Rule {
+	var out []*ndlog.Rule
+	for _, r := range p.Prog.Rules {
+		if slices.Contains(p.owned, r) {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// Dropped returns the IDs of the base program's rules the patch deleted.
+func (p *Patch) Dropped() []string { return p.dropped }
+
+// Apply applies all changes to a copy-on-write view of the program and
+// returns the patch. Rule additions apply first (so follow-up edits can
+// target the new rule), then updates and rule deletions in the order
+// given, then deletions of indexed elements (DropSel, DropBodyPred) in
+// descending index order — so every index and path addresses the rule as
+// written, whatever the list deletes from it. Only the rules the patch
+// edited or added are validated: the caller vouches that the base program
+// is valid (Validate it once; Model does so at construction).
+func Apply(prog *ndlog.Program, changes []Change) (*Patch, error) {
+	p := &Patch{Prog: &ndlog.Program{Name: prog.Name, Decls: prog.Decls, Rules: slices.Clone(prog.Rules)}}
+	for _, c := range applyOrder(changes) {
 		if err := c.ApplyTo(p); err != nil {
 			return nil, err
 		}
 	}
-	if err := Validate(p.Prog); err != nil {
-		return nil, err
+	for _, r := range p.Edited() {
+		if err := ValidateRule(r); err != nil {
+			return nil, err
+		}
 	}
 	return p, nil
 }
 
-func precedence(c Change) int {
-	if _, ok := c.(AddRule); ok {
-		return 0
-	}
-	return 1
+// applyOrder sorts a change list into Apply's order of application.
+func applyOrder(changes []Change) []Change {
+	ordered := slices.Clone(changes)
+	slices.SortStableFunc(ordered, func(a, b Change) int {
+		ra, ia := precedence(a)
+		rb, ib := precedence(b)
+		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(ib, ia))
+	})
+	return ordered
 }
 
-func deleteIndex(c Change) int {
+// precedence ranks a change: additions, updates, then indexed deletions.
+func precedence(c Change) (rank, index int) {
 	switch c := c.(type) {
+	case AddRule:
+		return 0, 0
 	case DropSel:
-		return c.SelIdx
+		return 2, c.SelIdx
 	case DropBodyPred:
-		return c.BodyIdx
+		return 2, c.BodyIdx
 	}
-	return -1
+	return 1, 0
 }
 
 // CostOf sums the cost of a change list.
@@ -87,9 +138,9 @@ type SetConst struct {
 
 // ApplyTo implements Change.
 func (c SetConst) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	e, set, err := ResolveExpr(r, c.Path)
 	if err != nil {
@@ -120,9 +171,9 @@ type SetOper struct {
 
 // ApplyTo implements Change.
 func (c SetOper) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	if c.SelIdx < 0 || c.SelIdx >= len(r.Sels) {
 		return fmt.Errorf("meta: %s has no selection %d", c.RuleID, c.SelIdx)
@@ -149,9 +200,9 @@ type SetExpr struct {
 
 // ApplyTo implements Change.
 func (c SetExpr) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	_, set, err := ResolveExpr(r, c.Path)
 	if err != nil {
@@ -177,9 +228,9 @@ type DropSel struct {
 
 // ApplyTo implements Change.
 func (c DropSel) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	if c.SelIdx < 0 || c.SelIdx >= len(r.Sels) {
 		return fmt.Errorf("meta: %s has no selection %d", c.RuleID, c.SelIdx)
@@ -206,9 +257,9 @@ type DropBodyPred struct {
 
 // ApplyTo implements Change.
 func (c DropBodyPred) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	if c.BodyIdx < 0 || c.BodyIdx >= len(r.Body) {
 		return fmt.Errorf("meta: %s has no body predicate %d", c.RuleID, c.BodyIdx)
@@ -230,10 +281,16 @@ func (c DropBodyPred) String() string {
 // DropRule deletes a whole rule.
 type DropRule struct{ RuleID string }
 
-// ApplyTo implements Change.
+// ApplyTo implements Change. A dropped rule the patch itself added leaves
+// no trace in the edit log; a base rule's ID goes into Dropped.
 func (c DropRule) ApplyTo(p *Patch) error {
 	for i, r := range p.Prog.Rules {
 		if r.ID == c.RuleID {
+			if i >= len(p.Prog.Rules)-p.added {
+				p.added--
+			} else {
+				p.dropped = append(p.dropped, r.ID)
+			}
 			p.Prog.Rules = append(p.Prog.Rules[:i], p.Prog.Rules[i+1:]...)
 			return nil
 		}
@@ -259,6 +316,8 @@ func (c AddRule) ApplyTo(p *Patch) error {
 		r.TagMask = ndlog.AllTags
 	}
 	p.Prog.Rules = append(p.Prog.Rules, r)
+	p.owned = append(p.owned, r)
+	p.added++
 	return nil
 }
 
@@ -277,9 +336,9 @@ type SetHeadTable struct {
 
 // ApplyTo implements Change.
 func (c SetHeadTable) ApplyTo(p *Patch) error {
-	r := p.Prog.Rule(c.RuleID)
-	if r == nil {
-		return fmt.Errorf("meta: no rule %s", c.RuleID)
+	r, err := p.Edit(c.RuleID)
+	if err != nil {
+		return err
 	}
 	r.Head.Table = c.New
 	return nil
@@ -338,64 +397,59 @@ func Validate(prog *ndlog.Program) error {
 	return nil
 }
 
-// ValidateRule checks a single rule's variable binding discipline.
+// ValidateRule checks a single rule's variable binding discipline. The
+// error text is built only when the rule is invalid.
 func ValidateRule(r *ndlog.Rule) error {
 	bound := make(map[string]bool)
+	var buf []string
 	for _, b := range r.Body {
 		for _, a := range b.Args {
-			for _, v := range a.Vars(nil) {
+			buf = a.Vars(buf[:0])
+			for _, v := range buf {
 				bound[v] = true
 			}
 		}
+	}
+	// unbound returns the first variable of e that nothing binds, or "".
+	unbound := func(e ndlog.Expr) string {
+		buf = e.Vars(buf[:0])
+		for _, v := range buf {
+			if !bound[v] {
+				return v
+			}
+		}
+		return ""
 	}
 	// Assignments bind their target; iterate to a fixed point to honour
 	// dependency order.
 	for changed := true; changed; {
 		changed = false
 		for _, a := range r.Assigns {
-			if bound[a.Var] {
-				continue
-			}
-			ok := true
-			for _, v := range a.Expr.Vars(nil) {
-				if !bound[v] {
-					ok = false
-					break
-				}
-			}
-			if ok {
+			if !bound[a.Var] && unbound(a.Expr) == "" {
 				bound[a.Var] = true
 				changed = true
 			}
 		}
 	}
-	check := func(e ndlog.Expr, where string) error {
-		for _, v := range e.Vars(nil) {
-			if v == "_" {
-				continue
-			}
-			if !bound[v] {
-				return fmt.Errorf("meta: rule %s: unbound variable %s in %s", r.ID, v, where)
-			}
-		}
-		return nil
+	bound["_"] = true // a wildcard needs no binding in a guard or the head
+	fail := func(v, where string) error {
+		return fmt.Errorf("meta: rule %s: unbound variable %s in %s", r.ID, v, where)
 	}
 	for _, s := range r.Sels {
-		if err := check(s.Left, "selection "+s.String()); err != nil {
-			return err
-		}
-		if err := check(s.Right, "selection "+s.String()); err != nil {
-			return err
+		for _, e := range [2]ndlog.Expr{s.Left, s.Right} {
+			if v := unbound(e); v != "" {
+				return fail(v, "selection "+s.String())
+			}
 		}
 	}
 	for _, a := range r.Assigns {
-		if err := check(a.Expr, "assignment "+a.String()); err != nil {
-			return err
+		if v := unbound(a.Expr); v != "" {
+			return fail(v, "assignment "+a.String())
 		}
 	}
 	for _, a := range r.Head.Args {
-		if err := check(a, "head"); err != nil {
-			return err
+		if v := unbound(a); v != "" {
+			return fail(v, "head")
 		}
 	}
 	return nil

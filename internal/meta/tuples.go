@@ -91,11 +91,13 @@ type Model struct {
 	Assigns []AssignRef
 
 	derivedTables map[string]bool // tables appearing as some rule head
+	invalid       error           // Validate(Prog), established once
 }
 
-// NewModel extracts the meta tuples of a program.
+// NewModel extracts the meta tuples of a program and records whether the
+// program is valid, which Model.Apply vouches for on every patch.
 func NewModel(prog *ndlog.Program) *Model {
-	m := &Model{Prog: prog, derivedTables: make(map[string]bool)}
+	m := &Model{Prog: prog, derivedTables: make(map[string]bool), invalid: Validate(prog)}
 	for _, r := range prog.Rules {
 		m.derivedTables[r.Head.Table] = true
 		m.Heads = append(m.Heads, HeadRef{Rule: r.ID, Table: r.Head.Table, Args: renderArgs(r.Head.Args)})
@@ -141,6 +143,15 @@ func (m *Model) collectConsts(rule, path string, e ndlog.Expr) {
 			m.collectConsts(rule, fmt.Sprintf("%s/a%d", path, i), a)
 		}
 	}
+}
+
+// Apply patches the model's program (see the package-level Apply); no
+// patch applies to an invalid program.
+func (m *Model) Apply(changes []Change) (*Patch, error) {
+	if m.invalid != nil {
+		return nil, m.invalid
+	}
+	return Apply(m.Prog, changes)
 }
 
 // TupleCount returns the total number of program-based meta tuples, the

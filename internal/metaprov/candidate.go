@@ -156,7 +156,7 @@ func (ex *Explorer) extract(t *Tree) (Candidate, bool) {
 		return Candidate{}, false // no repair needed: symptom not reproduced
 	}
 	// Syntactic validity guard (§4.2): the patched program must be valid.
-	if _, err := meta.Apply(ex.Model.Prog, changes); err != nil {
+	if _, err := ex.Model.Apply(changes); err != nil {
 		return Candidate{}, false
 	}
 	return Candidate{Changes: changes, Cost: t.Cost, Tree: t.Root()}.cached(), true

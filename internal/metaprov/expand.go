@@ -76,9 +76,13 @@ type Explorer struct {
 	// spent in the constraint back-end (the Figure 9a breakdown): pre-fork
 	// checks against a pool's bindings, propagation as constraints are
 	// added, pruning verdicts and extraction solves. Both are atomics —
-	// stream workers solve concurrently — read via Stats().
+	// stream workers solve concurrently — read via Stats(). The emitter
+	// counts what it was offered and why it turned candidates away.
 	steps      atomic.Int64
 	solveNanos atomic.Int64
+	extracted  atomic.Int64
+	duplicates atomic.Int64
+	capped     atomic.Int64
 
 	// audit, when set by a test, sees every pool a pruning verdict is
 	// taken on, together with that verdict — including the pools of
@@ -99,6 +103,12 @@ type Stats struct {
 	// expansions the committed search never used, so it can exceed the
 	// stream's wall-clock time.
 	SolveTime time.Duration
+	// Extracted counts the complete trees committed with a valid repair;
+	// DuplicateSignatures of them repeated an earlier candidate's changes
+	// and CappedStructures exceeded MaxPerStructure. The rest were emitted.
+	// Like Steps, all three are exact and equal under Explore and
+	// ExploreStream.
+	Extracted, DuplicateSignatures, CappedStructures int
 }
 
 // Stats returns a snapshot of the search counters. It is safe to call
@@ -107,6 +117,10 @@ func (ex *Explorer) Stats() Stats {
 	return Stats{
 		Steps:     int(ex.steps.Load()),
 		SolveTime: time.Duration(ex.solveNanos.Load()),
+
+		Extracted:           int(ex.extracted.Load()),
+		DuplicateSignatures: int(ex.duplicates.Load()),
+		CappedStructures:    int(ex.capped.Load()),
 	}
 }
 
@@ -267,13 +281,16 @@ func (em *emitter) searching(emitted int) bool {
 // signature dedup first (duplicates burn their signature either way), then
 // the per-structure cap.
 func (em *emitter) admit(c Candidate) bool {
+	em.ex.extracted.Add(1)
 	sig := c.Signature()
 	if em.seen[sig] {
+		em.ex.duplicates.Add(1)
 		return false
 	}
 	em.seen[sig] = true
 	st := c.Structure()
 	if em.structs[st] >= em.perStruct {
+		em.ex.capped.Add(1)
 		return false
 	}
 	em.structs[st]++

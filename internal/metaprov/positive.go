@@ -124,7 +124,7 @@ func (ex *Explorer) positiveForDerivation(bad ndlog.Tuple, d *provenance.Derivat
 	// deletion.
 	for i, b := range r.Body {
 		ch := meta.DropBodyPred{RuleID: r.ID, BodyIdx: i, Pred: b.String()}
-		if _, err := meta.Apply(ex.Model.Prog, []meta.Change{ch}); err != nil {
+		if _, err := ex.Model.Apply([]meta.Change{ch}); err != nil {
 			continue
 		}
 		out = append(out, Candidate{Changes: []meta.Change{ch}, Cost: cost.Of(cost.DeleteBodyPredicate)})
@@ -287,7 +287,7 @@ func envTerm(env ndlog.Env, e ndlog.Expr, symVar string) (solver.Term, bool) {
 // again (an alternate derivation enabled by the change, §4.2), the
 // candidate is rejected.
 func (ex *Explorer) survivesRederivation(c Candidate, bad ndlog.Tuple, rec *provenance.Recorder) bool {
-	patch, err := c.Apply(ex.Model.Prog)
+	patch, err := ex.Model.Apply(c.Changes)
 	if err != nil {
 		return false
 	}

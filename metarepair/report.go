@@ -85,6 +85,10 @@ type Report struct {
 	// counts explorer vertex expansions.
 	Batches int
 	Steps   int
+	// Extracted, DuplicateSignatures and CappedStructures are the search's
+	// commit-loop counts (see Exploration): how many repairs the explorer
+	// extracted to emit the Generated ones.
+	Extracted, DuplicateSignatures, CappedStructures int
 	// EarlyStopped reports that PipelineFirstAccepted cut the run short:
 	// the search and the unstarted batches were cancelled once a repair
 	// passed. Evaluated counts candidates that actually have verdicts;

@@ -190,10 +190,25 @@ type Exploration struct {
 	Dropped   int
 	// Steps counts vertex expansions (the Figure 9 evaluation metric).
 	Steps int
+	// Extracted counts the complete trees the search committed with a
+	// valid repair; DuplicateSignatures of them repeated an earlier
+	// candidate's changes and CappedStructures exceeded the per-structure
+	// cap. The rest are the Generated candidates of a missing-tuple search.
+	Extracted, DuplicateSignatures, CappedStructures int
 
 	historyTime time.Duration
 	solveTime   time.Duration
 	genTime     time.Duration
+}
+
+// finish records the finished search's counters and stage times.
+func (e *Exploration) finish(ex *metaprov.Explorer, th *timedHistory, start time.Time) {
+	stats := ex.Stats()
+	e.Steps = stats.Steps
+	e.Extracted, e.DuplicateSignatures, e.CappedStructures = stats.Extracted, stats.DuplicateSignatures, stats.CappedStructures
+	e.historyTime = th.total()
+	e.solveTime = stats.SolveTime
+	e.genTime = time.Since(start)
 }
 
 // timedHistory wraps the recorder to attribute history-lookup time (the
@@ -255,11 +270,7 @@ func (s *Session) explore(ctx context.Context, sym Symptom, o options, tr *trace
 	}
 	expl.Generated = len(cands)
 	expl.Candidates = o.filterAndCap(cands, expl)
-	stats := ex.Stats()
-	expl.Steps = stats.Steps
-	expl.historyTime = th.total()
-	expl.solveTime = stats.SolveTime
-	expl.genTime = time.Since(start)
+	expl.finish(ex, th, start)
 	endSpan()
 	o.emit(Event{Kind: "explore.done", Candidates: len(cands), Steps: expl.Steps,
 		Elapsed: ms(expl.genTime)})
@@ -454,11 +465,7 @@ func (s *Session) search(sym Symptom, o options, tr *tracer) candidateSource {
 					o.emit(Event{Kind: "candidates.filtered", Filtered: expl.Filtered})
 				}
 			}
-			stats := ex.Stats()
-			expl.Steps = stats.Steps
-			expl.historyTime = th.total()
-			expl.solveTime = stats.SolveTime
-			expl.genTime = time.Since(start)
+			expl.finish(ex, th, start)
 			endExplore()
 			o.emit(Event{Kind: "explore.done",
 				Candidates: expl.Generated - expl.Filtered - expl.Dropped,
@@ -614,6 +621,7 @@ func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *t
 			Overlap:           overlap,
 		},
 	}
+	rep.Extracted, rep.DuplicateSignatures, rep.CappedStructures = expl.Extracted, expl.DuplicateSignatures, expl.CappedStructures
 	rep.rank()
 	endVerdict()
 	endRun()

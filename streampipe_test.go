@@ -127,6 +127,16 @@ func TestStreamingPipelineMatchesBarrier(t *testing.T) {
 	if stream.Steps != barrier.Steps {
 		t.Fatalf("steps: streaming %d, barrier %d", stream.Steps, barrier.Steps)
 	}
+	counts := func(r *metarepair.Report) [3]int {
+		return [3]int{r.Extracted, r.DuplicateSignatures, r.CappedStructures}
+	}
+	if counts(stream) != counts(barrier) {
+		t.Fatalf("extracted / duplicate / capped: streaming %v, barrier %v", counts(stream), counts(barrier))
+	}
+	if got := barrier.Extracted - barrier.DuplicateSignatures - barrier.CappedStructures; got != barrier.Generated {
+		t.Fatalf("%d extracted - %d duplicates - %d capped = %d, but %d generated",
+			barrier.Extracted, barrier.DuplicateSignatures, barrier.CappedStructures, got, barrier.Generated)
+	}
 	if stream.Batches != barrier.Batches {
 		t.Fatalf("batches: streaming %d, barrier %d", stream.Batches, barrier.Batches)
 	}
