@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -11,15 +12,36 @@ import (
 	"repro/scenario"
 )
 
-// jobRequest is the POST /v1/tenants/{tenant}/jobs body. Every field
-// beyond Scenario is optional; the knobs map one-to-one onto metarepair
-// functional options.
-type jobRequest struct {
+// Intake bounds. A job or watch body is a few hundred bytes of JSON, and the
+// scale it names is instantiated in full (topo.Scaled clamps only from
+// below), so both are capped before anything is built.
+const (
+	maxRequestBytes = 1 << 20
+	maxSwitches     = 1024
+	maxFlows        = 100000
+)
+
+// repairRequest is what the job and watch bodies share: which scenario at
+// which scale, and the knobs the repair sessions run with. It is embedded,
+// so its fields sit at the top level of both wire formats.
+type repairRequest struct {
 	// Scenario names a registered spec; Switches/Flows set the scale
 	// (zero: the default 19sw/900fl).
 	Scenario string `json:"scenario"`
 	Switches int    `json:"switches,omitempty"`
 	Flows    int    `json:"flows,omitempty"`
+	// ExploreWorkers, Batch, Parallelism, and MaxCandidates map onto the
+	// session options of the same names (zero keeps each default).
+	ExploreWorkers int `json:"explore_workers,omitempty"`
+	Batch          int `json:"batch,omitempty"`
+	Parallelism    int `json:"parallelism,omitempty"`
+	MaxCandidates  int `json:"max_candidates,omitempty"`
+}
+
+// jobRequest is the POST /v1/tenants/{tenant}/jobs body. Every field
+// beyond Scenario is optional.
+type jobRequest struct {
+	repairRequest
 	// Trace names a previously ingested trace of the same tenant to
 	// stream the workload from; From/To window the replay by record
 	// timestamp (metarepair.WithReplayWindow).
@@ -29,12 +51,6 @@ type jobRequest struct {
 	// Pipeline selects the explore→backtest composition: "streaming"
 	// (default), "barrier", or "first-accepted".
 	Pipeline string `json:"pipeline,omitempty"`
-	// ExploreWorkers, Batch, Parallelism, and MaxCandidates map onto the
-	// session options of the same names (zero keeps each default).
-	ExploreWorkers int `json:"explore_workers,omitempty"`
-	Batch          int `json:"batch,omitempty"`
-	Parallelism    int `json:"parallelism,omitempty"`
-	MaxCandidates  int `json:"max_candidates,omitempty"`
 	// TimeoutMS bounds the job's own run time; an exceeded deadline is a
 	// failed job (a DELETE is a cancelled one).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
@@ -43,12 +59,8 @@ type jobRequest struct {
 }
 
 // options translates the request knobs into session options.
-func (r *jobRequest) options() ([]metarepair.Option, error) {
-	mode, err := metarepair.ParsePipelineMode(r.Pipeline)
-	if err != nil {
-		return nil, err
-	}
-	opts := []metarepair.Option{metarepair.WithPipelineMode(mode)}
+func (r *repairRequest) options() ([]metarepair.Option, error) {
+	var opts []metarepair.Option
 	if r.ExploreWorkers > 0 {
 		opts = append(opts, metarepair.WithExploreWorkers(r.ExploreWorkers))
 	}
@@ -69,8 +81,9 @@ func (r *jobRequest) options() ([]metarepair.Option, error) {
 	return opts, nil
 }
 
-// scale resolves the requested scale with the registry defaults.
-func (r *jobRequest) scale() scenario.Scale {
+// scale resolves the requested scale with the registry defaults, refusing
+// one beyond the intake bounds.
+func (r *repairRequest) scale() (scenario.Scale, error) {
 	sc := scenario.DefaultScale()
 	if r.Switches > 0 {
 		sc.Switches = r.Switches
@@ -78,7 +91,30 @@ func (r *jobRequest) scale() scenario.Scale {
 	if r.Flows > 0 {
 		sc.Flows = r.Flows
 	}
-	return sc
+	if sc.Switches > maxSwitches {
+		return sc, fmt.Errorf("switches %d exceeds the limit of %d", sc.Switches, maxSwitches)
+	}
+	if sc.Flows > maxFlows {
+		return sc, fmt.Errorf("flows %d exceeds the limit of %d", sc.Flows, maxFlows)
+	}
+	return sc, nil
+}
+
+// decodeRequest decodes a job or watch body of at most maxRequestBytes into
+// req, rejecting unknown fields. On failure it has written the response
+// (413 for an oversized body, 400 otherwise) and returns false.
+func decodeRequest(w http.ResponseWriter, r *http.Request, req any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxRequestBytes)
+	case err != nil:
+		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	}
+	return err == nil
 }
 
 // jobStatus is the wire form of one job record (submit, status, cancel,

@@ -60,7 +60,7 @@ func TestMetricsReconcile(t *testing.T) {
 	for i := 0; i < n; i++ {
 		begin := time.Now()
 		st := submitJob(t, ts, "acme", jobRequest{
-			Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows,
+			repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows},
 		})
 		final := waitJob(t, ts, st.ID)
 		clientDurations = append(clientDurations, time.Since(begin))
@@ -74,27 +74,24 @@ func TestMetricsReconcile(t *testing.T) {
 	// Every layer's families must be present and correctly typed, even
 	// the ones with no samples yet (tracestore gauges before any ingest).
 	wantTypes := map[string]string{
-		"jobs_queue_depth":                   "gauge",
-		"jobs_tenant_queued":                 "gauge",
-		"jobs_tenant_running":                "gauge",
-		"jobs_queue_wait_seconds":            "histogram",
-		"jobs_run_duration_seconds":          "histogram",
-		"jobs_total":                         "counter",
-		"jobs_quota_rejections_total":        "counter",
-		"http_requests_total":                "counter",
-		"http_request_duration_seconds":      "histogram",
-		"session_span_duration_seconds":      "histogram",
-		"session_events_total":               "counter",
-		"session_suggestions_total":          "counter",
-		"ndlog_engine_ops_total":             "counter",
-		"ndlog_delta_inserts_total":          "counter",
-		"ndlog_delta_retractions_total":      "counter",
-		"ndlog_delta_recounted_tuples_total": "counter",
-		"ndlog_delta_group_joins_total":      "counter",
-		"tracestore_entries":                 "gauge",
-		"tracestore_bytes":                   "gauge",
-		"tracestore_segments":                "gauge",
-		"tracestore_rotations":               "gauge",
+		"jobs_queue_depth":              "gauge",
+		"jobs_tenant_queued":            "gauge",
+		"jobs_tenant_running":           "gauge",
+		"jobs_queue_wait_seconds":       "histogram",
+		"jobs_run_duration_seconds":     "histogram",
+		"jobs_total":                    "counter",
+		"jobs_quota_rejections_total":   "counter",
+		"http_requests_total":           "counter",
+		"http_request_duration_seconds": "histogram",
+		"session_span_duration_seconds": "histogram",
+		"session_events_total":          "counter",
+		"session_suggestions_total":     "counter",
+		"ndlog_engine_ops_total":        "counter",
+		"ndlog_delta_group_joins_total": "counter",
+		"tracestore_entries":            "gauge",
+		"tracestore_bytes":              "gauge",
+		"tracestore_segments":           "gauge",
+		"tracestore_rotations":          "gauge",
 	}
 	for name, typ := range wantTypes {
 		if got := sc.Types[name]; got != typ {
@@ -282,6 +279,44 @@ func TestCLIMetricsCatalogueMatchesDaemon(t *testing.T) {
 	for name := range fromDaemon {
 		if _, ok := fromCLI[name]; !ok {
 			t.Errorf("family %s is on the daemon's /metrics but not in the CLI dump", name)
+		}
+	}
+}
+
+// TestREADMECatalogueMatchesRegistry: the family names and types in the
+// README's "Family | Type | Labels" table are exactly the set the daemon
+// registers. Each row names its families in full, one per backtick.
+func TestREADMECatalogueMatchesRegistry(t *testing.T) {
+	readme, err := os.ReadFile(filepath.Join("..", "..", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(readme), "| Family | Type | Labels | Meaning |\n|---|---|---|---|\n")
+	if !ok {
+		t.Fatal("README has no metric catalogue table")
+	}
+	documented := make(map[string]string)
+	for _, row := range strings.Split(table, "\n") {
+		cells := strings.Split(row, "|")
+		if len(cells) < 4 {
+			break // the table ends at the first line that is not a row
+		}
+		names := strings.Split(cells[1], "`")
+		for i := 1; i < len(names); i += 2 {
+			documented[names[i]] = strings.TrimSpace(cells[2])
+		}
+	}
+
+	_, ts := newTestServer(t, jobs.Config{Workers: 1})
+	registered := scrapeMetrics(t, ts.URL).Types
+	for name, typ := range registered {
+		if got, ok := documented[name]; !ok || got != typ {
+			t.Errorf("family %s: registered as %q, README says %q (listed %v)", name, typ, got, ok)
+		}
+	}
+	for name := range documented {
+		if _, ok := registered[name]; !ok {
+			t.Errorf("family %s is in the README catalogue but not registered", name)
 		}
 	}
 }

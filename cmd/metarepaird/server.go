@@ -3,7 +3,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -24,14 +23,6 @@ import (
 // that reads slower than the pipeline emits loses its oldest pending
 // events (drop-oldest, counted) instead of stalling the repair session.
 const sseBuffer = 1024
-
-// jobEnv is the daemon's per-job attachment, carried in the engine
-// record's Meta: the live event log and the request that created the
-// job. It is evicted together with the job record.
-type jobEnv struct {
-	log *eventLog
-	req jobRequest
-}
 
 // server is the repair-as-a-service HTTP surface: it owns a tenants
 // trace-store tree, a scenario registry, and the bounded job engine, and
@@ -69,13 +60,13 @@ func newServer(registry *scenario.Registry, tenants *tracestore.Tenants, cfg job
 		watches:  make(map[string]*watchRecord),
 	}
 	cfg.OnTransition = func(j jobs.Job) {
-		env, ok := j.Meta.(*jobEnv)
+		elog, ok := j.Meta.(*eventLog)
 		if !ok {
 			return
 		}
-		env.log.emitLifecycle("job."+j.State.String(), j.ID)
+		elog.emitLifecycle("job."+j.State.String(), j.ID)
 		if j.State.Terminal() {
-			env.log.close()
+			elog.close()
 		}
 	}
 	s.engine = jobs.New(s.metrics.jobs.Instrument(cfg))
@@ -226,10 +217,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req jobRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	spec, err := s.registry.Lookup(req.Scenario)
@@ -237,7 +225,18 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
+	mode, err := metarepair.ParsePipelineMode(req.Pipeline)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	opts, err := req.options()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	opts = append(opts, metarepair.WithPipelineMode(mode))
+	scale, err := req.scale()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -272,12 +271,11 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		source = view
 	}
-	scale := req.scale()
 	label := req.Label
 	if label == "" {
 		label = fmt.Sprintf("%s@%s", spec.Name, scale)
 	}
-	env := &jobEnv{log: newEventLog(), req: req}
+	elog := newEventLog()
 	timeout := time.Duration(req.TimeoutMS) * time.Millisecond
 	fn := func(ctx context.Context) (any, error) {
 		if timeout > 0 {
@@ -292,7 +290,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		if source != nil {
 			sc.Source = source
 		}
-		sink := teeSink{a: env.log, b: s.metrics.sessions}
+		sink := teeSink{a: elog, b: s.metrics.sessions}
 		out, err := sc.Run(ctx, append(opts, metarepair.WithEventSink(sink))...)
 		if err != nil {
 			return nil, err
@@ -307,7 +305,7 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		return reportFromOutcome(out), nil
 	}
-	j, err := s.engine.Submit(tenant, label, env, fn)
+	j, err := s.engine.Submit(tenant, label, elog, fn)
 	var quota *jobs.QuotaError
 	switch {
 	case errors.As(err, &quota):
@@ -361,7 +359,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job %q", r.PathValue("id"))
 		return
 	}
-	env, ok := j.Meta.(*jobEnv)
+	elog, ok := j.Meta.(*eventLog)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "job has no event log")
 		return
@@ -371,7 +369,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
 		return
 	}
-	history, sub := env.log.subscribe(sseBuffer)
+	history, sub := elog.subscribe(sseBuffer)
 	defer sub.Cancel()
 
 	ctx, cancel := context.WithCancel(r.Context())

@@ -117,7 +117,7 @@ func waitJob(t *testing.T, ts *httptest.Server, id string) jobStatus {
 func TestJobLifecycle(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 2})
 	st := submitJob(t, ts, "acme", jobRequest{
-		Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows,
+		repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows},
 	})
 	if st.State != "queued" || st.ID == "" || st.Tenant != "acme" {
 		t.Fatalf("submit response: %+v", st)
@@ -171,7 +171,7 @@ func TestVerdictParityAcrossTenants(t *testing.T) {
 	var ids []string
 	for i := 0; i < 16; i++ {
 		st := submitJob(t, ts, fmt.Sprintf("tenant%d", i%4), jobRequest{
-			Scenario: "Q1", Switches: 19, Flows: 150,
+			repairRequest: repairRequest{Scenario: "Q1", Switches: 19, Flows: 150},
 		})
 		ids = append(ids, st.ID)
 	}
@@ -201,7 +201,7 @@ func TestVerdictParityAcrossTenants(t *testing.T) {
 // record to land in cancelled (not failed), with the SSE stream ending.
 func TestCancelJob(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 1})
-	st := submitJob(t, ts, "acme", jobRequest{Scenario: "Q1slow", Switches: 19, Flows: 4000})
+	st := submitJob(t, ts, "acme", jobRequest{repairRequest: repairRequest{Scenario: "Q1slow", Switches: 19, Flows: 4000}})
 	// Wait for the job to start running before cancelling.
 	deadline := time.Now().Add(time.Minute)
 	for {
@@ -238,10 +238,10 @@ func TestCancelJob(t *testing.T) {
 // in.
 func TestQuotaRejection(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 1, QueueCap: 8, TenantQueueCap: 1})
-	running := submitJob(t, ts, "acme", jobRequest{Scenario: "Q1slow", Switches: 19, Flows: 4000})
-	queued := submitJob(t, ts, "acme", jobRequest{Scenario: "Q1", Switches: 19, Flows: 150})
+	running := submitJob(t, ts, "acme", jobRequest{repairRequest: repairRequest{Scenario: "Q1slow", Switches: 19, Flows: 4000}})
+	queued := submitJob(t, ts, "acme", jobRequest{repairRequest: repairRequest{Scenario: "Q1", Switches: 19, Flows: 150}})
 	resp, body := postJSON(t, ts.URL+"/v1/tenants/acme/jobs",
-		jobRequest{Scenario: "Q1", Switches: 19, Flows: 150})
+		jobRequest{repairRequest: repairRequest{Scenario: "Q1", Switches: 19, Flows: 150}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("over-quota submit: status %d: %s", resp.StatusCode, body)
 	}
@@ -249,7 +249,7 @@ func TestQuotaRejection(t *testing.T) {
 		t.Fatalf("429 body does not explain the quota: %s", body)
 	}
 	// Another tenant is not starved by acme's cap.
-	other := submitJob(t, ts, "globex", jobRequest{Scenario: "Q1", Switches: 19, Flows: 150})
+	other := submitJob(t, ts, "globex", jobRequest{repairRequest: repairRequest{Scenario: "Q1", Switches: 19, Flows: 150}})
 	for _, id := range []string{running.ID, queued.ID, other.ID} {
 		req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/jobs/"+id, nil)
 		if resp, err := http.DefaultClient.Do(req); err == nil {
@@ -277,7 +277,7 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		t.Fatalf("unknown job events: %d", code)
 	}
 
-	resp2, body := postJSON(t, ts.URL+"/v1/tenants/acme/jobs", jobRequest{Scenario: "nope"})
+	resp2, body := postJSON(t, ts.URL+"/v1/tenants/acme/jobs", jobRequest{repairRequest: repairRequest{Scenario: "nope"}})
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown scenario: status %d", resp2.StatusCode)
 	}
@@ -285,16 +285,16 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 		t.Fatalf("unknown-scenario error lacks the menu: %s", body)
 	}
 	resp3, _ := postJSON(t, ts.URL+"/v1/tenants/acme/jobs",
-		jobRequest{Scenario: "Q1", Pipeline: "bogus"})
+		jobRequest{repairRequest: repairRequest{Scenario: "Q1"}, Pipeline: "bogus"})
 	if resp3.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad pipeline: status %d", resp3.StatusCode)
 	}
-	resp4, _ := postJSON(t, ts.URL+"/v1/tenants/UPPER/jobs", jobRequest{Scenario: "Q1"})
+	resp4, _ := postJSON(t, ts.URL+"/v1/tenants/UPPER/jobs", jobRequest{repairRequest: repairRequest{Scenario: "Q1"}})
 	if resp4.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad tenant name: status %d", resp4.StatusCode)
 	}
 	resp5, body := postJSON(t, ts.URL+"/v1/tenants/acme/jobs",
-		jobRequest{Scenario: "Q1", Trace: "missing"})
+		jobRequest{repairRequest: repairRequest{Scenario: "Q1"}, Trace: "missing"})
 	if resp5.StatusCode != http.StatusNotFound {
 		t.Fatalf("missing trace: status %d: %s", resp5.StatusCode, body)
 	}
@@ -340,7 +340,8 @@ func TestIngestAndStoreBackedJob(t *testing.T) {
 	want := reportFromOutcome(out)
 
 	st := submitJob(t, ts, "acme", jobRequest{
-		Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows, Trace: "q1cap",
+		repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows},
+		Trace:         "q1cap",
 	})
 	final := waitJob(t, ts, st.ID)
 	if final.State != "succeeded" {
@@ -400,8 +401,8 @@ func readSSE(t *testing.T, url string) []metarepair.Event {
 // own sink — plus the daemon's job.* lifecycle frames in state order.
 func TestSSEMatchesSessionEvents(t *testing.T) {
 	deterministic := jobRequest{
-		Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows,
-		Pipeline: "barrier", Parallelism: 1, ExploreWorkers: 1,
+		repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows, Parallelism: 1, ExploreWorkers: 1},
+		Pipeline:      "barrier",
 	}
 
 	// One-shot baseline with an in-process sink and identical options.
@@ -465,7 +466,7 @@ func TestDrainingRejectsSubmits(t *testing.T) {
 	if err := srv.shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	resp, _ := postJSON(t, ts.URL+"/v1/tenants/acme/jobs", jobRequest{Scenario: "Q1"})
+	resp, _ := postJSON(t, ts.URL+"/v1/tenants/acme/jobs", jobRequest{repairRequest: repairRequest{Scenario: "Q1"}})
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining: status %d", resp.StatusCode)
 	}

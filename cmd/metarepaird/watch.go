@@ -2,7 +2,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -18,11 +17,10 @@ import (
 // trace to follow, which scenario's symptom to detect, the window
 // shape, and the knobs auto-launched repairs run with.
 type watchRequest struct {
-	// Scenario names a registered spec whose symptom the watch detects;
-	// Switches/Flows set the scale its topology and oracle resolve at.
-	Scenario string `json:"scenario"`
-	Switches int    `json:"switches,omitempty"`
-	Flows    int    `json:"flows,omitempty"`
+	// The scenario is the one whose symptom the watch detects, at the scale
+	// its topology and oracle resolve at; the knobs tune the auto-launched
+	// repair sessions, whose pipeline mode is always first-accepted.
+	repairRequest
 	// Trace names the tenant trace store to follow. It is created empty
 	// if it does not exist yet, so a watch can be registered before the
 	// first ingest.
@@ -42,50 +40,10 @@ type watchRequest struct {
 	// MaxRepairs bounds concurrent auto-repairs (0 = 1). Detections
 	// beyond it surface as watch.suppressed events.
 	MaxRepairs int `json:"max_repairs,omitempty"`
-	// ExploreWorkers, Batch, Parallelism, and MaxCandidates tune the
-	// auto-launched repair sessions (zero keeps each default); the
-	// pipeline mode is always first-accepted. RepairTimeoutMS bounds
-	// each attempt's run time.
-	ExploreWorkers  int   `json:"explore_workers,omitempty"`
-	Batch           int   `json:"batch,omitempty"`
-	Parallelism     int   `json:"parallelism,omitempty"`
-	MaxCandidates   int   `json:"max_candidates,omitempty"`
+	// RepairTimeoutMS bounds each auto-launched attempt's run time.
 	RepairTimeoutMS int64 `json:"repair_timeout_ms,omitempty"`
 	// Label is free-form display text (default: the scenario name).
 	Label string `json:"label,omitempty"`
-}
-
-// options translates the repair knobs into session options for the
-// watch's auto-launched sessions.
-func (r *watchRequest) options() ([]metarepair.Option, error) {
-	var opts []metarepair.Option
-	if r.ExploreWorkers > 0 {
-		opts = append(opts, metarepair.WithExploreWorkers(r.ExploreWorkers))
-	}
-	if r.Batch > 0 {
-		opts = append(opts, metarepair.WithBatchSize(r.Batch))
-	}
-	if r.Parallelism > 0 {
-		opts = append(opts, metarepair.WithParallelism(r.Parallelism))
-	}
-	if r.MaxCandidates > 0 {
-		opts = append(opts, metarepair.WithMaxCandidates(r.MaxCandidates))
-	}
-	if err := metarepair.ValidateOptions(opts...); err != nil {
-		return nil, err
-	}
-	return opts, nil
-}
-
-func (r *watchRequest) scale() scenario.Scale {
-	sc := scenario.DefaultScale()
-	if r.Switches > 0 {
-		sc.Switches = r.Switches
-	}
-	if r.Flows > 0 {
-		sc.Flows = r.Flows
-	}
-	return sc
 }
 
 // watchRecord is one registered watch: the running loop, its SSE event
@@ -166,10 +124,7 @@ func (s *server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req watchRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "decoding request: %v", err)
+	if !decodeRequest(w, r, &req) {
 		return
 	}
 	if req.Trace == "" {
@@ -186,7 +141,11 @@ func (s *server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	scale := req.scale()
+	scale, err := req.scale()
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
 	sc, err := spec.Instantiate(scale)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -239,11 +198,7 @@ func (s *server) handleCreateWatch(w http.ResponseWriter, r *http.Request) {
 		Options:       append(sc.Options, opts...),
 		Launch: func(d metarepair.Detection, run func(ctx context.Context) (*metarepair.Report, error)) error {
 			label := fmt.Sprintf("auto-repair %s [%d, %d]", spec.Name, d.From, d.To)
-			env := &jobEnv{log: newEventLog(), req: jobRequest{
-				Scenario: req.Scenario, Switches: req.Switches, Flows: req.Flows,
-				Trace: req.Trace, Pipeline: "first-accepted", Label: label,
-			}}
-			_, err := s.engine.Submit(tenant, label, env, func(ctx context.Context) (any, error) {
+			_, err := s.engine.Submit(tenant, label, newEventLog(), func(ctx context.Context) (any, error) {
 				if repairTimeout > 0 {
 					var cancel context.CancelFunc
 					ctx, cancel = context.WithTimeout(ctx, repairTimeout)

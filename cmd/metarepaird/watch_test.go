@@ -54,12 +54,12 @@ func TestWatchValidation(t *testing.T) {
 		tenant string
 		body   any
 	}{
-		{"missing trace", "acme", watchRequest{Scenario: "Q1", Window: 64}},
-		{"unknown scenario", "acme", watchRequest{Scenario: "Q9", Trace: "live", Window: 64}},
-		{"bad window", "acme", watchRequest{Scenario: "Q1", Trace: "live", Window: 0}},
-		{"bad trace name", "acme", watchRequest{Scenario: "Q1", Trace: "NOPE", Window: 64}},
-		{"bad tenant", "UPPER", watchRequest{Scenario: "Q1", Trace: "live", Window: 64}},
-		{"bad batch", "acme", watchRequest{Scenario: "Q1", Trace: "live", Window: 64, Batch: 9999}},
+		{"missing trace", "acme", watchRequest{repairRequest: repairRequest{Scenario: "Q1"}, Window: 64}},
+		{"unknown scenario", "acme", watchRequest{repairRequest: repairRequest{Scenario: "Q9"}, Trace: "live", Window: 64}},
+		{"bad window", "acme", watchRequest{repairRequest: repairRequest{Scenario: "Q1"}, Trace: "live", Window: 0}},
+		{"bad trace name", "acme", watchRequest{repairRequest: repairRequest{Scenario: "Q1"}, Trace: "NOPE", Window: 64}},
+		{"bad tenant", "UPPER", watchRequest{repairRequest: repairRequest{Scenario: "Q1"}, Trace: "live", Window: 64}},
+		{"bad batch", "acme", watchRequest{repairRequest: repairRequest{Scenario: "Q1", Batch: 9999}, Trace: "live", Window: 64}},
 		{"unknown field", "acme", map[string]any{"scenario": "Q1", "trace": "live", "window": 64, "bogus": true}},
 	}
 	for _, tc := range cases {
@@ -138,8 +138,8 @@ func TestWatchSelfHealsThroughDaemon(t *testing.T) {
 
 	// Watch before first ingest: registration must create the store.
 	resp, body := postJSON(t, ts.URL+"/v1/tenants/acme/watches", watchRequest{
-		Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows,
-		Trace: "live", Window: 64, MaxRepairs: 2, Label: "q1 self-heal",
+		repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows},
+		Trace:         "live", Window: 64, MaxRepairs: 2, Label: "q1 self-heal",
 	})
 	if resp.StatusCode != http.StatusCreated {
 		t.Fatalf("create watch: status %d: %s", resp.StatusCode, body)

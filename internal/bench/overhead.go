@@ -160,67 +160,3 @@ func storageRate(totalBytes, ticks int64, switches int, ticksPerSecond float64) 
 	seconds := float64(ticks) / ticksPerSecond
 	return float64(totalBytes) / seconds / float64(switches)
 }
-
-// DeltaStressProgram is the rule-edit stress shape: two copies of a
-// stored-state 3-way join deriving the same TwoHop tuples, so retracting
-// one copy exercises the counted-derivation recount path (the tuple
-// survives on the twin's support) while retracting both kills tuples and
-// re-asserting re-seeds them from stored state.
-const DeltaStressProgram = `
-materialize(Link, 1, 2, keys(0,1)).
-materialize(Cost, 1, 2, keys(0,1)).
-materialize(TwoHop, 1, 3, keys(0,1,2)).
-d1 TwoHop(@X,Z,C) :- Link(@X,Y), Link(@Y,Z), Cost(@Z,C).
-d2 TwoHop(@X,Z,C) :- Link(@X,Y), Link(@Y,Z), Cost(@Z,C).
-`
-
-// DeltaStress measures the engine's incremental rule-edit path
-// (RetractRule / AssertRule): the twin-join program is materialized over
-// rows-sized tables, then both join rules are retracted and re-asserted
-// edits times. Retracting the first twin decrements support counts
-// without killing tuples (RecountedTuples), retracting the second
-// underives them through the DRed cascade (DeltaRetractions), and each
-// re-assert seeds the rule against stored state (DeltaInserts) — the
-// counters the overhead report and the ndlog_delta_* metric families
-// surface. Events counts edit rounds; MeanLat is the mean round trip.
-func DeltaStress(rows, edits int) (StressResult, error) {
-	if rows <= 0 || edits <= 0 {
-		return StressResult{}, fmt.Errorf("bench: DeltaStress needs positive rows and edits, got %d/%d", rows, edits)
-	}
-	prog, err := ndlog.Parse("deltastress", DeltaStressProgram)
-	if err != nil {
-		return StressResult{}, err
-	}
-	eng, err := ndlog.NewEngine(prog)
-	if err != nil {
-		return StressResult{}, err
-	}
-	for n := 0; n < rows; n++ {
-		eng.Insert(ndlog.NewTuple("Link", ndlog.Int(int64(n)), ndlog.Int(int64((n+1)%rows))))
-		eng.Insert(ndlog.NewTuple("Cost", ndlog.Int(int64(n)), ndlog.Int(int64(10*n))))
-	}
-	start := time.Now()
-	for i := 0; i < edits; i++ {
-		r1, err := eng.RetractRule("d1")
-		if err != nil {
-			return StressResult{}, err
-		}
-		r2, err := eng.RetractRule("d2")
-		if err != nil {
-			return StressResult{}, err
-		}
-		if _, err := eng.AssertRule(r1); err != nil {
-			return StressResult{}, err
-		}
-		if _, err := eng.AssertRule(r2); err != nil {
-			return StressResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	res := StressResult{Events: edits, Elapsed: elapsed, Eval: eng.Stats}
-	if elapsed > 0 {
-		res.Throughput = float64(edits) / elapsed.Seconds()
-		res.MeanLat = elapsed / time.Duration(edits)
-	}
-	return res, nil
-}

@@ -363,7 +363,6 @@ type OverheadReport struct {
 	ThroughputReduction float64
 	On, Off             bench.StressResult
 	Join                bench.StressResult // 3-way-join stress: index vs scan counters
-	Delta               bench.StressResult // rule-edit stress: DRed retract/assert counters
 	StorageRate         float64            // bytes per second per switch
 }
 
@@ -401,21 +400,12 @@ func Overhead(sc scenarios.Scale, events int) (OverheadReport, error) {
 	if err != nil {
 		return OverheadReport{}, err
 	}
-	edits := events / 200
-	if edits < 10 {
-		edits = 10
-	}
-	delta, err := bench.DeltaStress(300, edits)
-	if err != nil {
-		return OverheadReport{}, err
-	}
 	return OverheadReport{
 		LatencyIncrease:     latInc,
 		ThroughputReduction: thrRed,
 		On:                  on,
 		Off:                 off,
 		Join:                join,
-		Delta:               delta,
 		StorageRate:         rate,
 	}, nil
 }
@@ -423,13 +413,10 @@ func Overhead(sc scenarios.Scale, events int) (OverheadReport, error) {
 // FormatOverhead renders the §5.4 numbers plus the evaluation-core work
 // counters: the controller run's firings (Q1's reactive rules are
 // single-atom, so it extends no joins) with the rules that account for
-// most of them, the 3-way-join stress showing
-// how many extensions the compile-time planner answered from hash indexes
-// versus full table scans, and the rule-edit stress showing the counted-
-// derivation bookkeeping behind incremental backtesting (tuples seeded,
-// derivations retracted, support recounts that avoided re-derivation).
+// most of them, and the 3-way-join stress showing how many extensions the
+// compile-time planner answered from hash indexes versus full table scans.
 func FormatOverhead(r OverheadReport) string {
-	on, jn, dl := r.On.Eval, r.Join.Eval, r.Delta.Eval
+	on, jn := r.On.Eval, r.Join.Eval
 	return fmt.Sprintf(
 		"Runtime overhead (§5.4):\n"+
 			"  latency increase with provenance:   %+.1f%% (%v -> %v per event)\n"+
@@ -437,15 +424,13 @@ func FormatOverhead(r OverheadReport) string {
 			"  storage rate:                       %.1f KB/s per switch (measured from trace-store segments)\n"+
 			"  controller evaluation:              %d firings, %d derivations, %d index lookups, %d scans\n"+
 			"  busiest controller rules:           %s\n"+
-			"  3-way-join stress (%d probes):      %v/event; %d index lookups (%d rows) vs %d scans (%d rows)\n"+
-			"  rule-edit stress (%d edit rounds):  %v/round; %d delta inserts, %d delta retractions, %d recounted tuples\n",
+			"  3-way-join stress (%d probes):      %v/event; %d index lookups (%d rows) vs %d scans (%d rows)\n",
 		100*r.LatencyIncrease, r.Off.MeanLat, r.On.MeanLat,
 		100*r.ThroughputReduction, r.Off.Throughput, r.On.Throughput,
 		r.StorageRate/1024,
 		on.Firings, on.Derivations, on.IndexLookups, on.Scans,
 		topRules(r.On.Rules, 3),
-		r.Join.Events, r.Join.MeanLat, jn.IndexLookups, jn.IndexRows, jn.Scans, jn.ScanRows,
-		r.Delta.Events, r.Delta.MeanLat, dl.DeltaInserts, dl.DeltaRetractions, dl.RecountedTuples)
+		r.Join.Events, r.Join.MeanLat, jn.IndexLookups, jn.IndexRows, jn.Scans, jn.ScanRows)
 }
 
 // topRules names the n rules with the most firings, busiest first.

@@ -340,9 +340,8 @@ type RuleStats struct {
 	GroupJoins  int64
 }
 
-// RuleStats returns the per-rule counters of the rules currently in the
-// program, in program order. Over an engine that never retracted a rule
-// they sum to Stats.Firings, Stats.Derivations and Stats.GroupJoins.
+// RuleStats returns the per-rule counters in program order. They sum to
+// Stats.Firings, Stats.Derivations and Stats.GroupJoins.
 func (e *Engine) RuleStats() []RuleStats {
 	out := make([]RuleStats, len(e.rules))
 	for i, cr := range e.rules {

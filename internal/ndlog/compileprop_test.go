@@ -12,8 +12,7 @@ package ndlog
 // a body variable or chain, calls with side effects (f_unique) and calls
 // to nothing, guards that can never bind, unbound head variables,
 // aggregate heads, same-body rule groups under different tag masks, and
-// every trigger position of multi-atom bodies; rules are also retracted
-// and re-asserted mid-run.
+// every trigger position of multi-atom bodies.
 
 import (
 	"fmt"
@@ -216,8 +215,6 @@ func (g *slotGen) program() (*Program, []slotOp) {
 			tp := inserted[rnd.Intn(len(inserted))].Clone()
 			tp.Tags = tags[rnd.Intn(len(tags))]
 			ops = append(ops, slotOp{kind: 'i', tuple: tp})
-		case r < 0.30:
-			ops = append(ops, slotOp{kind: 'e'})
 		default:
 			tbl := fmt.Sprintf("T%d", rnd.Intn(nState))
 			if rnd.Float64() < 0.3 {
@@ -236,8 +233,7 @@ func (g *slotGen) program() (*Program, []slotOp) {
 	return prog, ops
 }
 
-// slotOp is one workload step: 'i'nsert, 'd'elete, or 'e'dit (retract
-// a random non-aggregate rule and assert it back).
+// slotOp is one workload step: 'i'nsert or 'd'elete.
 type slotOp struct {
 	kind  byte
 	tuple Tuple
@@ -249,7 +245,7 @@ func TestCompiledEngineMatchesMapReference(t *testing.T) {
 		strat JoinStrategy
 	}{{EvalFull, JoinIndexed}, {EvalFull, JoinScan}, {EvalDelta, JoinIndexed}, {EvalDelta, JoinScan}}
 	covered := map[string]int{}
-	var firings, derivations, dead, wildKeys, groupJoins, shared, edits int64
+	var firings, derivations, dead, wildKeys, groupJoins, shared int64
 	for seed := int64(0); seed < 220; seed++ {
 		for ci, cfg := range configs {
 			g := &slotGen{rnd: rand.New(rand.NewSource(seed)), made: map[string]int{}}
@@ -261,8 +257,6 @@ func TestCompiledEngineMatchesMapReference(t *testing.T) {
 			e.SetEvalMode(cfg.mode)
 			e.SetJoinStrategy(cfg.strat)
 			ref := newRefEval(e)
-			editRnd := rand.New(rand.NewSource(seed + 7))
-			edited := false
 			for _, op := range ops {
 				switch op.kind {
 				case 'i':
@@ -270,24 +264,6 @@ func TestCompiledEngineMatchesMapReference(t *testing.T) {
 					ref.done("Insert " + op.tuple.String())
 				case 'd':
 					e.Delete(op.tuple.Clone())
-				case 'e':
-					var editable []string
-					for _, r := range e.Program().Rules {
-						if !hasAgg(r.Head) {
-							editable = append(editable, r.ID)
-						}
-					}
-					r, err := e.RetractRule(editable[editRnd.Intn(len(editable))])
-					if err != nil {
-						t.Fatalf("seed %d: RetractRule: %v", seed, err)
-					}
-					ref.beginSeed(r)
-					if _, err := e.AssertRule(r); err != nil {
-						t.Fatalf("seed %d: AssertRule(%s): %v", seed, r.ID, err)
-					}
-					ref.endSeed()
-					edited = true
-					edits++
 				}
 			}
 			if len(ref.errs) > 0 {
@@ -300,16 +276,14 @@ func TestCompiledEngineMatchesMapReference(t *testing.T) {
 			if e.frames.top != 0 || e.rows.top != 0 {
 				t.Fatalf("seed %d: frame stacks not empty after the run: %d values, %d rows", seed, e.frames.top, e.rows.top)
 			}
-			if !edited { // a retracted rule takes its counters with it
-				var sum RuleStats
-				for _, rs := range e.RuleStats() {
-					sum.Firings += rs.Firings
-					sum.Derivations += rs.Derivations
-					sum.GroupJoins += rs.GroupJoins
-				}
-				if sum.Firings != e.Stats.Firings || sum.Derivations != e.Stats.Derivations || sum.GroupJoins != e.Stats.GroupJoins {
-					t.Fatalf("seed %d: per-rule counters %+v do not sum to %+v", seed, sum, e.Stats)
-				}
+			var sum RuleStats
+			for _, rs := range e.RuleStats() {
+				sum.Firings += rs.Firings
+				sum.Derivations += rs.Derivations
+				sum.GroupJoins += rs.GroupJoins
+			}
+			if sum.Firings != e.Stats.Firings || sum.Derivations != e.Stats.Derivations || sum.GroupJoins != e.Stats.GroupJoins {
+				t.Fatalf("seed %d: per-rule counters %+v do not sum to %+v", seed, sum, e.Stats)
 			}
 			if cfg.mode == EvalDelta {
 				groupJoins += e.Stats.GroupJoins
@@ -332,16 +306,16 @@ func TestCompiledEngineMatchesMapReference(t *testing.T) {
 			}
 		}
 	}
-	t.Logf("%d firings, %d derivations, %d on unbindable guards, %d wildcard keys, %d edits; delta: %d group joins, %d firings off another member's join; generated %v",
-		firings, derivations, dead, wildKeys, edits, groupJoins, shared, covered)
+	t.Logf("%d firings, %d derivations, %d on unbindable guards, %d wildcard keys; delta: %d group joins, %d firings off another member's join; generated %v",
+		firings, derivations, dead, wildKeys, groupJoins, shared, covered)
 	for name, n := range map[string]int64{"firings": firings, "derivations": derivations, "firings on unbindable guards": dead,
-		"wildcard values in key columns": wildKeys, "edits": edits, "group joins": groupJoins, "firings served by another member's join": shared} {
+		"wildcard values in key columns": wildKeys, "group joins": groupJoins, "firings served by another member's join": shared} {
 		covered[name] = int(n)
 	}
 	for _, name := range []string{"a variable repeated in one atom", "_", "wildcard constants", "computed body arguments",
 		"overwriting assignments", "chained assignments", "f_unique", "unknown functions", "unbindable guards",
 		"unbound head variables", "aggregate heads", "same-body variants", "firings", "derivations",
-		"firings on unbindable guards", "wildcard values in key columns", "edits", "group joins",
+		"firings on unbindable guards", "wildcard values in key columns", "group joins",
 		"firings served by another member's join"} {
 		if covered[name] <= 0 {
 			t.Errorf("the corpus never exercised: %s", name)

@@ -19,21 +19,11 @@ package ndlog
 // collected in the same depth-first order joinStep enumerates them, so the
 // member-major replay produces the full path's derivation sequence
 // tuple-for-tuple (stores never mutate during a fire). The differential
-// tests in delta_test.go and the scenario-level enginediff tests hold the
-// two paths to that contract.
-//
-// The same file implements the DRed-style incremental program-edit API:
-// RetractRule removes a rule and underives its counted derivations,
-// AssertRule adds a rule and seeds it from the stored state, so a rule
-// edit applies as retract(old) + assert(new) without recomputing the
-// shared prefix. Both share the engine's support-counting semantics with
-// Delete (cyclic self-support is not broken, aggregate heads are
-// rejected), and neither narrows the tag sets of surviving tuples — they
-// are for engines running under a uniform tag set, not mid-shared-run.
+// tests (differential_test.go, compileprop_test.go) and the scenario-level
+// enginediff and deltadiff tests hold the two paths to that contract.
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -92,8 +82,8 @@ func (p *rulePlan) planSig() string {
 	return p.sig
 }
 
-// triggerGroups returns (building lazily) the grouped trigger list for a
-// table. AssertRule and RetractRule invalidate the cache.
+// triggerGroups returns the grouped trigger list for a table, built on first
+// use: the rule set is fixed at NewEngine, so a table's groups never change.
 func (e *Engine) triggerGroups(table string) []*triggerGroup {
 	if e.groups == nil {
 		e.groups = make(map[string][]*triggerGroup)
@@ -177,149 +167,4 @@ func (e *Engine) fireDelta(row *Row, tags uint64, out []workItem) []workItem {
 		bindingSetPool.Put(bs)
 	}
 	return out
-}
-
-// invalidatePlans drops the caches derived from the trigger list after a
-// program edit.
-func (e *Engine) invalidatePlans() {
-	e.groups = nil
-}
-
-// RetractRule removes the identified rule from the program and underives
-// every materialized tuple derivation it produced, cascading through the
-// support counts (DRed with counted derivations: a tuple that retains
-// another live derivation or a base insertion survives, and is counted in
-// Stats.RecountedTuples). Event-headed derivations are history — they were
-// emitted, not stored — so retraction affects materialized state only.
-// Rules with aggregate heads are rejected: aggregation state cannot be
-// rolled back incrementally; rebuild the engine instead. The removed rule
-// is returned so a caller can re-assert it.
-func (e *Engine) RetractRule(id string) (*Rule, error) {
-	idx := -1
-	for i, r := range e.prog.Rules {
-		if r.ID == id {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil, fmt.Errorf("ndlog: RetractRule: no rule %s", id)
-	}
-	target := e.prog.Rules[idx]
-	if hasAgg(target.Head) {
-		return nil, fmt.Errorf("ndlog: RetractRule: rule %s aggregates; aggregate state cannot be rolled back incrementally", id)
-	}
-	e.prog.Rules = append(e.prog.Rules[:idx:idx], e.prog.Rules[idx+1:]...)
-	for tbl, plans := range e.triggers {
-		kept := plans[:0]
-		for _, p := range plans {
-			if p.rule != target {
-				kept = append(kept, p)
-			}
-		}
-		e.triggers[tbl] = kept
-	}
-	for i, cr := range e.rules {
-		if cr.rule == target {
-			e.rules = append(e.rules[:i:i], e.rules[i+1:]...)
-			break
-		}
-	}
-	e.invalidatePlans()
-
-	// Gather the rule's live derivations before touching anything: the
-	// cascade compacts row slices, so collection and underivation are two
-	// phases. The worklist is preallocated and reused across retractions.
-	names := make([]string, 0, len(e.tables))
-	for name := range e.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	worklist := e.retractBuf[:0]
-	for _, name := range names {
-		for _, row := range e.tables[name].rows {
-			if row.gone {
-				continue
-			}
-			for _, d := range row.derivs {
-				if !d.dead && d.rule == target {
-					worklist = append(worklist, d)
-				}
-			}
-		}
-	}
-	e.retractBuf = worklist[:0]
-
-	e.Tick()
-	e.retracting = true
-	for _, d := range worklist {
-		if d.dead {
-			continue // already killed by an earlier cascade
-		}
-		d.dead = true
-		e.Stats.DeltaRetractions++
-		e.notifyUnderive(d)
-		e.unsupport(d.head)
-	}
-	e.retracting = false
-	return target, nil
-}
-
-// AssertRule adds a rule to the running program, compiles its trigger
-// plans (backfilling any new hash indexes from the stored rows), and seeds
-// it against the existing state: the join is driven from the rule's first
-// stored body atom, so every current body combination derives exactly
-// once, and the produced heads cascade through the whole program. Rules
-// whose body references only event tables produce nothing at assert time —
-// they fire on future events. Appearances seeded here are counted in
-// Stats.DeltaInserts and returned. Aggregate heads are rejected, mirroring
-// RetractRule.
-func (e *Engine) AssertRule(r *Rule) ([]Tuple, error) {
-	if r.Head == nil || len(r.Body) == 0 {
-		return nil, fmt.Errorf("ndlog: AssertRule: missing head or empty body")
-	}
-	if hasAgg(r.Head) {
-		return nil, fmt.Errorf("ndlog: AssertRule: rule %s aggregates; assert it by rebuilding the engine", r.ID)
-	}
-	if r.TagMask == 0 {
-		r.TagMask = AllTags
-	}
-	if err := e.noteLoc(r.Head); err != nil {
-		return nil, err
-	}
-	for _, b := range r.Body {
-		if err := e.noteLoc(b); err != nil {
-			return nil, err
-		}
-	}
-	e.prog.Rules = append(e.prog.Rules, r)
-	cr := compileRule(r)
-	e.rules = append(e.rules, cr)
-	plans := make([]*rulePlan, len(r.Body))
-	for i, b := range r.Body {
-		plans[i] = e.planRule(cr, i)
-		e.triggers[b.Table] = append(e.triggers[b.Table], plans[i])
-	}
-	e.invalidatePlans()
-
-	seed := -1
-	for i, b := range r.Body {
-		if e.tables[b.Table] != nil {
-			seed = i
-			break
-		}
-	}
-	if seed < 0 {
-		return nil, nil // event-only body: fires on future events
-	}
-	e.Tick()
-	var work []workItem
-	for _, row := range e.tables[r.Body[seed].Table].snapshot() {
-		if rtags := row.Tuple.Tags & r.TagMask; rtags != 0 {
-			work = e.joinFrom(plans[seed], row, rtags, nil, work)
-		}
-	}
-	appeared := e.run(work, nil)
-	e.Stats.DeltaInserts += int64(len(appeared))
-	return appeared, nil
 }

@@ -1,4 +1,4 @@
-package repro
+package ndlog_test
 
 import (
 	"context"

@@ -3,7 +3,6 @@ package ndlog
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 )
 
 // Listener observes engine events; the provenance recorder implements it.
@@ -56,18 +55,9 @@ const (
 	JoinScan
 )
 
-var defaultJoinStrategy atomic.Uint32
-
-// DefaultJoinStrategy returns the strategy NewEngine gives new engines.
-func DefaultJoinStrategy() JoinStrategy { return JoinStrategy(defaultJoinStrategy.Load()) }
-
-// SetDefaultJoinStrategy sets the strategy for subsequently constructed
-// engines and returns the previous default. It exists so differential tests
-// can run whole pipelines — which construct engines many layers down —
-// against the scan oracle.
-func SetDefaultJoinStrategy(s JoinStrategy) JoinStrategy {
-	return JoinStrategy(defaultJoinStrategy.Swap(uint32(s)))
-}
+// defaultJoinStrategy is the strategy NewEngine gives new engines. Only
+// tests change it (export_test.go), between pipeline runs.
+var defaultJoinStrategy = JoinIndexed
 
 // EngineStats counts engine work for the evaluation experiments.
 type EngineStats struct {
@@ -85,14 +75,10 @@ type EngineStats struct {
 	// those scans visited.
 	Scans    int64
 	ScanRows int64
-	// DeltaInserts counts tuples that appeared while seeding an AssertRule
-	// edit, and DeltaRetractions the derivations killed by a RetractRule
-	// edit (directly or by cascade). RecountedTuples counts support
-	// decrements that left the tuple alive — the counted-derivation
-	// bookkeeping that replaces re-derivation.
-	DeltaInserts     int64
-	DeltaRetractions int64
-	RecountedTuples  int64
+	// DeltaInserts is always zero: nothing sets it. The field stays because
+	// benchmark/inproc.go, which is frozen, reads it; it leaves with the
+	// benchmark's re-baseline (ROADMAP item 1).
+	DeltaInserts int64
 	// GroupJoins counts shared joins performed by delta-grouped
 	// evaluation; each one serves every member of its trigger group, so
 	// 1 - GroupJoins/Firings is the delta hit rate — the fraction of rule
@@ -113,9 +99,6 @@ func (s *EngineStats) Add(o EngineStats) {
 	s.IndexRows += o.IndexRows
 	s.Scans += o.Scans
 	s.ScanRows += o.ScanRows
-	s.DeltaInserts += o.DeltaInserts
-	s.DeltaRetractions += o.DeltaRetractions
-	s.RecountedTuples += o.RecountedTuples
 	s.GroupJoins += o.GroupJoins
 }
 
@@ -154,13 +137,9 @@ type Engine struct {
 	frames stack[Value]
 	rows   stack[*Row]
 
-	// Delta-evaluation caches (see delta.go): contiguous same-body trigger
-	// groups per table and the reusable retraction worklist. retracting
-	// attributes cascade underivations to Stats.DeltaRetractions during
-	// RetractRule.
-	groups     map[string][]*triggerGroup
-	retractBuf []*derivation
-	retracting bool
+	// groups caches the contiguous same-body trigger groups per table for
+	// delta evaluation (see delta.go).
+	groups map[string][]*triggerGroup
 
 	// workBuf backs run's fixpoint queue between calls; running guards the
 	// reuse against re-entrant runs (a listener inserting tuples). seedBuf
@@ -186,7 +165,7 @@ func NewEngine(prog *Program) (*Engine, error) {
 		tables:   make(map[string]*table),
 		triggers: make(map[string][]*rulePlan),
 		Funcs:    make(map[string]Func),
-		strategy: DefaultJoinStrategy(),
+		strategy: defaultJoinStrategy,
 	}
 	RegisterBuiltins(e)
 	for _, d := range prog.Decls {
@@ -364,7 +343,6 @@ func (e *Engine) Delete(t Tuple) {
 func (e *Engine) unsupport(row *Row) {
 	row.Support--
 	if row.Support > 0 {
-		e.Stats.RecountedTuples++
 		return
 	}
 	if tbl := e.tables[row.Tuple.Table]; tbl != nil {
@@ -378,9 +356,6 @@ func (e *Engine) unsupport(row *Row) {
 			continue
 		}
 		d.dead = true
-		if e.retracting {
-			e.Stats.DeltaRetractions++
-		}
 		e.notifyUnderive(d)
 		e.unsupport(d.head)
 	}
@@ -442,7 +417,6 @@ func (e *Engine) run(work []workItem, appeared []Tuple) []Tuple {
 					}
 					if item.via != nil {
 						item.via.head = exist
-						exist.derivs = append(exist.derivs, item.via)
 						for _, b := range item.via.body {
 							b.usedBy = append(b.usedBy, item.via)
 						}
@@ -493,7 +467,6 @@ func (e *Engine) storeNew(tbl *table, t Tuple, item workItem) *Row {
 	row := &Row{Tuple: t, Support: 1, Base: item.base}
 	if item.via != nil {
 		item.via.head = row
-		row.derivs = append(row.derivs, item.via)
 		for _, b := range item.via.body {
 			b.usedBy = append(b.usedBy, item.via)
 		}

@@ -187,9 +187,6 @@ type refEval struct {
 	want []refFiring
 	errs []string
 
-	seedRule  *Rule // AssertRule announced via beginSeed, not yet enumerated
-	seedFresh int64
-
 	// Coverage, so a property test can prove it exercised something.
 	firings, derivations, deadFirings, wildKeys int64
 }
@@ -206,47 +203,6 @@ func (r *refEval) errorf(format string, args ...any) {
 	}
 }
 
-// beginSeed announces an AssertRule. Its seeding joins run before the first
-// derivation is reported and nothing is stored until they are done, so the
-// expectation is enumerated lazily — at the first callback or at endSeed —
-// when the new rule's plans exist and the stores are still untouched.
-func (r *refEval) beginSeed(rule *Rule) { r.seedRule, r.seedFresh = rule, r.e.fresh }
-
-func (r *refEval) endSeed() { r.flushSeed(); r.done("AssertRule") }
-
-func (r *refEval) flushSeed() {
-	rule := r.seedRule
-	if rule == nil {
-		return
-	}
-	r.seedRule = nil
-	e := r.e
-	seed := -1
-	for i, b := range rule.Body {
-		if e.tables[b.Table] != nil {
-			seed = i
-			break
-		}
-	}
-	if seed < 0 {
-		return
-	}
-	var plan *rulePlan
-	for _, p := range e.triggers[rule.Body[seed].Table] {
-		if p.rule == rule && p.pred == seed {
-			plan = p
-		}
-	}
-	fresh := e.fresh
-	e.fresh = r.seedFresh
-	for _, row := range e.tables[rule.Body[seed].Table].snapshot() {
-		if rtags := row.Tuple.Tags & rule.TagMask; rtags != 0 {
-			r.fromTrigger(plan, row.Tuple, rtags)
-		}
-	}
-	e.fresh = fresh
-}
-
 // done checks that the engine reported everything the reference expected of
 // the operation that just returned.
 func (r *refEval) done(op string) {
@@ -257,7 +213,6 @@ func (r *refEval) done(op string) {
 }
 
 func (r *refEval) OnAppear(_ int64, t Tuple) {
-	r.flushSeed()
 	r.done("fire before " + t.String())
 	e := r.e
 	trig := t
@@ -396,7 +351,6 @@ func (r *refEval) aggregate(rule *Rule, env Env) ([]Value, bool) {
 }
 
 func (r *refEval) OnDerive(_ int64, rule *Rule, head Tuple, body []Tuple, env Env) {
-	r.flushSeed()
 	if len(r.want) == 0 {
 		r.errorf("engine derived %s %s, reference expects nothing more", rule.ID, head)
 		return

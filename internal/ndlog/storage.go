@@ -41,9 +41,7 @@ func newTable(name string, keyCols []int) *table {
 }
 
 // ensureIndex returns the table's index over cols, creating it if needed.
-// Indexes created at plan time precede any row; AssertRule compiles plans
-// against a populated store, so a new index backfills from the live rows
-// (t.rows is already in sequence order, which is the order buckets keep).
+// Plans are compiled in NewEngine, so every index precedes any row.
 func (t *table) ensureIndex(cols []int) *index {
 	for _, x := range t.indexes {
 		if sameCols(x.cols, cols) {
@@ -51,12 +49,6 @@ func (t *table) ensureIndex(cols []int) *index {
 		}
 	}
 	x := &index{cols: cols, buckets: make(map[string][]*Row)}
-	var buf []byte
-	for _, r := range t.rows {
-		if !r.gone {
-			buf = x.add(buf, r)
-		}
-	}
 	t.indexes = append(t.indexes, x)
 	return x
 }
@@ -209,15 +201,4 @@ func (t *table) compact() {
 	}
 	t.rows = kept
 	t.dead = 0
-}
-
-// snapshot returns the live rows in insertion order.
-func (t *table) snapshot() []*Row {
-	out := make([]*Row, 0, t.live)
-	for _, r := range t.rows {
-		if !r.gone {
-			out = append(out, r)
-		}
-	}
-	return out
 }

@@ -133,7 +133,6 @@ type Row struct {
 	seq     int64
 	key     string        // primary key within its table
 	gone    bool          // removed from its table (tombstoned)
-	derivs  []*derivation // derivations producing this row
 	usedBy  []*derivation // derivations consuming this row
 }
 

@@ -25,11 +25,10 @@
 //     differs; consistent buckets keep p99s comparable across families.
 //
 // The ndlog_* layer has two shapes: ndlog_engine_ops_total{op=...} for
-// the labeled bulk counters, and the plain ndlog_delta_* families
-// (inserts, retractions, recounted tuples, group joins) that account
-// for incremental backtest evaluation — they are recorded from
-// Report.Engine when a job or one-shot run finishes, so a zero there
-// under delta mode means the incremental path did not run.
+// the labeled bulk counters, and the plain ndlog_delta_group_joins_total
+// that accounts for delta-grouped backtest evaluation — it is recorded
+// from Report.Engine when a job or one-shot run finishes, so a zero there
+// under delta mode means the grouped path did not run.
 //
 // Hot-path cost: Counter.Add and Gauge.Set are one atomic op;
 // Histogram.Observe is two atomic adds plus a branchless-ish bucket walk

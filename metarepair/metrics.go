@@ -102,14 +102,11 @@ func (m *MetricsSink) Emit(e Event) {
 
 // EngineMetrics is the ndlog_* family catalogue both binaries expose: the
 // session engine's work counters as ndlog_engine_ops_total{op} and the
-// shared backtest runs' incremental-evaluation work as four ndlog_delta_*
-// counters. Like MetricsSink, create one per registry.
+// shared backtest runs' grouped joins as ndlog_delta_group_joins_total.
+// Like MetricsSink, create one per registry.
 type EngineMetrics struct {
-	ops              *obsv.CounterVec
-	deltaInserts     *obsv.Counter
-	deltaRetractions *obsv.Counter
-	deltaRecounted   *obsv.Counter
-	deltaGroupJoins  *obsv.Counter
+	ops             *obsv.CounterVec
+	deltaGroupJoins *obsv.Counter
 }
 
 // NewEngineMetrics registers the ndlog_* families on reg.
@@ -117,12 +114,6 @@ func NewEngineMetrics(reg *obsv.Registry) *EngineMetrics {
 	return &EngineMetrics{
 		ops: reg.CounterVec("ndlog_engine_ops_total",
 			"NDlog engine work performed by finished runs, by operation.", "op"),
-		deltaInserts: reg.Counter("ndlog_delta_inserts_total",
-			"Tuples derived while asserting candidate rules as deltas in shared backtest runs."),
-		deltaRetractions: reg.Counter("ndlog_delta_retractions_total",
-			"Derivations retracted (directly or by cascade) while removing candidate rules as deltas."),
-		deltaRecounted: reg.Counter("ndlog_delta_recounted_tuples_total",
-			"Tuples whose support count was adjusted without changing visibility during delta edits."),
 		deltaGroupJoins: reg.Counter("ndlog_delta_group_joins_total",
 			"Shared joins performed by delta-grouped evaluation; each serves a whole trigger group."),
 	}
@@ -146,8 +137,5 @@ func (m *EngineMetrics) Record(session, report ndlog.EngineStats) {
 			m.ops.With(c.op).Add(c.n)
 		}
 	}
-	m.deltaInserts.Add(report.DeltaInserts)
-	m.deltaRetractions.Add(report.DeltaRetractions)
-	m.deltaRecounted.Add(report.RecountedTuples)
 	m.deltaGroupJoins.Add(report.GroupJoins)
 }

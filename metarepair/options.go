@@ -32,37 +32,21 @@ func (s Strategy) String() string {
 	return "parallel"
 }
 
-// EvalMode selects how shared-run backtests evaluate the NDlog program.
-type EvalMode int
+// EvalMode selects how shared-run backtests evaluate the NDlog program:
+// the engine's own mode type, re-exported so callers need not import it.
+type EvalMode = ndlog.EvalMode
 
 const (
 	// EvalDelta (the default) runs shared backtests on the engine's
 	// grouped delta evaluation: verdict-identical to EvalFull, several
-	// times faster at high candidate counts (see the ndlog package's
-	// incremental evaluation). The replay network is the same in both
-	// modes.
-	EvalDelta EvalMode = iota
+	// times faster at high candidate counts. The replay network is the
+	// same in both modes.
+	EvalDelta = ndlog.EvalDelta
 	// EvalFull fires every trigger plan independently — the reference
 	// path the differential tests treat as the oracle, kept selectable
 	// for ablations and cross-checking.
-	EvalFull
+	EvalFull = ndlog.EvalFull
 )
-
-// String names the mode for flags and event logs.
-func (m EvalMode) String() string {
-	if m == EvalFull {
-		return "full"
-	}
-	return "delta"
-}
-
-// ndlog maps the option to the engine-level mode.
-func (m EvalMode) ndlog() ndlog.EvalMode {
-	if m == EvalFull {
-		return ndlog.EvalFull
-	}
-	return ndlog.EvalDelta
-}
 
 // ParseEvalMode resolves a flag value ("full" or "delta").
 func ParseEvalMode(s string) (EvalMode, error) {
@@ -191,6 +175,7 @@ func defaultOptions() options {
 		batchSize:     backtest.MaxSharedCandidates,
 		strategy:      StrategyParallel,
 		pipeline:      PipelineStreaming,
+		eval:          EvalDelta,
 	}
 }
 

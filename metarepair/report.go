@@ -99,10 +99,9 @@ type Report struct {
 	Evaluated    int
 	evaluated    []bool
 	// Engine aggregates the NDlog engine counters across every shared
-	// backtest run of this report — in particular the delta-evaluation
-	// families (DeltaInserts, DeltaRetractions, RecountedTuples) that the
-	// overhead report and the ndlog_delta_* metrics surface. Sequential
-	// (per-candidate) runs do not contribute.
+	// backtest run of this report — in particular GroupJoins, the shared
+	// joins of delta evaluation that ndlog_delta_group_joins_total exports.
+	// Sequential (per-candidate) runs do not contribute.
 	Engine ndlog.EngineStats
 	// Timing is the Figure 9a turnaround breakdown (exploration plus
 	// backtest replay; the caller's diagnostic replay is not included).

@@ -643,7 +643,7 @@ func (s *Session) backtestJob(bt Backtest, o options) *backtest.Job {
 		Alpha:             o.alpha,
 		MaxPacketInFactor: o.maxPacketInFactor,
 		SkipCoalesce:      !o.coalesce,
-		Eval:              o.eval.ndlog(),
+		Eval:              o.eval,
 	}
 }
 

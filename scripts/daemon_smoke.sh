@@ -66,9 +66,7 @@ for fam in jobs_queue_depth jobs_total jobs_run_duration_seconds \
            jobs_queue_wait_seconds http_requests_total \
            http_request_duration_seconds session_span_duration_seconds \
            session_events_total ndlog_engine_ops_total \
-           ndlog_delta_inserts_total ndlog_delta_retractions_total \
-           ndlog_delta_recounted_tuples_total ndlog_delta_group_joins_total \
-           tracestore_entries; do
+           ndlog_delta_group_joins_total tracestore_entries; do
   grep -q "^# TYPE $fam " "$WORK/metrics.prom" || {
     echo "/metrics is missing family $fam" >&2; exit 1; }
 done
