@@ -14,6 +14,7 @@ package backtest
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/meta"
 	"repro/internal/metaprov"
@@ -182,18 +183,25 @@ func (j *Job) RunSequential(ctx context.Context) ([]Result, error) {
 	return out, nil
 }
 
-// cancelSource wraps a workload source with a per-entry context check so a
-// first-accepted early stop aborts an in-flight shared replay instead of
-// letting it finish silently.
+// cancelSource wraps a workload source with a per-entry cancellation check
+// so a first-accepted early stop aborts an in-flight shared replay instead
+// of letting it finish silently. The check is a flag the context sets while
+// a scan runs: ctx.Err takes the context's mutex, once per replayed entry.
 type cancelSource struct {
 	ctx context.Context
 	src trace.Source
 }
 
 func (c *cancelSource) Scan(fn func(trace.Entry) error) error {
+	var cancelled atomic.Bool
+	stop := context.AfterFunc(c.ctx, func() { cancelled.Store(true) })
+	defer stop()
+	if c.ctx.Err() != nil {
+		cancelled.Store(true) // AfterFunc's goroutine may not have run yet
+	}
 	return c.src.Scan(func(e trace.Entry) error {
-		if err := c.ctx.Err(); err != nil {
-			return err
+		if cancelled.Load() {
+			return c.ctx.Err()
 		}
 		return fn(e)
 	})

@@ -2,6 +2,7 @@ package backtest
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -438,5 +439,46 @@ func TestPipelineEmptyStream(t *testing.T) {
 	}
 	if len(res.Candidates) != 0 || res.Batches != 0 {
 		t.Fatalf("unexpected work on empty stream: %+v", res)
+	}
+}
+
+// endlessSource yields probe entries until its callback fails.
+type endlessSource struct{}
+
+func (endlessSource) Scan(fn func(trace.Entry) error) error {
+	for {
+		if err := fn(trace.Entry{SrcHost: "no-such-host"}); err != nil {
+			return err
+		}
+	}
+}
+
+// cancelSource tests a flag the context sets, not the context: an already
+// cancelled context must still fail the first entry, a cancellation in
+// mid-scan must stop the scan with the context's error, and an undisturbed
+// scan must deliver everything.
+func TestCancelSourceStopsTheScan(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	n := 0
+	err := (&cancelSource{ctx: ctx, src: endlessSource{}}).Scan(func(trace.Entry) error {
+		if n++; n == 10 {
+			cancel()
+		}
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || n < 10 {
+		t.Fatalf("cancelled at entry 10: scan returned %v after %d entries", err, n)
+	}
+	n = 0
+	err = (&cancelSource{ctx: ctx, src: endlessSource{}}).Scan(func(trace.Entry) error { n++; return nil })
+	if !errors.Is(err, context.Canceled) || n != 0 {
+		t.Fatalf("context cancelled beforehand: scan returned %v after %d entries, want none", err, n)
+	}
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	n = 0
+	src := trace.SliceSource(make([]trace.Entry, 100))
+	if err := (&cancelSource{ctx: live, src: src}).Scan(func(trace.Entry) error { n++; return nil }); err != nil || n != 100 {
+		t.Fatalf("live context: scan returned %v after %d of 100 entries", err, n)
 	}
 }

@@ -7,7 +7,8 @@ import (
 
 // Listener observes engine events; the provenance recorder implements it.
 // Implementations must not mutate the tuples they receive. BaseListener
-// provides no-op defaults.
+// provides no-op defaults. Listeners are registered before the first insert
+// (see Engine.Listen).
 type Listener interface {
 	// OnInsert fires when a base tuple is inserted (before derivation).
 	OnInsert(time int64, t Tuple)
@@ -143,10 +144,13 @@ type Engine struct {
 
 	// workBuf backs run's fixpoint queue between calls; running guards the
 	// reuse against re-entrant runs (a listener inserting tuples). seedBuf
-	// is Insert's one-item work list.
+	// is Insert's one-item work list. evRow is the row an engine without
+	// listeners matches each event from: nothing keeps an event's row past
+	// its fire, and without listeners no run re-enters.
 	workBuf []workItem
 	seedBuf [1]workItem
 	running bool
+	evRow   Row
 
 	// Stats counts engine work for the evaluation experiments.
 	Stats EngineStats
@@ -231,8 +235,25 @@ func (e *Engine) noteLoc(f *Functor) error {
 // Program returns the compiled program.
 func (e *Engine) Program() *Program { return e.prog }
 
-// Listen registers a listener.
-func (e *Engine) Listen(l Listener) { e.listeners = append(e.listeners, l) }
+// Listen registers a listener. Listeners are registered before the first
+// insert: an engine nobody listens to keeps no event tuple and records of a
+// derivation only the stored rows that can retract it, so a listener that
+// joined later would be told of underivations with rows missing. Listen
+// panics once the engine's clock has ticked.
+func (e *Engine) Listen(l Listener) {
+	if e.now != 0 {
+		panic("ndlog: Engine.Listen after an insert or delete: listeners are registered before the first insert")
+	}
+	e.listeners = append(e.listeners, l)
+}
+
+// BorrowsArgs reports whether Insert only borrows the Args of a tuple of
+// the table for the call, so that the caller may overwrite them for its
+// next insert: the table is an event and no listener is registered. A
+// stored row owns its Args, and listeners keep the tuples they are shown.
+func (e *Engine) BorrowsArgs(table string) bool {
+	return len(e.listeners) == 0 && e.isEvent(table)
+}
 
 // JoinStrategy returns the engine's active join strategy.
 func (e *Engine) JoinStrategy() JoinStrategy { return e.strategy }
@@ -394,16 +415,18 @@ func (e *Engine) run(work []workItem, appeared []Tuple) []Tuple {
 		var row *Row
 		fireTags := t.Tags
 		if e.isEvent(t.Table) {
+			// An event is never stored and derive records no derivation
+			// into one, so its row lives as long as its fire — unless a
+			// listener is told of it again when a derivation it fed dies.
+			row = &e.evRow
 			if len(e.listeners) > 0 {
 				t.Key()
+				row = new(Row)
 			}
+			*row = Row{Tuple: t, Support: 1}
 			appeared = append(appeared, t)
 			for _, l := range e.listeners {
 				l.OnAppear(e.now, t)
-			}
-			row = &Row{Tuple: t, Support: 1}
-			if item.via != nil {
-				item.via.head = row
 			}
 		} else {
 			tbl := e.tables[t.Table]
@@ -649,15 +672,27 @@ func (e *Engine) derive(p *rulePlan, frame []Value, tags uint64, bound []*Row) (
 
 	// Body rows in the seed's reporting order: the trigger first, then the
 	// remaining atoms in source order — provenance shape is independent of
-	// the planned join order.
-	ordered := make([]*Row, 0, len(bound))
-	ordered = append(ordered, bound[p.pred])
-	for i, b := range bound {
-		if i != p.pred {
-			ordered = append(ordered, b)
+	// the planned join order. A listener is shown every row; without one
+	// only the rows that can retract the head are kept (p.quietRows), which
+	// leaves out an event trigger: the engine's scratch row.
+	listened := len(e.listeners) > 0
+	keep := len(bound)
+	if !listened {
+		keep = p.quietRows
+	}
+	var ordered []*Row
+	if keep > 0 {
+		ordered = make([]*Row, 0, keep)
+		if keep == len(bound) {
+			ordered = append(ordered, bound[p.pred])
+		}
+		for i, b := range bound {
+			if i != p.pred {
+				ordered = append(ordered, b)
+			}
 		}
 	}
-	if len(e.listeners) > 0 {
+	if listened {
 		head.Key()
 		bodyTuples := make([]Tuple, len(ordered))
 		for i, b := range ordered {
@@ -680,8 +715,12 @@ func (e *Engine) derive(p *rulePlan, frame []Value, tags uint64, bound []*Row) (
 			}
 		}
 	}
-	d := &derivation{rule: r, body: ordered}
-	return workItem{tuple: head, via: d}, true
+	// A derivation exists to be retracted through its body rows' usedBy:
+	// into an event head, or with no body row kept, none is needed.
+	if p.headEvent || keep == 0 {
+		return workItem{tuple: head}, true
+	}
+	return workItem{tuple: head, via: &derivation{rule: r, body: ordered}}, true
 }
 
 // aggregate updates the rule's aggregation state and produces the head with

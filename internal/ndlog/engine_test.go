@@ -1,6 +1,7 @@
 package ndlog
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -197,6 +198,37 @@ fwd FlowTable(@Swi,Prt) :- PacketIn(@C,Swi,Prt).
 	}
 	if rec.derives != 1 || rec.appears != 2 { // PacketIn + FlowTable
 		t.Fatalf("derives=%d appears=%d", rec.derives, rec.appears)
+	}
+}
+
+// Listeners are registered before the first insert: the engine decides per
+// derivation what to keep by whether anyone listens, so a listener that
+// joined later would hear underivations with body rows missing. A late
+// Listen must be refused loudly, after an insert and after a delete alike.
+func TestListenAfterFirstInsertPanics(t *testing.T) {
+	prog := MustParse("late", `
+materialize(Out, 1, 1, keys(0)).
+o Out(@X) :- In(@X).
+`)
+	late := func(e *Engine) (msg string) {
+		defer func() { msg, _ = recover().(string) }()
+		e.Listen(&recordingListener{})
+		return ""
+	}
+	e := MustNewEngine(prog)
+	e.Listen(&recordingListener{})
+	e.Listen(&recordingListener{}) // any number, while the clock stands at zero
+	e.Insert(NewTuple("In", Int(1)))
+	if msg := late(e); !strings.Contains(msg, "listeners are registered before the first insert") {
+		t.Fatalf("Listen after an insert: panic %q, want the contract named", msg)
+	}
+	quiet := MustNewEngine(prog)
+	quiet.Delete(NewTuple("Out", Int(1)))
+	if msg := late(quiet); msg == "" {
+		t.Fatal("Listen after a delete did not panic")
+	}
+	if len(e.listeners) != 2 || len(quiet.listeners) != 0 {
+		t.Fatalf("a refused Listen registered: %d and %d listeners", len(e.listeners), len(quiet.listeners))
 	}
 }
 

@@ -40,6 +40,14 @@ type rulePlan struct {
 	trig  atom
 	steps []joinStep
 	sig   string // lazily-computed body signature for delta trigger grouping
+
+	// headEvent: the head's table is never stored, so nothing retracts a
+	// derivation of this plan and none is recorded. quietRows is how many
+	// body rows a derivation keeps when nobody listens (see Engine.derive):
+	// the stored ones, which is all but an event trigger — an event atom
+	// off the trigger joins empty — and none under an event head.
+	headEvent bool
+	quietRows int
 }
 
 // planRule compiles the (rule, trigger) join order and registers the
@@ -47,7 +55,13 @@ type rulePlan struct {
 func (e *Engine) planRule(cr *compiledRule, pred int) *rulePlan {
 	r := cr.rule
 	bound := make(map[string]int) // variable -> slot, for the variables bound so far
-	p := &rulePlan{rule: r, cr: cr, pred: pred}
+	p := &rulePlan{rule: r, cr: cr, pred: pred, headEvent: e.isEvent(r.Head.Table)}
+	if !p.headEvent {
+		p.quietRows = len(r.Body)
+		if e.isEvent(r.Body[pred].Table) {
+			p.quietRows--
+		}
+	}
 	p.trig = compileAtom(r.Body[pred], bound, cr.slotOf)
 
 	remaining := make([]int, 0, len(r.Body)-1)

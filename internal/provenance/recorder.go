@@ -26,6 +26,18 @@ type Interval struct {
 	From, To int64
 }
 
+// record is everything the recorder knows about one tuple, beside its
+// canonical copy in the table's tuple list: its validity intervals, the
+// times it was inserted as a base tuple and the derivations with it as
+// head. The first interval lives in the record itself: most tuples appear
+// once.
+type record struct {
+	intervals []Interval
+	first     [1]Interval
+	inserts   []int64
+	derivs    []*Derivation
+}
+
 // Recorder is an ndlog.Listener that maintains the provenance graph's
 // underlying log: derivations indexed by head, validity intervals, base
 // insertions, and message sends. It doubles as the "historical information"
@@ -34,16 +46,14 @@ type Interval struct {
 // Every tuple the engine hands a listener arrives with its identity key
 // already interned (the engine computes it once per insertion/derivation),
 // so the Key() calls below are cache reads — recording no longer
-// re-stringifies tuples on the hot path.
+// re-stringifies tuples on the hot path — and one map from that key to the
+// tuple's record is the only per-tuple index: a new tuple costs one hash
+// and one record.
 type Recorder struct {
 	ndlog.BaseListener
-	derivs    map[string][]*Derivation // head tuple key -> derivations
+	recs      map[string]*record       // tuple key -> everything about the tuple
 	derivsTab map[string][]*Derivation // head table -> derivations
-	intervals map[string][]Interval    // tuple key -> validity intervals
-	inserts   map[string][]int64       // base tuple key -> insert times
 	tuples    map[string][]ndlog.Tuple // table -> every distinct tuple seen
-	seen      map[string]struct{}      // tuple keys already in tuples
-	byKey     map[string]ndlog.Tuple   // tuple key -> canonical tuple
 	sends     []SendRecord
 	// BytesLogged approximates on-disk storage: LogEntrySize per insert.
 	BytesLogged int64
@@ -66,20 +76,27 @@ type SendRecord struct {
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
 	return &Recorder{
-		derivs:    make(map[string][]*Derivation),
+		recs:      make(map[string]*record),
 		derivsTab: make(map[string][]*Derivation),
-		intervals: make(map[string][]Interval),
-		inserts:   make(map[string][]int64),
 		tuples:    make(map[string][]ndlog.Tuple),
-		seen:      make(map[string]struct{}),
-		byKey:     make(map[string]ndlog.Tuple),
 	}
+}
+
+// rec returns the tuple's record, creating it on first sight.
+func (r *Recorder) rec(key string) *record {
+	rc := r.recs[key]
+	if rc == nil {
+		rc = &record{}
+		rc.intervals = rc.first[:0]
+		r.recs[key] = rc
+	}
+	return rc
 }
 
 // OnInsert implements ndlog.Listener.
 func (r *Recorder) OnInsert(t int64, tp ndlog.Tuple) {
-	key := tp.Key()
-	r.inserts[key] = append(r.inserts[key], t)
+	rc := r.rec(tp.Key())
+	rc.inserts = append(rc.inserts, t)
 	r.BytesLogged += LogEntrySize
 }
 
@@ -96,26 +113,26 @@ func (r *Recorder) OnDelete(t int64, tp ndlog.Tuple) {
 func (r *Recorder) OnDerive(t int64, rule *ndlog.Rule, head ndlog.Tuple, body []ndlog.Tuple, env ndlog.Env) {
 	d := &Derivation{Time: t, Rule: rule, Head: head, Env: env}
 	d.Body = append(d.Body, body...)
-	key := head.Key()
-	r.derivs[key] = append(r.derivs[key], d)
+	rc := r.rec(head.Key())
+	rc.derivs = append(rc.derivs, d)
 	r.derivsTab[head.Table] = append(r.derivsTab[head.Table], d)
 }
 
-// OnAppear implements ndlog.Listener.
+// OnAppear implements ndlog.Listener. Like OnDerive it keeps the tuple as
+// shown, arguments and interned key: an engine with a listener owns the
+// Args of every tuple it reports (see ndlog.Engine.BorrowsArgs), and
+// BaseInserts finds the record through the key.
 func (r *Recorder) OnAppear(t int64, tp ndlog.Tuple) {
-	k := tp.Key()
-	r.intervals[k] = append(r.intervals[k], Interval{From: t, To: -1})
-	if _, ok := r.seen[k]; !ok {
-		r.seen[k] = struct{}{}
-		c := tp.Clone()
-		r.tuples[tp.Table] = append(r.tuples[tp.Table], c)
-		r.byKey[k] = c
+	rc := r.rec(tp.Key())
+	if len(rc.intervals) == 0 {
+		r.tuples[tp.Table] = append(r.tuples[tp.Table], tp)
 	}
+	rc.intervals = append(rc.intervals, Interval{From: t, To: -1})
 }
 
 // OnDisappear implements ndlog.Listener.
 func (r *Recorder) OnDisappear(t int64, tp ndlog.Tuple) {
-	iv := r.intervals[tp.Key()]
+	iv := r.get(tp.Key()).intervals
 	for i := len(iv) - 1; i >= 0; i-- {
 		if iv[i].To == -1 {
 			iv[i].To = t
@@ -129,11 +146,23 @@ func (r *Recorder) OnSend(t int64, from, to ndlog.Value, tp ndlog.Tuple) {
 	r.sends = append(r.sends, SendRecord{Time: t, From: from, To: to, Tuple: tp.Clone()})
 }
 
-// DerivationsOf returns the recorded derivations of a concrete tuple.
-func (r *Recorder) DerivationsOf(tp ndlog.Tuple) []*Derivation {
-	r.lookups.Add(1)
-	return r.derivs[tp.Key()]
+// get returns a copy of the record under a tuple key, for reading (its
+// slices are the record's own); a tuple never seen reads as the empty one.
+func (r *Recorder) get(key string) record {
+	if rc := r.recs[key]; rc != nil {
+		return *rc
+	}
+	return record{}
 }
+
+// lookup is get counted as one index query.
+func (r *Recorder) lookup(tp ndlog.Tuple) record {
+	r.lookups.Add(1)
+	return r.get(tp.Key())
+}
+
+// DerivationsOf returns the recorded derivations of a concrete tuple.
+func (r *Recorder) DerivationsOf(tp ndlog.Tuple) []*Derivation { return r.lookup(tp).derivs }
 
 // DerivationsInto returns all recorded derivations whose head is in table.
 func (r *Recorder) DerivationsInto(table string) []*Derivation {
@@ -151,8 +180,7 @@ func (r *Recorder) TuplesOf(table string) []ndlog.Tuple {
 // ExistedAt reports whether the tuple was present at the given time, and
 // the surrounding interval if so.
 func (r *Recorder) ExistedAt(tp ndlog.Tuple, at int64) (Interval, bool) {
-	r.lookups.Add(1)
-	for _, iv := range r.intervals[tp.Key()] {
+	for _, iv := range r.lookup(tp).intervals {
 		if iv.From <= at && (iv.To == -1 || at <= iv.To) {
 			return iv, true
 		}
@@ -161,30 +189,21 @@ func (r *Recorder) ExistedAt(tp ndlog.Tuple, at int64) (Interval, bool) {
 }
 
 // EverExisted reports whether the tuple appeared at any time.
-func (r *Recorder) EverExisted(tp ndlog.Tuple) bool {
-	r.lookups.Add(1)
-	return len(r.intervals[tp.Key()]) > 0
-}
+func (r *Recorder) EverExisted(tp ndlog.Tuple) bool { return len(r.lookup(tp).intervals) > 0 }
 
 // Intervals returns the validity intervals of a tuple.
-func (r *Recorder) Intervals(tp ndlog.Tuple) []Interval {
-	r.lookups.Add(1)
-	return r.intervals[tp.Key()]
-}
+func (r *Recorder) Intervals(tp ndlog.Tuple) []Interval { return r.lookup(tp).intervals }
 
 // WasInserted reports whether the tuple was a base insertion.
-func (r *Recorder) WasInserted(tp ndlog.Tuple) bool {
-	r.lookups.Add(1)
-	return len(r.inserts[tp.Key()]) > 0
-}
+func (r *Recorder) WasInserted(tp ndlog.Tuple) bool { return len(r.lookup(tp).inserts) > 0 }
 
 // Sends returns all recorded cross-node transmissions.
 func (r *Recorder) Sends() []SendRecord { return r.sends }
 
 // BaseInserts returns all recorded base insertions of a table, ordered by
 // insertion time; used by backtesting to reconstruct the input workload.
-// The canonical-tuple map makes this a single pass over the table's insert
-// log instead of the seed's nested rescan of every tuple ever seen.
+// It walks the table's own tuple list: one record lookup per distinct
+// tuple of that table, whatever the other tables hold.
 func (r *Recorder) BaseInserts(table string) []ndlog.Tuple {
 	r.lookups.Add(1)
 	type rec struct {
@@ -192,15 +211,8 @@ func (r *Recorder) BaseInserts(table string) []ndlog.Tuple {
 		tp ndlog.Tuple
 	}
 	var all []rec
-	for key, times := range r.inserts {
-		if !keyHasTable(key, table) {
-			continue
-		}
-		tp, ok := r.byKey[key]
-		if !ok {
-			continue
-		}
-		for _, tm := range times {
+	for _, tp := range r.tuples[table] {
+		for _, tm := range r.get(tp.Key()).inserts {
 			all = append(all, rec{t: tm, tp: tp})
 		}
 	}
@@ -210,10 +222,6 @@ func (r *Recorder) BaseInserts(table string) []ndlog.Tuple {
 		out[i] = a.tp
 	}
 	return out
-}
-
-func keyHasTable(key, table string) bool {
-	return len(key) > len(table) && key[:len(table)] == table && key[len(table)] == '|'
 }
 
 // Explain returns the positive provenance tree of an observed tuple (§2.2):
@@ -227,7 +235,8 @@ func (r *Recorder) Explain(tp ndlog.Tuple) *Vertex {
 func (r *Recorder) explain(tp ndlog.Tuple, inPath map[string]bool) *Vertex {
 	key := tp.Key()
 	root := &Vertex{Kind: KindExist, Tuple: tp, T2: -1}
-	if iv := r.intervals[key]; len(iv) > 0 {
+	rc := r.get(key)
+	if iv := rc.intervals; len(iv) > 0 {
 		root.T1, root.T2 = iv[0].From, iv[0].To
 	}
 	if inPath[key] {
@@ -236,10 +245,10 @@ func (r *Recorder) explain(tp ndlog.Tuple, inPath map[string]bool) *Vertex {
 	inPath[key] = true
 	defer delete(inPath, key)
 
-	for _, t0 := range r.inserts[key] {
+	for _, t0 := range rc.inserts {
 		root.Children = append(root.Children, &Vertex{Kind: KindInsert, T1: t0, Tuple: tp})
 	}
-	for _, d := range r.derivs[key] {
+	for _, d := range rc.derivs {
 		dv := &Vertex{Kind: KindDerive, T1: d.Time, Tuple: tp, Rule: d.Rule.ID}
 		for _, b := range d.Body {
 			dv.Children = append(dv.Children, r.explain(b, inPath))

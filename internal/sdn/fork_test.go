@@ -207,12 +207,12 @@ func TestConcurrentForksAreIsolated(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if d, _ := recordDiverges(7, scripted.Fork()); d != "" {
+			if d, _, _ := recordDiverges(7, scripted.Fork()); d != "" {
 				t.Errorf("concurrent scripted fork: %s", d)
 			}
 			n := replay()
 			if n.Delivered != want.Delivered || n.PacketIns != want.PacketIns || n.Hops != want.Hops ||
-				n.Hosts["h2"].Received != want.Hosts["h2"].Received ||
+				received(n.Hosts["h2"]) != received(want.Hosts["h2"]) ||
 				!sameEntries(n.Switches["s2"].Table(), want.Switches["s2"].Table()) {
 				t.Errorf("concurrent fork diverged: delivered %d/%d PacketIns %d/%d hops %d/%d",
 					n.Delivered, want.Delivered, n.PacketIns, want.PacketIns, n.Hops, want.Hops)
@@ -220,7 +220,7 @@ func TestConcurrentForksAreIsolated(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if len(s1.Table()) != 1 || len(tmpl.Switches["s2"].Table()) != 0 || tmpl.Hosts["h2"].Received != [64]int64{} {
+	if len(s1.Table()) != 1 || len(tmpl.Switches["s2"].Table()) != 0 || received(tmpl.Hosts["h2"]) != [64]int64{} {
 		t.Fatal("replays on forks leaked into the frozen network")
 	}
 }
@@ -249,7 +249,7 @@ func TestForkForwardsLikeItsTemplate(t *testing.T) {
 	fork := tmpl.Fork()
 	send(fork)
 	if fork.Delivered != plain.Delivered || fork.Dropped != plain.Dropped || fork.Missed != plain.Missed ||
-		fork.Hops != plain.Hops || fork.Hosts["h2"].Received != plain.Hosts["h2"].Received {
+		fork.Hops != plain.Hops || received(fork.Hosts["h2"]) != received(plain.Hosts["h2"]) {
 		t.Fatalf("fork: delivered %d dropped %d missed %d hops %d; built: %d %d %d %d",
 			fork.Delivered, fork.Dropped, fork.Missed, fork.Hops,
 			plain.Delivered, plain.Dropped, plain.Missed, plain.Hops)

@@ -3,7 +3,6 @@ package sdn
 import (
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -86,6 +85,14 @@ func buildRandomNet(seed int64) *Network {
 	return n
 }
 
+// received reads a host's totals under all 64 tags through the accessor.
+func received(h *Host) (out [64]int64) {
+	for tag := range out {
+		out[tag] = h.ReceivedFor(tag)
+	}
+	return out
+}
+
 // netDiff names the first cell on which two networks differ, or "".
 func netDiff(a, b *Network) string {
 	type stats struct {
@@ -97,23 +104,27 @@ func netDiff(a, b *Network) string {
 	if sa != sb {
 		return fmt.Sprintf("network counters %+v, want %+v", sa, sb)
 	}
-	rows := func(m map[int64]*[64]int64) map[int64][64]int64 {
-		out := make(map[int64][64]int64, len(m))
-		for k, v := range m {
-			out[k] = *v
-		}
-		return out
-	}
 	for id, ha := range a.Hosts {
 		hb := b.Hosts[id]
-		if ha.Received != hb.Received {
-			return fmt.Sprintf("host %s Received %v, want %v", id, ha.Received[:4], hb.Received[:4])
+		if got, want := received(ha), received(hb); got != want {
+			return fmt.Sprintf("host %s received %v .. [40]=%d, want %v .. [40]=%d", id, got[:4], got[wideBit], want[:4], want[wideBit])
 		}
-		if !reflect.DeepEqual(rows(ha.ByPort), rows(hb.ByPort)) {
-			return fmt.Sprintf("host %s ByPort differs", id)
-		}
-		if !reflect.DeepEqual(rows(ha.BySrc), rows(hb.BySrc)) {
-			return fmt.Sprintf("host %s BySrc differs", id)
+		// Every port and source either side counted under, cell by cell.
+		for _, h := range []*Host{ha, hb} {
+			for port := range h.byPort {
+				for tag := 0; tag < 64; tag++ {
+					if got, want := ha.PortCountFor(port, tag), hb.PortCountFor(port, tag); got != want {
+						return fmt.Sprintf("host %s port %d tag %d: %d, want %d", id, port, tag, got, want)
+					}
+				}
+			}
+			for src := range h.bySrc {
+				for tag := 0; tag < 64; tag++ {
+					if got, want := ha.SrcCountFor(src, tag), hb.SrcCountFor(src, tag); got != want {
+						return fmt.Sprintf("host %s source %d tag %d: %d, want %d", id, src, tag, got, want)
+					}
+				}
+			}
 		}
 	}
 	for id, s := range a.Switches {
@@ -124,11 +135,18 @@ func netDiff(a, b *Network) string {
 	return ""
 }
 
+// wideTag is a tag far above the 0b1111 of the scripts' first 60 runs.
+const (
+	wideBit = 40
+	wideTag = 1 << wideBit
+)
+
 // recordDiverges plays the seed's script on prod — the seed's network,
 // hand-built or forked — and on a reference that walks every packet, and
 // describes the first divergence ("" if none). hits is how many of prod's
-// injections were answered from the record.
-func recordDiverges(seed int64, prod *Network) (diff string, hits int64) {
+// injections were answered from the record, wide how many packets prod
+// delivered under wideTag.
+func recordDiverges(seed int64, prod *Network) (diff string, hits, wide int64) {
 	ref := buildRandomNet(seed)
 	var gotCap, wantCap captured
 	prod.Capture, ref.Capture = &gotCap, &wantCap
@@ -176,6 +194,7 @@ func recordDiverges(seed int64, prod *Network) (diff string, hits int64) {
 		case 8:
 			if r.Intn(4) == 0 {
 				hits += injected - prod.Walks
+				wide += deliveredUnder(prod, wideBit)
 				both(func(n *Network) { n.ResetCounters() })
 				injected = 0
 			}
@@ -186,6 +205,11 @@ func recordDiverges(seed int64, prod *Network) (diff string, hits int64) {
 			src = hostIDs[r.Intn(len(hostIDs))]
 			_, p = randomPacket(r)
 			p.Tags = r.Uint64() & 0b1111 // zero: the single-variant default
+			if run >= 60 && r.Intn(2) == 0 {
+				// Mid-run the tag set widens past every counter row laid
+				// out so far: the rows grow under the record.
+				p.Tags |= wideTag
+			}
 		}
 		for i, k := 0, 1+r.Intn(20); i < k; i++ {
 			prod.Inject(src, p)
@@ -196,38 +220,118 @@ func recordDiverges(seed int64, prod *Network) (diff string, hits int64) {
 			}
 		}
 		if d := netDiff(prod, ref); d != "" {
-			return fmt.Sprintf("seed %d run %d (%s x %v): %s", seed, run, src, p, d), 0
+			return fmt.Sprintf("seed %d run %d (%s x %v): %s", seed, run, src, p, d), 0, 0
 		}
 		if ref.Walks != injected || prod.Walks > injected {
 			return fmt.Sprintf("seed %d run %d: %d injections, reference walked %d, prod %d",
-				seed, run, injected, ref.Walks, prod.Walks), 0
+				seed, run, injected, ref.Walks, prod.Walks), 0, 0
 		}
 	}
 	if !slices.Equal(gotCap, wantCap) {
-		return fmt.Sprintf("seed %d: captured %d packets, want %d, or in another order", seed, len(gotCap), len(wantCap)), 0
+		return fmt.Sprintf("seed %d: captured %d packets, want %d, or in another order", seed, len(gotCap), len(wantCap)), 0, 0
 	}
-	return "", hits + injected - prod.Walks
+	return "", hits + injected - prod.Walks, wide + deliveredUnder(prod, wideBit)
+}
+
+// deliveredUnder sums the hosts' totals under one tag.
+func deliveredUnder(n *Network, tag int) (sum int64) {
+	for _, h := range n.Hosts {
+		sum += h.ReceivedFor(tag)
+	}
+	return sum
 }
 
 func TestRecordedTraversalMatchesWalk(t *testing.T) {
-	var built, forked int64
+	var built, forked, wide int64
 	for seed := int64(0); seed < 60; seed++ {
-		d, hits := recordDiverges(seed, buildRandomNet(seed))
+		d, hits, w := recordDiverges(seed, buildRandomNet(seed))
 		if d != "" {
 			t.Fatalf("hand-built: %s", d)
 		}
 		built += hits
 		tmpl := buildRandomNet(seed)
 		tmpl.Freeze()
-		if d, hits = recordDiverges(seed, tmpl.Fork()); d != "" {
+		d, hits, wf := recordDiverges(seed, tmpl.Fork())
+		if d != "" {
 			t.Fatalf("fork: %s", d)
 		}
+		if w != wf {
+			t.Fatalf("seed %d: %d deliveries under the wide tag hand-built, %d forked", seed, w, wf)
+		}
 		forked += hits
+		wide += w
 	}
 	if built == 0 || built != forked {
 		t.Fatalf("injections answered from the record: %d hand-built, %d forked; want equal and > 0", built, forked)
 	}
-	t.Logf("%d injections per mode answered from the record", built)
+	if wide == 0 {
+		t.Fatal("no packet was delivered under the tag that widens the counter rows")
+	}
+	t.Logf("%d injections per mode answered from the record, %d deliveries under the wide tag", built, wide)
+}
+
+// Counter rows are as wide as the widest tag set delivered: a packet under
+// a higher tag grows them in place of the record that points into them.
+func TestCountersGrowWithTheTagSet(t *testing.T) {
+	n := twoSwitchNet()
+	s1, s2 := n.Switches["s1"], n.Switches["s2"]
+	s1.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: s1.PortTo("s2")}, Tags: ndlog.AllTags})
+	s2.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: s2.PortTo("h2")}, Tags: ndlog.AllTags})
+	h2 := n.Hosts["h2"]
+	narrow := Packet{SrcIP: 101, DstIP: 102, DstPort: 80, Tags: 1}
+	for i := 0; i < 3; i++ {
+		n.Inject("h1", narrow)
+	}
+	if n.width != 1 || n.Walks != 1 {
+		t.Fatalf("after three single-tag packets: width %d, %d walks; want 1 and 1", n.width, n.Walks)
+	}
+	wide := narrow
+	wide.Tags = wideTag | 1
+	for i := 0; i < 2; i++ {
+		n.Inject("h1", wide)
+	}
+	n.Inject("h1", narrow)
+	if n.width != 41 || n.Walks != 3 {
+		t.Fatalf("after the wide packets: width %d, %d walks; want 41 and 3", n.width, n.Walks)
+	}
+	for _, c := range []struct {
+		tag  int
+		want int64
+	}{{0, 6}, {wideBit, 2}, {1, 0}, {63, 0}} {
+		if h2.ReceivedFor(c.tag) != c.want || h2.PortCountFor(80, c.tag) != c.want || h2.SrcCountFor(101, c.tag) != c.want {
+			t.Errorf("tag %d: received %d, port 80 %d, source 101 %d; want %d each", c.tag,
+				h2.ReceivedFor(c.tag), h2.PortCountFor(80, c.tag), h2.SrcCountFor(101, c.tag), c.want)
+		}
+	}
+	if got := n.Distribution(40); !slices.Equal(got, []int64{0, 2}) {
+		t.Errorf("Distribution(40) = %v, want [0 2]", got)
+	}
+	n.ResetCounters()
+	n.Inject("h1", wide)
+	if h2.ReceivedFor(0) != 1 || h2.ReceivedFor(40) != 1 || h2.PortCountFor(80, 40) != 1 {
+		t.Errorf("after ResetCounters: received %d/%d, port 80 %d; want 1 each",
+			h2.ReceivedFor(0), h2.ReceivedFor(40), h2.PortCountFor(80, 40))
+	}
+
+	// A host added after the slab was laid out gets its share in the middle
+	// of a walk that has already recorded a delivery to h2: that walk's
+	// record points into the rows the slab replaced and must not be applied.
+	n = twoSwitchNet()
+	s1, s2 = n.Switches["s1"], n.Switches["s2"]
+	s1.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: s1.PortTo("s2")}, Tags: 0b01},
+		FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: 7}, Tags: 0b10})
+	s2.Install(FlowEntry{Match: Match{}, Action: Action{Kind: ActionOutput, Port: s2.PortTo("h2")}, Tags: ndlog.AllTags})
+	both := Packet{SrcIP: 101, Tags: 0b11}
+	n.Inject("h1", both)
+	n.Inject("h1", both)
+	h3 := NewHost("h3", 103, "s1")
+	n.AddHostAt(h3, 7)
+	for i := 0; i < 3; i++ {
+		n.Inject("h1", both)
+	}
+	if got, got3 := n.Hosts["h2"].ReceivedFor(0), h3.ReceivedFor(1); got != 5 || got3 != 3 || n.Walks != 3 {
+		t.Errorf("h2 received %d, the late host %d, after %d walks; want 5, 3 and 3", got, got3, n.Walks)
+	}
 }
 
 // An install on a switch the network only knows through a direct map write

@@ -33,10 +33,12 @@ type NDlogController struct {
 	// PacketIns counts control-plane events, for the overhead experiments.
 	PacketIns int64
 
-	// appBuf backs the appearance list between PacketIns; inPI guards it
-	// against re-entrant PacketIns (a derived PacketOut whose forwarding
-	// misses on a downstream switch).
+	// appBuf backs the appearance list and evArgs the PacketIn tuple's
+	// arguments between PacketIns; inPI guards both against re-entrant
+	// PacketIns (a derived PacketOut whose forwarding misses on a
+	// downstream switch).
 	appBuf []ndlog.Tuple
+	evArgs [7]ndlog.Value
 	inPI   bool
 }
 
@@ -52,19 +54,21 @@ func NewNDlogController(e *ndlog.Engine) *NDlogController {
 // applies every newly derived FlowTable and PacketOut tuple to the network.
 func (c *NDlogController) PacketIn(net *Network, sw *Switch, inPort int64, pkt Packet) {
 	c.PacketIns++
-	ev := ndlog.Tuple{
-		Table: TablePacketIn,
-		Args: []ndlog.Value{
-			ControllerLoc,
-			ndlog.Int(sw.Num),
-			ndlog.Int(inPort),
-			ndlog.Int(pkt.SrcIP),
-			ndlog.Int(pkt.DstIP),
-			ndlog.Int(pkt.SrcPort),
-			ndlog.Int(pkt.DstPort),
-		},
-		Tags: pkt.Tags,
+	// The engine keeps the arguments of a stored tuple and of anything a
+	// listener sees; otherwise it only borrows them for the call, and one
+	// buffer serves every PacketIn that is not nested in another.
+	args := c.evArgs[:]
+	if c.inPI || !c.Engine.BorrowsArgs(TablePacketIn) {
+		args = make([]ndlog.Value, len(c.evArgs))
 	}
+	args[0] = ControllerLoc
+	args[1] = ndlog.Int(sw.Num)
+	args[2] = ndlog.Int(inPort)
+	args[3] = ndlog.Int(pkt.SrcIP)
+	args[4] = ndlog.Int(pkt.DstIP)
+	args[5] = ndlog.Int(pkt.SrcPort)
+	args[6] = ndlog.Int(pkt.DstPort)
+	ev := ndlog.Tuple{Table: TablePacketIn, Args: args, Tags: pkt.Tags}
 	if c.inPI {
 		for _, tp := range c.Engine.Insert(ev) {
 			c.applyDerived(net, sw, pkt, tp)

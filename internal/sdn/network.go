@@ -163,15 +163,18 @@ type Host struct {
 	IP     int64
 	Switch string // attachment switch ID
 
-	// Received counts delivered packets per tag bit index (0..63).
-	Received [64]int64
-	// ByPort counts delivered packets per (tag, destination port) for
-	// service-level checks (e.g. "H2 receives HTTP requests").
-	ByPort map[int64]*[64]int64
-	// BySrc counts delivered packets per (tag, source IP) for
-	// client-level checks (e.g. "the server receives H1's queries").
-	// Both maps are nil until the first delivery.
-	BySrc map[int64]*[64]int64
+	// received counts delivered packets per tag bit index; byPort counts
+	// them per (destination port, tag) for service-level checks (e.g. "H2
+	// receives HTTP requests") and bySrc per (source IP, tag) for
+	// client-level checks (e.g. "the server receives H1's queries"). Every
+	// row is Network.width columns wide — as many as the widest tag set
+	// delivered so far needs, not 64 — and received is the host's share of
+	// one slab per network (see Network.growCounters). All three are nil
+	// until the first delivery; read them through ReceivedFor, PortCountFor
+	// and SrcCountFor.
+	received []int64
+	byPort   map[int64][]int64
+	bySrc    map[int64][]int64
 
 	// sw and inPort are the attachment resolved against the host's network
 	// (see Network.attach); sw is nil while the host is unattached. ord is
@@ -188,23 +191,24 @@ func NewHost(id string, ip int64, sw string) *Host {
 }
 
 // deliver records a packet delivery for every tag in the packet's set and
-// returns the per-port and per-source counter rows it counted into.
-func (h *Host) deliver(p Packet) (pp, ps *[64]int64) {
-	pp = h.ByPort[p.DstPort]
+// returns the per-port and per-source counter rows it counted into; a new
+// row is width columns wide, like the host's totals.
+func (h *Host) deliver(p Packet, width int) (pp, ps []int64) {
+	pp = h.byPort[p.DstPort]
 	if pp == nil {
-		if h.ByPort == nil {
-			h.ByPort = make(map[int64]*[64]int64)
+		if h.byPort == nil {
+			h.byPort = make(map[int64][]int64)
 		}
-		pp = &[64]int64{}
-		h.ByPort[p.DstPort] = pp
+		pp = make([]int64, width)
+		h.byPort[p.DstPort] = pp
 	}
-	ps = h.BySrc[p.SrcIP]
+	ps = h.bySrc[p.SrcIP]
 	if ps == nil {
-		if h.BySrc == nil {
-			h.BySrc = make(map[int64]*[64]int64)
+		if h.bySrc == nil {
+			h.bySrc = make(map[int64][]int64)
 		}
-		ps = &[64]int64{}
-		h.BySrc[p.SrcIP] = ps
+		ps = make([]int64, width)
+		h.bySrc[p.SrcIP] = ps
 	}
 	h.count(p.Tags, pp, ps)
 	return pp, ps
@@ -212,33 +216,32 @@ func (h *Host) deliver(p Packet) (pp, ps *[64]int64) {
 
 // count adds one delivery under every tag of the set to the host's totals
 // and to the two resolved counter rows.
-func (h *Host) count(tags uint64, pp, ps *[64]int64) {
+func (h *Host) count(tags uint64, pp, ps []int64) {
 	for t := tags; t != 0; t &= t - 1 {
 		b := bits.TrailingZeros64(t)
-		h.Received[b]++
+		h.received[b]++
 		pp[b]++
 		ps[b]++
 	}
 }
 
+// at reads one tag's column of a counter row; a tag beyond the row's width
+// was never delivered under.
+func at(row []int64, tag int) int64 {
+	if tag < len(row) {
+		return row[tag]
+	}
+	return 0
+}
+
 // ReceivedFor returns the host's delivered-packet count under one tag.
-func (h *Host) ReceivedFor(tag int) int64 { return h.Received[tag] }
+func (h *Host) ReceivedFor(tag int) int64 { return at(h.received, tag) }
 
 // PortCountFor returns deliveries to a destination port under one tag.
-func (h *Host) PortCountFor(port int64, tag int) int64 {
-	if pp := h.ByPort[port]; pp != nil {
-		return pp[tag]
-	}
-	return 0
-}
+func (h *Host) PortCountFor(port int64, tag int) int64 { return at(h.byPort[port], tag) }
 
 // SrcCountFor returns deliveries from a source IP under one tag.
-func (h *Host) SrcCountFor(src int64, tag int) int64 {
-	if ps := h.BySrc[src]; ps != nil {
-		return ps[tag]
-	}
-	return 0
-}
+func (h *Host) SrcCountFor(src int64, tag int) int64 { return at(h.bySrc[src], tag) }
 
 // Controller handles PacketIn events: a switch had no matching flow entry
 // for (part of) a packet's tag set.
@@ -284,9 +287,14 @@ type Network struct {
 	swOrder   []*Switch
 	hostOrder []*Host
 
+	// width is how many tag columns every host counter row has: the highest
+	// tag bit delivered under so far, plus one (see growCounters).
+	width int
+
 	// epoch advances whenever a walk could come out differently or count
 	// into different rows: on every effective Install, ClearTable, wiring
-	// change and ResetCounters. last is the previous injection's traversal,
+	// change, ResetCounters and widening of the counter rows. last is the
+	// previous injection's traversal,
 	// valid while the epoch stands (see Inject); recording is set while
 	// Inject walks a packet that has so far hit neither a table miss nor
 	// the hop limit.
@@ -413,7 +421,7 @@ func (n *Network) HostByIP(ip int64) *Host {
 type delivery struct {
 	host   *Host
 	tags   uint64
-	pp, ps *[64]int64
+	pp, ps []int64
 }
 
 // traversal is everything one injection did, in the form a repeat of it
@@ -446,8 +454,10 @@ type traversal struct {
 // ClearTable, wiring change and ResetCounters advances, and a traversal
 // that met a table miss or the hop limit is never recorded — so whatever
 // reaches the controller (whose answer may depend on state the network
-// cannot see) or follows a table change is walked packet by packet. The
-// Capture hook sees every packet either way.
+// cannot see) or follows a table change is walked packet by packet. A
+// packet under a higher tag than the host counter rows have columns for
+// replaces those rows, the ones the record points into, and so advances
+// the epoch too. The Capture hook sees every packet either way.
 func (n *Network) Inject(hostID string, pkt Packet) {
 	n.mutate("Inject", sealAll)
 	h := n.Hosts[hostID]
@@ -478,6 +488,9 @@ func (n *Network) Inject(hostID string, pkt Packet) {
 	if h.sw == nil && !n.attach(h) {
 		n.Dropped++
 		return
+	}
+	if bits.Len64(pkt.Tags) > n.width {
+		n.growCounters(pkt.Tags) // before the epoch is read: this walk's record stands
 	}
 	r.src, r.deliveries = nil, r.deliveries[:0]
 	epoch, delivered, dropped, hops := n.epoch, n.Delivered, n.Dropped, n.Hops
@@ -615,7 +628,10 @@ func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
 	}
 	switch l := &sw.links[port]; {
 	case l.host != nil:
-		pp, ps := l.host.deliver(pkt)
+		if bits.Len64(pkt.Tags) > len(l.host.received) {
+			n.growCounters(pkt.Tags) // a host added, or a PacketOut tagged wider, since Inject looked
+		}
+		pp, ps := l.host.deliver(pkt, n.width)
 		n.Delivered++
 		if n.recording {
 			n.last.deliveries = append(n.last.deliveries, delivery{l.host, pkt.Tags, pp, ps})
@@ -627,14 +643,37 @@ func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
 	}
 }
 
+// growCounters makes room for a delivery under tags: every host's totals
+// become a share of one new slab, wide enough for the widest tag set seen
+// (one column for a diagnostic replay, candidates + 1 for a shared run),
+// and the per-port and per-source rows grow with them. It runs at a
+// network's first injection, at the first delivery to a host added since,
+// and when a packet carries a higher tag than any before; the rows a
+// recorded traversal points into are replaced, so the epoch advances.
+func (n *Network) growCounters(tags uint64) {
+	n.width = max(n.width, bits.Len64(tags))
+	n.epoch++
+	slab := make([]int64, n.width*len(n.Hosts))
+	for _, h := range n.Hosts {
+		copy(slab, h.received)
+		h.received, slab = slab[:n.width:n.width], slab[n.width:]
+		for port, row := range h.byPort {
+			h.byPort[port] = append(row, make([]int64, n.width-len(row))...)
+		}
+		for src, row := range h.bySrc {
+			h.bySrc[src] = append(row, make([]int64, n.width-len(row))...)
+		}
+	}
+}
+
 // ResetCounters zeroes delivery statistics (flow tables are kept).
 func (n *Network) ResetCounters() {
 	n.epoch++ // the recorded counter rows are dropped below
 	n.Delivered, n.Dropped, n.Missed, n.PacketIns, n.Hops, n.Walks = 0, 0, 0, 0, 0, 0
 	n.PacketInsByTag = [64]int64{}
 	for _, h := range n.Hosts {
-		h.Received = [64]int64{}
-		h.ByPort, h.BySrc = nil, nil
+		clear(h.received)
+		h.byPort, h.bySrc = nil, nil
 	}
 }
 
