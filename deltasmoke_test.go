@@ -60,7 +60,7 @@ func TestDeltaBacktestSharesJoins(t *testing.T) {
 	}
 	for i, f := range full.Results {
 		d := delta.Results[i]
-		if f.Accepted != d.Accepted || f.Effective != d.Effective || f.KS != d.KS {
+		if f.Accepted != d.Accepted || f.Effective != d.Effective || f.KS != d.KS || f.HopLimited != d.HopLimited {
 			t.Errorf("candidate %d (%s): full %+v, delta %+v", i, f.Candidate.Describe(), f, d)
 		}
 	}

@@ -88,6 +88,10 @@ type Result struct {
 	// PacketInFactor is the candidate's controller load relative to the
 	// baseline (1 = unchanged).
 	PacketInFactor float64
+	// HopLimited counts the packet copies the candidate's replay dropped at
+	// the hop limit: nonzero means its tables loop traffic. It is evidence
+	// for the report, not a rejection rule.
+	HopLimited int64
 	// Accepted = effective and not significantly disruptive.
 	Accepted bool
 }
@@ -177,8 +181,7 @@ func (j *Job) RunSequential(ctx context.Context) ([]Result, error) {
 		if err != nil {
 			return out, err
 		}
-		res := j.judge(c, baseline, net.Distribution(0), net, ctl, 0, basePI, net.PacketInsByTag[0])
-		out = append(out, res)
+		out = append(out, j.judge(c, baseline, net, ctl, 0, basePI))
 	}
 	return out, nil
 }
@@ -264,15 +267,17 @@ func (j *Job) RunShared(ctx context.Context) ([]Result, ndlog.EngineStats, error
 	out := make([]Result, 0, len(j.Candidates))
 	for i, c := range j.Candidates {
 		tag := i + 1
-		out = append(out, j.judge(c, baseline, net.Distribution(tag), net, ctl, tag, basePI, net.PacketInsByTag[tag]))
+		out = append(out, j.judge(c, baseline, net, ctl, tag, basePI))
 	}
 	return out, eng.Stats, nil
 }
 
-// judge applies the §4.3 acceptance test: effective, KS-compatible with
-// the baseline at significance alpha, and without a controller-load blowup.
-func (j *Job) judge(c metaprov.Candidate, baseline, dist []int64, net *sdn.Network, ctl *sdn.NDlogController, tag int, basePI, pi int64) Result {
-	d, p := stats.KSFromCounts(baseline, dist)
+// judge applies the §4.3 acceptance test to the candidate replayed under
+// tag: effective, KS-compatible with the baseline at significance alpha,
+// and without a controller-load blowup.
+func (j *Job) judge(c metaprov.Candidate, baseline []int64, net *sdn.Network, ctl *sdn.NDlogController, tag int, basePI int64) Result {
+	d, p := stats.KSFromCounts(baseline, net.Distribution(tag))
+	pi := net.PacketInsByTag[tag]
 	eff := true
 	if j.Effective != nil {
 		eff = j.Effective(net, ctl, tag)
@@ -293,6 +298,7 @@ func (j *Job) judge(c metaprov.Candidate, baseline, dist []int64, net *sdn.Netwo
 		KS:             d,
 		P:              p,
 		PacketInFactor: factor,
+		HopLimited:     net.HopLimitedByTag[tag],
 		Accepted:       accepted,
 	}
 }

@@ -178,6 +178,10 @@ func TestSharedMatchesSequential(t *testing.T) {
 			t.Errorf("candidate %d (%s): accepted %v (KS %.5f) vs %v (KS %.5f)",
 				i, seq[i].Candidate.Describe(), seq[i].Accepted, seq[i].KS, shr[i].Accepted, shr[i].KS)
 		}
+		if seq[i].HopLimited != shr[i].HopLimited {
+			t.Errorf("candidate %d (%s): %d hop-limited copies vs %d",
+				i, seq[i].Candidate.Describe(), seq[i].HopLimited, shr[i].HopLimited)
+		}
 	}
 }
 

@@ -108,13 +108,13 @@ func TestPipelineMatchesBatched(t *testing.T) {
 			}
 			for i := range ref {
 				got := res.Results[i]
-				if got.Accepted != ref[i].Accepted || got.Effective != ref[i].Effective || got.KS != ref[i].KS {
+				if got.Accepted != ref[i].Accepted || got.Effective != ref[i].Effective || got.KS != ref[i].KS || got.HopLimited != ref[i].HopLimited {
 					t.Errorf("candidate %d (%s): pipeline %+v, hand-cut shared run %+v",
 						i, ref[i].Candidate.Describe(), got, ref[i])
 				}
-				if got.Accepted != seq[i].Accepted || got.Effective != seq[i].Effective {
-					t.Errorf("candidate %d (%s): pipeline accepted=%v effective=%v, sequential oracle accepted=%v effective=%v",
-						i, seq[i].Candidate.Describe(), got.Accepted, got.Effective, seq[i].Accepted, seq[i].Effective)
+				if got.Accepted != seq[i].Accepted || got.Effective != seq[i].Effective || got.HopLimited != seq[i].HopLimited {
+					t.Errorf("candidate %d (%s): pipeline accepted=%v effective=%v hop-limited=%d, sequential oracle accepted=%v effective=%v hop-limited=%d",
+						i, seq[i].Candidate.Describe(), got.Accepted, got.Effective, got.HopLimited, seq[i].Accepted, seq[i].Effective, seq[i].HopLimited)
 				}
 			}
 			// Batch bookkeeping: the cuts fall where the hand-cut ones do and
@@ -188,7 +188,7 @@ func TestPipelineSequentialRunner(t *testing.T) {
 		t.Fatalf("sequential batch carries shared-run counters: %+v", batches[0].Stats)
 	}
 	for i := range want {
-		if got := res.Results[i]; got.Accepted != want[i].Accepted || got.Effective != want[i].Effective || got.KS != want[i].KS {
+		if got := res.Results[i]; got.Accepted != want[i].Accepted || got.Effective != want[i].Effective || got.KS != want[i].KS || got.HopLimited != want[i].HopLimited {
 			t.Errorf("candidate %d: pipeline %+v, RunSequential %+v", i, got, want[i])
 		}
 	}

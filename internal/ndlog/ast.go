@@ -34,6 +34,38 @@ func (op BinOp) String() string { return opNames[op] }
 // IsComparison reports whether the operator yields a boolean.
 func (op BinOp) IsComparison() bool { return op <= OpGe }
 
+// prec is how tightly the parser binds the operator: || loosest, then &&,
+// the comparisons, + and -, and * and / tightest.
+func (op BinOp) prec() int {
+	switch op {
+	case OpOr:
+		return 1
+	case OpAnd:
+		return 2
+	case OpAdd, OpSub:
+		return 4
+	case OpMul, OpDiv:
+		return 5
+	}
+	return 3
+}
+
+// operand renders one side of a binary operation or selection,
+// parenthesized where the parser would otherwise group it differently: a
+// looser operation on either side, an equally tight one on the right (the
+// grammar groups to the left), and a comparison inside a comparison
+// (comparisons do not chain).
+func operand(e Expr, op BinOp, right bool) string {
+	b, ok := e.(*Binary)
+	if !ok {
+		return e.String()
+	}
+	if p, q := b.Op.prec(), op.prec(); p < q || p == q && (right || op.IsComparison()) {
+		return "(" + b.String() + ")"
+	}
+	return b.String()
+}
+
 // ParseOp parses an operator token; ok is false for unknown text.
 func ParseOp(s string) (BinOp, bool) {
 	for op, name := range opNames {
@@ -88,7 +120,7 @@ func (*Agg) exprNode()       {}
 func (e *Var) String() string       { return e.Name }
 func (e *ConstExpr) String() string { return e.Val.String() }
 func (e *Binary) String() string {
-	return fmt.Sprintf("%s %s %s", e.L.String(), e.Op.String(), e.R.String())
+	return fmt.Sprintf("%s %s %s", operand(e.L, e.Op, false), e.Op.String(), operand(e.R, e.Op, true))
 }
 func (e *Call) String() string {
 	parts := make([]string, len(e.Args))
@@ -163,7 +195,7 @@ type Selection struct {
 
 // String renders the selection in source syntax.
 func (s *Selection) String() string {
-	return fmt.Sprintf("%s %s %s", s.Left.String(), s.Op.String(), s.Right.String())
+	return fmt.Sprintf("%s %s %s", operand(s.Left, s.Op, false), s.Op.String(), operand(s.Right, s.Op, true))
 }
 
 // Clone deep-copies the selection.

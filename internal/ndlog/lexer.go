@@ -2,6 +2,7 @@ package ndlog
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 	"unicode"
 )
@@ -78,11 +79,16 @@ func lex(src string) ([]token, error) {
 			}
 			l.emit(tokInt, l.src[start:l.pos])
 		case c == '"':
+			// A Go string literal, escapes included: Value.String renders
+			// strings that way, so a rendered program lexes back.
 			start := l.pos
 			l.advance(1)
 			for l.pos < len(l.src) && l.src[l.pos] != '"' {
 				if l.src[l.pos] == '\n' {
 					return nil, fmt.Errorf("ndlog: line %d: unterminated string", l.line)
+				}
+				if l.src[l.pos] == '\\' {
+					l.advance(1) // an escaped quote does not end the literal
 				}
 				l.advance(1)
 			}
@@ -90,7 +96,11 @@ func lex(src string) ([]token, error) {
 				return nil, fmt.Errorf("ndlog: line %d: unterminated string", l.line)
 			}
 			l.advance(1)
-			l.emit(tokString, l.src[start+1:l.pos-1])
+			s, err := strconv.Unquote(l.src[start:l.pos])
+			if err != nil {
+				return nil, fmt.Errorf("ndlog: line %d: malformed string %s", l.line, l.src[start:l.pos])
+			}
+			l.emit(tokString, s)
 		default:
 			if op, n := l.matchOp(); n > 0 {
 				l.emit(tokOp, op)

@@ -50,7 +50,10 @@ type parser struct {
 }
 
 func (p *parser) cur() token  { return p.toks[p.pos] }
-func (p *parser) peek() token { return p.toks[min(p.pos+1, len(p.toks)-1)] }
+func (p *parser) peek() token { return p.ahead(1) }
+
+// ahead returns the token k past the current one (EOF past the end).
+func (p *parser) ahead(k int) token { return p.toks[min(p.pos+k, len(p.toks)-1)] }
 
 func (p *parser) at(kind tokKind) bool { return p.cur().kind == kind }
 
@@ -433,19 +436,12 @@ func (p *parser) parsePrimary() (Expr, error) {
 			p.next()
 			return &ConstExpr{Val: Bool(false)}, nil
 		}
-		// Aggregate: a_count<Var>
-		if strings.HasPrefix(t.text, "a_") && p.peek().kind == tokOp && p.peek().text == "<" {
-			fn := strings.TrimPrefix(t.text, "a_")
-			p.next() // a_xxx
-			p.next() // <
-			if !p.at(tokIdent) {
-				return nil, p.errf("expected variable in aggregate")
-			}
-			arg := p.next().text
-			if err := p.expectOp(">"); err != nil {
-				return nil, err
-			}
-			return &Agg{Fn: fn, Arg: arg}, nil
+		// Aggregate: a_count<Var>. Anything else is a variable, so that
+		// a_x < Y compares.
+		if lt, arg, gt := p.ahead(1), p.ahead(2), p.ahead(3); strings.HasPrefix(t.text, "a_") &&
+			lt.kind == tokOp && lt.text == "<" && arg.kind == tokIdent && gt.kind == tokOp && gt.text == ">" {
+			p.pos += 4
+			return &Agg{Fn: strings.TrimPrefix(t.text, "a_"), Arg: arg.text}, nil
 		}
 		// Function call: f_name(args)
 		if p.peek().kind == tokPunct && p.peek().text == "(" {

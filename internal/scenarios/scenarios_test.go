@@ -3,9 +3,12 @@ package scenarios
 import (
 	"context"
 	"strings"
+	"sync"
 	"testing"
 
+	"repro/internal/sdn"
 	"repro/internal/topo"
+	"repro/metarepair"
 	"repro/scenario"
 )
 
@@ -82,6 +85,64 @@ func TestQ3EndToEnd(t *testing.T) {
 		if strings.Contains(r.Candidate.Describe(), "delete predicate FwWhite") && r.Accepted {
 			t.Errorf("Q3: white-list deletion accepted (KS=%.5f)", r.KS)
 		}
+	}
+}
+
+// TestQ3LoopEvidence: two of Q3's candidates send traffic round a
+// forwarding loop. The shared run reports each candidate's hop-limited
+// copies exactly as its own sequential run does, no accepted repair has
+// any, and the shared run charges the loops as laps instead of walking
+// them to the hop limit.
+func TestQ3LoopEvidence(t *testing.T) {
+	s := Q3(Scale{Switches: 19, Flows: 600})
+	ctx := context.Background()
+	sess, _, err := s.Diagnose(metarepair.WithPipelineMode(metarepair.PipelineBarrier))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var mu sync.Mutex
+	var nets []*sdn.Network
+	bt := s.Backtest()
+	bt.BuildNet = func() *sdn.Network {
+		n := s.BuildNet()
+		mu.Lock()
+		nets = append(nets, n)
+		mu.Unlock()
+		return n
+	}
+	shared, err := sess.Repair(ctx, s.Symptom(), bt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq, err := sess.Repair(ctx, s.Symptom(), s.Backtest(), metarepair.WithStrategy(metarepair.StrategySequential))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shared.Results) != len(seq.Results) {
+		t.Fatalf("%d shared verdicts, %d sequential", len(shared.Results), len(seq.Results))
+	}
+	looping := 0
+	for i, r := range shared.Results {
+		q := seq.Results[i]
+		if r.Candidate.Signature() != q.Candidate.Signature() || r.Accepted != q.Accepted || r.HopLimited != q.HopLimited {
+			t.Errorf("candidate %d: shared %s accepted=%v hop-limited=%d, sequential %s accepted=%v hop-limited=%d", i,
+				r.Candidate.Describe(), r.Accepted, r.HopLimited, q.Candidate.Describe(), q.Accepted, q.HopLimited)
+		}
+		if r.HopLimited > 0 {
+			looping++
+			t.Logf("%d hop-limited copies: %s", r.HopLimited, r)
+			if r.Accepted {
+				t.Errorf("accepted repair loops traffic: %s", r)
+			}
+		}
+	}
+	var walks, laps, hops int64
+	for _, n := range nets {
+		walks, laps, hops = walks+n.Walks, laps+n.Laps, hops+n.Hops
+	}
+	t.Logf("shared run: %d walks, %d laps closed, %d hops", walks, laps, hops)
+	if looping == 0 || laps == 0 {
+		t.Fatalf("%d looping candidates and %d laps; Q3's loops are gone, the test shows nothing", looping, laps)
 	}
 }
 

@@ -207,7 +207,7 @@ func TestConcurrentForksAreIsolated(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if d, _, _ := recordDiverges(7, scripted.Fork()); d != "" {
+			if d, _ := recordDiverges(7, scripted.Fork()); d != "" {
 				t.Errorf("concurrent scripted fork: %s", d)
 			}
 			n := replay()

@@ -312,10 +312,17 @@ type Network struct {
 	// (injections at a known host minus Walks) were applied from the
 	// previous traversal's record.
 	Walks int64
+	// Laps counts the packet copies whose forwarding loop was charged in
+	// closed form instead of walked to the hop limit (see forward).
+	Laps int64
 	// PacketInsByTag counts controller PacketIns per backtesting tag,
 	// the controller-load metric used to reject repairs that degenerate
 	// into per-packet forwarding (§4.3 operator metrics).
 	PacketInsByTag [64]int64
+	// HopLimitedByTag counts, per backtesting tag, the packet copies
+	// dropped at the hop limit — the evidence that a candidate's tables
+	// send traffic round a forwarding loop.
+	HopLimitedByTag [64]int64
 }
 
 // NewNetwork creates an empty network.
@@ -495,7 +502,7 @@ func (n *Network) Inject(hostID string, pkt Packet) {
 	r.src, r.deliveries = nil, r.deliveries[:0]
 	epoch, delivered, dropped, hops := n.epoch, n.Delivered, n.Dropped, n.Hops
 	n.recording = true
-	n.forward(h.sw, int64(h.inPort), pkt, 0)
+	n.forward(h.sw, int64(h.inPort), pkt, 0, lap{})
 	if n.recording {
 		n.recording = false
 		*r = traversal{src: h, pkt: pkt, epoch: epoch, maxHops: n.MaxHops, deliveries: r.deliveries,
@@ -507,19 +514,57 @@ func (n *Network) Inject(hostID string, pkt Packet) {
 // primitive available to controllers).
 func (n *Network) SendFromSwitch(sw *Switch, port int, pkt Packet) {
 	n.mutate("SendFromSwitch", sealAll)
-	n.emit(sw, port, pkt, 0)
+	n.emit(sw, port, pkt, 0, lap{})
 }
 
-// forward runs the match-and-forward loop at one switch.
-func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
-	if hops > n.MaxHops {
+// lap is the anchor of a walk's current run of pure hops: hops at which
+// matching meets no miss and yields one action group, so that the whole
+// packet, unchanged, moves on to one port. Such a hop runs no controller
+// and moves no epoch, so when a run reaches the switch and in-port of one
+// of its own earlier hops again, the packet is on a loop it will circle
+// until the hop limit. The anchor is one earlier hop of the run (sw, in),
+// compared against the next power hops (since counts them) and then
+// replaced by the latest hop with power doubled — Brent's cycle detection,
+// which finds any loop within a few laps of entering it, costs two
+// compares per hop and lives on the stack. The zero value starts a run.
+type lap struct {
+	sw           *Switch
+	in           int64
+	power, since int
+}
+
+// forward runs the match-and-forward loop at one switch; a is the anchor
+// of the run of pure hops that led here (see lap).
+//
+// A packet back at its run's anchor is charged in closed form: the hops
+// left to the limit, the hop-limit drop, and no record — exactly what
+// walking the loop would have counted.
+func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int, a lap) {
+	if hops > n.MaxHops || a.sw == sw && a.in == inPort {
+		if hops <= n.MaxHops {
+			n.Hops += int64(n.MaxHops - hops + 1)
+			n.Laps++
+		}
 		n.Dropped++
+		for t := pkt.Tags; t != 0; t &= t - 1 {
+			n.HopLimitedByTag[bits.TrailingZeros64(t)]++
+		}
 		n.recording = false
 		return
 	}
 	n.Hops++
 	var actsBuf [4]actionGroup
 	acts, miss := sw.matchActions(inPort, pkt, actsBuf[:0])
+	// A miss or a split starts a new run; a lone drop, or a lone output to
+	// a host or an unwired port, ends the walk along with the run.
+	if miss != 0 || len(acts) != 1 {
+		a = lap{}
+	} else {
+		if a.since == a.power {
+			a = lap{sw: sw, in: inPort, power: max(1, 2*a.power)}
+		}
+		a.since++
+	}
 	if miss != 0 {
 		n.Missed++
 		n.recording = false
@@ -530,13 +575,11 @@ func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 			}
 			mp := pkt
 			mp.Tags = miss
+			// The missed copy goes on only if the controller sends it on
+			// itself (SendFromSwitch: a PacketOut, a new walk from hop 0);
+			// otherwise it dies here (Q4). It is not re-matched against
+			// whatever the controller installed.
 			n.Ctrl.PacketIn(n, sw, inPort, mp)
-			// Retry the missed tags once against the (possibly) updated
-			// table; OpenFlow switches would re-match the buffered packet
-			// only if the controller sends a PacketOut, so the retry here
-			// happens only for tags that now have entries installed via
-			// an explicit PacketOut — the controller calls SendFromSwitch
-			// itself. Without a PacketOut, the packet copy dies (Q4).
 		}
 	}
 	// Deterministic per-action processing order: (kind, port) ascending.
@@ -544,8 +587,8 @@ func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 	// closure would force it to the heap on every hop).
 	for i := 1; i < len(acts); i++ {
 		for j := i; j > 0; j-- {
-			a, b := acts[j].act, acts[j-1].act
-			if a.Kind < b.Kind || (a.Kind == b.Kind && a.Port < b.Port) {
+			x, y := acts[j].act, acts[j-1].act
+			if x.Kind < y.Kind || (x.Kind == y.Kind && x.Port < y.Port) {
 				acts[j], acts[j-1] = acts[j-1], acts[j]
 				continue
 			}
@@ -559,7 +602,7 @@ func (n *Network) forward(sw *Switch, inPort int64, pkt Packet, hops int) {
 		case ActionDrop:
 			n.Dropped++
 		case ActionOutput:
-			n.emit(sw, g.act.Port, fp, hops+1)
+			n.emit(sw, g.act.Port, fp, hops+1, a)
 		}
 	}
 }
@@ -617,8 +660,9 @@ func (n *Network) attach(h *Host) bool {
 	return true
 }
 
-// emit sends a packet out of a switch port to whatever is wired there.
-func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
+// emit sends a packet out of a switch port to whatever is wired there; a
+// switch takes it on in the run a anchors.
+func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int, a lap) {
 	if !n.linked {
 		n.resolveLinks()
 	}
@@ -637,7 +681,7 @@ func (n *Network) emit(sw *Switch, port int, pkt Packet, hops int) {
 			n.last.deliveries = append(n.last.deliveries, delivery{l.host, pkt.Tags, pp, ps})
 		}
 	case l.sw != nil:
-		n.forward(l.sw, l.inPort, pkt, hops)
+		n.forward(l.sw, l.inPort, pkt, hops, a)
 	default:
 		n.Dropped++
 	}
@@ -669,8 +713,8 @@ func (n *Network) growCounters(tags uint64) {
 // ResetCounters zeroes delivery statistics (flow tables are kept).
 func (n *Network) ResetCounters() {
 	n.epoch++ // the recorded counter rows are dropped below
-	n.Delivered, n.Dropped, n.Missed, n.PacketIns, n.Hops, n.Walks = 0, 0, 0, 0, 0, 0
-	n.PacketInsByTag = [64]int64{}
+	n.Delivered, n.Dropped, n.Missed, n.PacketIns, n.Hops, n.Walks, n.Laps = 0, 0, 0, 0, 0, 0, 0
+	n.PacketInsByTag, n.HopLimitedByTag = [64]int64{}, [64]int64{}
 	for _, h := range n.Hosts {
 		clear(h.received)
 		h.byPort, h.bySrc = nil, nil

@@ -80,6 +80,14 @@ const (
 	// first accepted repair cancels the search and the unstarted batches,
 	// and the Report covers the verdicts computed up to that point
 	// (Report.EarlyStopped).
+	//
+	// "First" is first to finish, not first in cost order: when accepted
+	// candidates sit in different batches and the batches run concurrently,
+	// whichever batch finishes first wins, so two runs of the same job can
+	// return different repairs. Q1 at batch size 8 is the known case: its
+	// two accepted repairs are candidates 0 and 11 of 13, and about 1 job
+	// in 50 returns the manual insertion instead of the intuitive fix.
+	// Use PipelineStreaming or PipelineBarrier for a deterministic report.
 	PipelineFirstAccepted
 )
 
@@ -273,9 +281,11 @@ func WithEvalMode(m EvalMode) Option { return func(o *options) { o.eval = m } }
 // (default PipelineStreaming: the live search). PipelineBarrier explores
 // everything first and feeds the materialized list; PipelineFirstAccepted
 // stops the whole pipeline at the first accepted repair, whichever the
-// producer. The live producer needs a finite WithMaxCandidates cap (it
-// sizes the suggestion buffer); with the cap disabled, runs materialize
-// their candidates regardless.
+// producer — the first accepted repair to finish, which is racy when
+// accepted candidates land in different batches (see
+// PipelineFirstAccepted). The live producer needs a finite
+// WithMaxCandidates cap (it sizes the suggestion buffer); with the cap
+// disabled, runs materialize their candidates regardless.
 func WithPipelineMode(m PipelineMode) Option { return func(o *options) { o.pipeline = m } }
 
 // WithExploreWorkers sizes the concurrent forest search's worker pool for

@@ -142,7 +142,7 @@ func TestExploreWorkersOptionEquivalence(t *testing.T) {
 func sameVerdict(a, b backtest.Result) bool {
 	return a.Candidate.Signature() == b.Candidate.Signature() &&
 		a.Accepted == b.Accepted && a.Effective == b.Effective &&
-		a.KS == b.KS && a.P == b.P && a.PacketInFactor == b.PacketInFactor
+		a.KS == b.KS && a.P == b.P && a.PacketInFactor == b.PacketInFactor && a.HopLimited == b.HopLimited
 }
 
 // TestOneCompositionAllProducers: Evaluate(slice), Stream under

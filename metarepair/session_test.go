@@ -293,8 +293,8 @@ func TestBatchingEquivalence(t *testing.T) {
 			t.Errorf("candidate %d (%s): batched accepted=%v effective=%v, shared run accepted=%v effective=%v",
 				i, res.Candidate.Describe(), res.Accepted, res.Effective, ref.Accepted, ref.Effective)
 		}
-		if res.KS != ref.KS {
-			t.Errorf("candidate %d: batched KS %v != shared %v", i, res.KS, ref.KS)
+		if res.KS != ref.KS || res.HopLimited != ref.HopLimited {
+			t.Errorf("candidate %d: batched KS %v, %d hop-limited; shared %v, %d", i, res.KS, res.HopLimited, ref.KS, ref.HopLimited)
 		}
 	}
 }

@@ -86,7 +86,7 @@ func TestStoreBackedEvaluateMatchesSlice(t *testing.T) {
 	}
 	for i := range sliceRep.Results {
 		a, b := sliceRep.Results[i], storeRep.Results[i]
-		if a.Accepted != b.Accepted || a.Effective != b.Effective || a.KS != b.KS {
+		if a.Accepted != b.Accepted || a.Effective != b.Effective || a.KS != b.KS || a.HopLimited != b.HopLimited {
 			t.Fatalf("verdict %d diverged: slice %+v vs store %+v", i, a, b)
 		}
 	}

@@ -119,9 +119,9 @@ func TestStreamingPipelineMatchesBarrier(t *testing.T) {
 		if bs.Candidate.Signature() != ss.Candidate.Signature() {
 			t.Fatalf("candidate %d differs: %s vs %s", i, bs.Candidate.Describe(), ss.Candidate.Describe())
 		}
-		if bs.Accepted != ss.Accepted || bs.Effective != ss.Effective || bs.KS != ss.KS {
-			t.Fatalf("candidate %d verdict differs: accepted %v/%v effective %v/%v KS %v/%v",
-				i, bs.Accepted, ss.Accepted, bs.Effective, ss.Effective, bs.KS, ss.KS)
+		if bs.Accepted != ss.Accepted || bs.Effective != ss.Effective || bs.KS != ss.KS || bs.HopLimited != ss.HopLimited {
+			t.Fatalf("candidate %d verdict differs: accepted %v/%v effective %v/%v KS %v/%v hop-limited %d/%d",
+				i, bs.Accepted, ss.Accepted, bs.Effective, ss.Effective, bs.KS, ss.KS, bs.HopLimited, ss.HopLimited)
 		}
 	}
 	if stream.Steps != barrier.Steps {

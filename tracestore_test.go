@@ -92,7 +92,7 @@ func TestCaptureListReplayScenario(t *testing.T) {
 	}
 	for i := range sliceRep.Results {
 		a, b := sliceRep.Results[i], storeRep.Results[i]
-		if a.Accepted != b.Accepted || a.Effective != b.Effective || a.KS != b.KS || a.P != b.P {
+		if a.Accepted != b.Accepted || a.Effective != b.Effective || a.KS != b.KS || a.P != b.P || a.HopLimited != b.HopLimited {
 			t.Fatalf("verdict %d diverged:\n slice %+v\n store %+v", i, a, b)
 		}
 	}
