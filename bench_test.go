@@ -108,37 +108,28 @@ func BenchmarkFigure9a_TurnaroundTime(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure9b_Backtesting regenerates Figure 9b: sequential vs
-// multi-query backtesting of Q1's first k candidates, via the session
-// strategy options.
+// BenchmarkFigure9b_Backtesting regenerates Figure 9b: Q1's first k
+// candidates backtested one simulation per candidate (Job.RunSequential)
+// and in one multi-query shared run (Job.RunShared).
 func BenchmarkFigure9b_Backtesting(b *testing.B) {
 	ctx := context.Background()
 	sess, cands, bt, err := experiments.QuickCandidates(ctx, benchScale())
 	if err != nil {
 		b.Fatal(err)
 	}
-	k := len(cands)
-	if k > 9 {
-		k = 9
-	}
-	evaluate := func(b *testing.B, strat metarepair.Strategy) {
-		run, err := sess.Evaluate(ctx, cands[:k], bt,
-			metarepair.WithStrategy(strat), metarepair.WithParallelism(1))
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := run.Wait(); err != nil {
-			b.Fatal(err)
-		}
-	}
+	job := experiments.BacktestJob(sess.Program(), bt, cands[:min(len(cands), 9)])
 	b.Run("Sequential", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evaluate(b, metarepair.StrategySequential)
+			if _, err := job.RunSequential(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("MultiQuery", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			evaluate(b, metarepair.StrategyParallel)
+			if _, _, err := job.RunShared(ctx); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 
@@ -218,9 +209,9 @@ func BenchmarkBatchedBacktest(b *testing.B) {
 // pipeline on Q1 under a widened search budget (64 candidates, cutoff
 // 4.6) that puts constraint solving at the top of the profile — the
 // paper's Figure 9a regime, and where PR 4's join work left this
-// codebase. Three comparisons, all against the Barrier baseline
-// (sequential forest search, then batched backtesting — the pre-streaming
-// architecture):
+// codebase. Three comparisons, all against the Barrier baseline (the
+// search drained into a list, then batched backtesting — the
+// pre-streaming shape):
 //
 //   - StreamN: the full report through the streaming pipeline with N
 //     explore workers. Candidates and verdicts are identical (see

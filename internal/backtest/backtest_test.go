@@ -116,7 +116,7 @@ func TestSequentialBacktestQ1(t *testing.T) {
 	ex.Cutoff = 3.2 // admits single edits, double constants, and deletions
 	ex.MaxCandidates = 20
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	job.Candidates = ex.Explore(metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
+	job.Candidates = explore(t, ex, metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
 	if len(job.Candidates) < 4 {
 		t.Fatalf("too few candidates: %d", len(job.Candidates))
 	}
@@ -160,7 +160,7 @@ func TestSharedMatchesSequential(t *testing.T) {
 	ex.Cutoff = 3.2
 	ex.MaxCandidates = 12
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	job.Candidates = ex.Explore(metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
+	job.Candidates = explore(t, ex, metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
 	seq := runSequential(t, job)
 	shr, err := runShared(job)
 	if err != nil {
@@ -293,6 +293,20 @@ func runSequential(t *testing.T, job *Job) []Result {
 	out, err := job.RunSequential(context.Background())
 	if err != nil {
 		t.Fatalf("sequential run: %v", err)
+	}
+	return out
+}
+
+// explore drains the explorer's candidate stream for goal.
+func explore(t *testing.T, ex *metaprov.Explorer, goal metaprov.Goal) []metaprov.Candidate {
+	t.Helper()
+	stream, errc := ex.ExploreStream(context.Background(), goal)
+	var out []metaprov.Candidate
+	for c := range stream {
+		out = append(out, c)
+	}
+	if err := <-errc; err != nil {
+		t.Fatalf("explore: %v", err)
 	}
 	return out
 }

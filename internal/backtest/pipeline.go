@@ -3,7 +3,6 @@ package backtest
 import (
 	"context"
 	"fmt"
-	"math"
 	"runtime"
 	"sync"
 	"time"
@@ -45,10 +44,6 @@ type Pipeline struct {
 	// order (calls are serialized) — callers stream incremental verdicts
 	// from it.
 	OnBatch func(Batch)
-
-	// sequential is set by RunSequential: the batch runner is the
-	// reference oracle and the whole stream is one batch.
-	sequential bool
 }
 
 // Batch is one finished batch of a Pipeline run: a ≤63-candidate slice of
@@ -66,7 +61,6 @@ type Batch struct {
 	Ended time.Time
 	// Stats snapshots the batch's shared-run engine counters, including
 	// the delta-evaluation families; per-job reports accumulate them.
-	// Sequential batches leave it zero.
 	Stats ndlog.EngineStats
 }
 
@@ -99,26 +93,6 @@ func (pr *PipelineResult) EvaluatedCount() int {
 	return n
 }
 
-// runBatch evaluates one batch with the pipeline's batch runner.
-func (p *Pipeline) runBatch(ctx context.Context, cands []metaprov.Candidate) ([]Result, ndlog.EngineStats, error) {
-	sub := *p.Job
-	sub.Candidates = cands
-	if p.sequential {
-		out, err := sub.RunSequential(ctx)
-		return out, ndlog.EngineStats{}, err
-	}
-	return sub.RunShared(ctx)
-}
-
-// RunSequential is Run with the batch runner swapped for the reference
-// oracle: the whole stream becomes one batch (BatchSize is ignored)
-// evaluated by Job.RunSequential, one simulation per candidate.
-func (p *Pipeline) RunSequential(ctx context.Context, cands <-chan metaprov.Candidate) (*PipelineResult, error) {
-	seq := *p
-	seq.sequential = true
-	return seq.Run(ctx, cands)
-}
-
 // Run consumes the candidate stream until it closes (or the run stops
 // early), backtesting batches as they fill. It returns the arrival-order
 // verdicts; ctx cancellation stops unstarted batches and surfaces
@@ -127,9 +101,6 @@ func (p *Pipeline) Run(ctx context.Context, cands <-chan metaprov.Candidate) (*P
 	batchSize := p.BatchSize
 	if batchSize <= 0 || batchSize > MaxSharedCandidates {
 		batchSize = MaxSharedCandidates
-	}
-	if p.sequential {
-		batchSize = math.MaxInt
 	}
 	parallelism := p.Parallelism
 	if parallelism <= 0 {
@@ -174,7 +145,9 @@ func (p *Pipeline) Run(ctx context.Context, cands <-chan metaprov.Candidate) (*P
 				// The run's replay watches runCtx, so a FirstAccepted stop
 				// (or a failure elsewhere) aborts in-flight batches mid-replay
 				// instead of letting them finish silently.
-				out, st, err := p.runBatch(runCtx, sp.cands)
+				sub := *p.Job
+				sub.Candidates = sp.cands
+				out, st, err := sub.RunShared(runCtx)
 				ended := time.Now()
 				mu.Lock()
 				if err != nil {

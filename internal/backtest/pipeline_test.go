@@ -23,7 +23,7 @@ func pipelineJob(t *testing.T, max int) (*Job, []metaprov.Candidate) {
 	ex.Cutoff = 3.2
 	ex.MaxCandidates = max
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	cands := ex.Explore(metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
+	cands := explore(t, ex, metaprov.PinnedGoal("FlowTable", &v3, nil, nil, nil, &v80, &v2))
 	if len(cands) < 4 {
 		t.Fatalf("too few candidates: %d", len(cands))
 	}
@@ -161,35 +161,6 @@ func TestPipelineDefaultParallelism(t *testing.T) {
 				t.Fatalf("batches %d [%v, %v] and %d [%v, %v] were in flight together under GOMAXPROCS(1)",
 					a.Index, a.Began, a.Ended, b.Index, b.Began, b.Ended)
 			}
-		}
-	}
-}
-
-// TestPipelineSequentialRunner: RunSequential swaps the batch runner for the
-// reference oracle — the whole stream is one batch of per-candidate
-// simulations, whatever BatchSize says, with no shared-run counters.
-func TestPipelineSequentialRunner(t *testing.T) {
-	job, cands := pipelineJob(t, 6)
-	seqJob := *job
-	seqJob.Candidates = cands
-	want := runSequential(t, &seqJob)
-
-	var batches []Batch
-	p := &Pipeline{Job: job, BatchSize: 2, Parallelism: 2,
-		OnBatch: func(b Batch) { batches = append(batches, b) }}
-	res, err := p.RunSequential(context.Background(), feed(cands))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Batches != 1 || len(batches) != 1 || batches[0].Start != 0 || len(batches[0].Results) != len(cands) {
-		t.Fatalf("sequential run was not one batch over the stream: %d batches, %+v", res.Batches, batches)
-	}
-	if batches[0].Stats != (ndlog.EngineStats{}) {
-		t.Fatalf("sequential batch carries shared-run counters: %+v", batches[0].Stats)
-	}
-	for i := range want {
-		if got := res.Results[i]; got.Accepted != want[i].Accepted || got.Effective != want[i].Effective || got.KS != want[i].KS || got.HopLimited != want[i].HopLimited {
-			t.Errorf("candidate %d: pipeline %+v, RunSequential %+v", i, got, want[i])
 		}
 	}
 }

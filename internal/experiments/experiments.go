@@ -16,6 +16,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/backtest"
 	"repro/internal/bench"
 	"repro/internal/meta"
 	"repro/internal/metaprov"
@@ -193,8 +194,9 @@ type Figure9bRow struct {
 }
 
 // Figure9b measures backtesting time for growing candidate prefixes of
-// the Q1 candidate list, comparing the per-candidate strategy against the
-// §4.4 multi-query shared run via the session's strategy option.
+// the Q1 candidate list: Job.RunSequential, one simulation per candidate
+// (the paper's baseline), against Job.RunShared, the §4.4 multi-query
+// run, on the same candidates.
 func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow, error) {
 	s := scenarios.Q1(sc)
 	sess, _, err := s.Diagnose()
@@ -209,31 +211,28 @@ func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow,
 	if maxK > len(cands) {
 		maxK = len(cands)
 	}
-	timeStrategy := func(k int, strat metarepair.Strategy) (time.Duration, error) {
-		start := time.Now()
-		run, err := sess.Evaluate(ctx, cands[:k], s.Backtest(),
-			metarepair.WithStrategy(strat), metarepair.WithParallelism(1))
-		if err != nil {
-			return 0, err
-		}
-		if _, err := run.Wait(); err != nil {
-			return 0, err
-		}
-		return time.Since(start), nil
-	}
 	var rows []Figure9bRow
 	for k := 1; k <= maxK; k++ {
-		seq, err := timeStrategy(k, metarepair.StrategySequential)
-		if err != nil {
+		job := BacktestJob(s.Prog, s.Backtest(), cands[:k])
+		start := time.Now()
+		if _, err := job.RunSequential(ctx); err != nil {
 			return nil, err
 		}
-		shr, err := timeStrategy(k, metarepair.StrategyParallel)
-		if err != nil {
+		seq := time.Since(start)
+		start = time.Now()
+		if _, _, err := job.RunShared(ctx); err != nil {
 			return nil, err
 		}
-		rows = append(rows, Figure9bRow{K: k, Sequential: seq, Shared: shr})
+		rows = append(rows, Figure9bRow{K: k, Sequential: seq, Shared: time.Since(start)})
 	}
 	return rows, nil
+}
+
+// BacktestJob is the job a session with default options backtests cands
+// with: the §4.4 shared run under delta evaluation, coalescing on.
+func BacktestJob(prog *ndlog.Program, bt metarepair.Backtest, cands []metaprov.Candidate) *backtest.Job {
+	return &backtest.Job{Prog: prog, Candidates: cands, BuildNet: bt.BuildNet, State: bt.State,
+		Workload: bt.Workload, Source: bt.Source, Effective: bt.Effective, Eval: ndlog.EvalDelta}
 }
 
 // FormatFigure9b renders the Figure 9b series.
@@ -474,9 +473,10 @@ func AblationCostOrder(ctx context.Context, sc scenarios.Scale) (orderedSteps, f
 }
 
 // AblationPipeline compares the two explore→backtest compositions on Q1:
-// the barrier pipeline (sequential forest search, then batched
-// backtesting) against the streaming pipeline (concurrent frontier at the
-// given worker count feeding batches that launch mid-search). Both produce
+// the barrier pipeline (the forest search at the default worker count,
+// drained before batched backtesting starts) against the streaming
+// pipeline (the search at the given worker count feeding batches that
+// launch mid-search). Both produce
 // identical candidates and verdicts; the streaming run also reports how
 // long the two phases overlapped.
 func AblationPipeline(ctx context.Context, sc scenarios.Scale, workers int) (barrier, streaming, overlap time.Duration, err error) {

@@ -53,7 +53,7 @@ func TestPruneDecisionsMatchReference(t *testing.T) {
 		t.Run(s.Name, func(t *testing.T) {
 			rec := history(t, s)
 			plain := explorer(s, rec)
-			want := plain.Explore(s.Goal)
+			want := plain.ExploreSequential(s.Goal)
 
 			audited := explorer(s, rec)
 			pools, pruned := 0, 0
@@ -66,7 +66,7 @@ func TestPruneDecisionsMatchReference(t *testing.T) {
 					t.Errorf("incremental verdict %v, reference %v on\n%s", sat, ref, p)
 				}
 			})
-			got := audited.Explore(s.Goal)
+			got := audited.ExploreSequential(s.Goal)
 
 			if pools == 0 || pruned == 0 {
 				t.Fatalf("audit saw %d pools, %d pruned: the search is not exercising the check", pools, pruned)

@@ -12,7 +12,7 @@ import (
 )
 
 // Candidate is one extracted repair: a list of meta-tuple changes with a
-// plausibility cost. Candidates from Explore arrive in cost order.
+// plausibility cost. Candidates from ExploreStream arrive in cost order.
 type Candidate struct {
 	Changes []meta.Change
 	Cost    float64

@@ -1,7 +1,6 @@
 package metaprov
 
 import (
-	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -68,8 +67,7 @@ type Explorer struct {
 	// tuples otherwise yield long runs of same-shape repairs, cf. the
 	// Sip<16 / Sip<99 / Sip<2009 variants in Table 6(a).
 	MaxPerStructure int
-	// Workers sizes the ExploreStream worker pool (0 = GOMAXPROCS). The
-	// sequential Explore path ignores it.
+	// Workers sizes the ExploreStream worker pool (0 = GOMAXPROCS).
 	Workers int
 
 	// steps counts vertex expansions and solveNanos accumulates wall time
@@ -106,8 +104,8 @@ type Stats struct {
 	// Extracted counts the complete trees committed with a valid repair;
 	// DuplicateSignatures of them repeated an earlier candidate's changes
 	// and CappedStructures exceeded MaxPerStructure. The rest were emitted.
-	// Like Steps, all three are exact and equal under Explore and
-	// ExploreStream.
+	// Like Steps, all three are exact: any worker count commits the
+	// counts of the sequential heap search.
 	Extracted, DuplicateSignatures, CappedStructures int
 }
 
@@ -137,45 +135,6 @@ func NewExplorer(m *meta.Model, h History) *Explorer {
 		MaxHistTuples:   16,
 		MaxPerStructure: 3,
 	}
-}
-
-// Explore runs the forest search for a missing-tuple goal and returns
-// repair candidates in cost order (§3.5: candidates are emitted only when
-// no cheaper partial tree remains).
-func (ex *Explorer) Explore(goal Goal) []Candidate {
-	out, _ := ex.ExploreContext(context.Background(), goal)
-	return out
-}
-
-// ExploreContext is Explore with cooperative cancellation: the search
-// checks ctx between vertex expansions and returns the candidates found so
-// far together with ctx.Err() when the context is done.
-func (ex *Explorer) ExploreContext(ctx context.Context, goal Goal) ([]Candidate, error) {
-	em := ex.newEmitter()
-	h := newTreeHeap()
-	h.push(em.stamp(ex.rootTree(goal)))
-	var out []Candidate
-
-	for h.Len() > 0 && em.searching(len(out)) {
-		if err := ctx.Err(); err != nil {
-			return out, err
-		}
-		cur := h.pop()
-		if cur.Cost > ex.Cutoff {
-			break // heap is cost-ordered: everything else is too expensive
-		}
-		if cur.Complete() {
-			if c, ok := ex.extract(cur); ok && em.admit(c) {
-				out = append(out, c)
-			}
-			continue
-		}
-		ex.steps.Add(1)
-		for _, next := range ex.expandStep(cur) {
-			h.push(em.stamp(next))
-		}
-	}
-	return out, nil
 }
 
 // rootTree wraps a goal into the search's root tree.
@@ -239,8 +198,8 @@ func (ex *Explorer) verdict(n *Tree, start time.Time) bool {
 // emitter holds the order-sensitive part of the search state: frontier
 // admission numbering, candidate dedup, the per-structure cap, and the
 // step/candidate bounds. Exactly one goroutine drives an emitter — the
-// sequential loop, or the stream's commit loop — so candidate order is a
-// pure function of the frontier's total order.
+// stream's commit loop — so candidate order is a pure function of the
+// frontier's total order.
 type emitter struct {
 	ex        *Explorer
 	seen      map[string]bool

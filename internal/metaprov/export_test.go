@@ -9,6 +9,9 @@ import "repro/internal/solver"
 // that verdict.
 func (ex *Explorer) Audit(fn func(p *solver.Pool, sat bool)) { ex.audit = fn }
 
+// ExploreSequential runs the sequential reference search.
+func (ex *Explorer) ExploreSequential(g Goal) []Candidate { return ex.exploreSequential(g) }
+
 // RootTree wraps a goal into the search's root tree.
 func (ex *Explorer) RootTree(g Goal) *Tree { return ex.rootTree(g) }
 

@@ -257,6 +257,5 @@ func (h treeHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *treeHeap) Push(x any)   { *h = append(*h, x.(*Tree)) }
 func (h *treeHeap) Pop() any     { old := *h; n := len(old); t := old[n-1]; *h = old[:n-1]; return t }
 func (h treeHeap) Peek() *Tree   { return h[0] }
-func newTreeHeap() *treeHeap     { h := &treeHeap{}; heap.Init(h); return h }
 func (h *treeHeap) push(t *Tree) { heap.Push(h, t) }
 func (h *treeHeap) pop() *Tree   { return heap.Pop(h).(*Tree) }

@@ -22,14 +22,14 @@ func exploreFig2(t *testing.T, tune func(*Explorer)) ([]Candidate, *Explorer) {
 		tune(ex)
 	}
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	return ex.Explore(PinnedGoal("FlowTable", &v3, &v80, &v2)), ex
+	return collectStream(t, ex, PinnedGoal("FlowTable", &v3, &v80, &v2)), ex
 }
 
 func TestEveryCandidateApplies(t *testing.T) {
 	prog, rec := runFig2(t)
 	ex := NewExplorer(meta.NewModel(prog), rec)
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	for _, c := range ex.Explore(PinnedGoal("FlowTable", &v3, &v80, &v2)) {
+	for _, c := range collectStream(t, ex, PinnedGoal("FlowTable", &v3, &v80, &v2)) {
 		patch, err := c.Apply(prog)
 		if err != nil {
 			t.Errorf("candidate %q does not apply: %v", c.Describe(), err)

@@ -42,7 +42,7 @@ func TestExploreMissingFlowEntry(t *testing.T) {
 	// traffic at switch 3 to port 2?
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
 	goal := PinnedGoal("FlowTable", &v3, &v80, &v2)
-	cands := ex.Explore(goal)
+	cands := collectStream(t, ex, goal)
 	if len(cands) == 0 {
 		t.Fatal("no candidates generated")
 	}
@@ -80,7 +80,7 @@ func TestExploreCandidatesActuallyWork(t *testing.T) {
 	prog, rec := runFig2(t)
 	ex := NewExplorer(meta.NewModel(prog), rec)
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	cands := ex.Explore(PinnedGoal("FlowTable", &v3, &v80, &v2))
+	cands := collectStream(t, ex, PinnedGoal("FlowTable", &v3, &v80, &v2))
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
@@ -118,7 +118,7 @@ func TestExploreTreeStructure(t *testing.T) {
 	prog, rec := runFig2(t)
 	ex := NewExplorer(meta.NewModel(prog), rec)
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	cands := ex.Explore(PinnedGoal("FlowTable", &v3, &v80, &v2))
+	cands := collectStream(t, ex, PinnedGoal("FlowTable", &v3, &v80, &v2))
 	for _, c := range cands {
 		if c.Tree == nil {
 			t.Fatal("candidate missing its meta-provenance tree")
@@ -193,7 +193,7 @@ func TestExploreRespectsCutoff(t *testing.T) {
 	ex := NewExplorer(meta.NewModel(prog), rec)
 	ex.Cutoff = 0.5 // below any single change cost
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
-	cands := ex.Explore(PinnedGoal("FlowTable", &v3, &v80, &v2))
+	cands := collectStream(t, ex, PinnedGoal("FlowTable", &v3, &v80, &v2))
 	if len(cands) != 0 {
 		t.Fatalf("cutoff ignored: %d candidates", len(cands))
 	}
@@ -202,7 +202,7 @@ func TestExploreRespectsCutoff(t *testing.T) {
 func TestExploreUnknownTable(t *testing.T) {
 	prog, rec := runFig2(t)
 	ex := NewExplorer(meta.NewModel(prog), rec)
-	cands := ex.Explore(PinnedGoal("NoSuchTable"))
+	cands := collectStream(t, ex, PinnedGoal("NoSuchTable"))
 	// Only the manual-insert candidate can exist for an unknown table.
 	for _, c := range cands {
 		if !strings.Contains(c.Describe(), "manually insert") {

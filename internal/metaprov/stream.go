@@ -7,7 +7,9 @@ import (
 )
 
 // ExploreStream runs the forest search concurrently and streams repair
-// candidates in exactly the order sequential Explore returns them.
+// candidates in cost order: exactly the order in which a sequential loop
+// popping the same frontier from one heap would emit them (the reference
+// this package's tests hold it to).
 //
 // The search is split into two roles:
 //
@@ -30,8 +32,8 @@ import (
 // Work the sequential search would never have reached (beyond a bound or
 // after the cutoff) may be expanded speculatively, but it is never
 // committed, so the candidate stream is candidate-for-candidate identical
-// to Explore. Speculation is bounded by a small window above the frontier
-// head.
+// to the sequential search's. Speculation is bounded by a small window
+// above the frontier head.
 //
 // The candidate channel is unbuffered and closes when the search ends; the
 // error channel then yields ctx's error, if any, and closes. Cancel ctx to

@@ -55,14 +55,14 @@ func exactCounts(ex *Explorer) Stats {
 
 // TestExploreStreamMatchesSequential is the core equivalence property on
 // the Figure 2 scenario: for any worker count, ExploreStream yields the
-// exact candidate sequence of sequential Explore.
+// exact candidate sequence of the sequential reference search.
 func TestExploreStreamMatchesSequential(t *testing.T) {
 	prog, rec := runFig2(t)
 	v3, v80, v2 := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2)
 	goal := PinnedGoal("FlowTable", &v3, &v80, &v2)
 
 	seqEx := NewExplorer(meta.NewModel(prog), rec)
-	seq := seqEx.Explore(goal)
+	seq := seqEx.exploreSequential(goal)
 	if len(seq) == 0 {
 		t.Fatal("sequential search found no candidates")
 	}
@@ -112,7 +112,7 @@ func TestExploreStreamTwoBodyPredicates(t *testing.T) {
 	goal := PinnedGoal("FlowTable", &v3, nil, &v2)
 
 	seqEx := NewExplorer(meta.NewModel(prog), rec)
-	seq := seqEx.Explore(goal)
+	seq := seqEx.exploreSequential(goal)
 	if len(seq) == 0 {
 		t.Fatal("sequential search found no candidates")
 	}
@@ -136,7 +136,7 @@ func TestExploreStreamRespectsBounds(t *testing.T) {
 
 	seqEx := NewExplorer(meta.NewModel(prog), rec)
 	seqEx.MaxCandidates = 3
-	seq := seqEx.Explore(goal)
+	seq := seqEx.exploreSequential(goal)
 
 	ex := NewExplorer(meta.NewModel(prog), rec)
 	ex.MaxCandidates = 3

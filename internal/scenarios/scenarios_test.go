@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/backtest"
 	"repro/internal/sdn"
 	"repro/internal/topo"
 	"repro/metarepair"
@@ -90,7 +91,8 @@ func TestQ3EndToEnd(t *testing.T) {
 
 // TestQ3LoopEvidence: two of Q3's candidates send traffic round a
 // forwarding loop. The shared run reports each candidate's hop-limited
-// copies exactly as its own sequential run does, no accepted repair has
+// copies exactly as its own sequential run (Job.RunSequential, the
+// reference oracle) does, no accepted repair has
 // any, and the shared run charges the loops as laps instead of walking
 // them to the hop limit.
 func TestQ3LoopEvidence(t *testing.T) {
@@ -114,16 +116,20 @@ func TestQ3LoopEvidence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := sess.Repair(ctx, s.Symptom(), s.Backtest(), metarepair.WithStrategy(metarepair.StrategySequential))
+	seqBt := s.Backtest()
+	job := &backtest.Job{Prog: s.Prog, Candidates: shared.Candidates, BuildNet: seqBt.BuildNet,
+		State: seqBt.State, Source: seqBt.Source, Effective: seqBt.Effective,
+		MaxPacketInFactor: s.MaxPacketInFactor}
+	seq, err := job.RunSequential(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(shared.Results) != len(seq.Results) {
-		t.Fatalf("%d shared verdicts, %d sequential", len(shared.Results), len(seq.Results))
+	if len(shared.Results) != len(seq) {
+		t.Fatalf("%d shared verdicts, %d sequential", len(shared.Results), len(seq))
 	}
 	looping := 0
 	for i, r := range shared.Results {
-		q := seq.Results[i]
+		q := seq[i]
 		if r.Candidate.Signature() != q.Candidate.Signature() || r.Accepted != q.Accepted || r.HopLimited != q.HopLimited {
 			t.Errorf("candidate %d: shared %s accepted=%v hop-limited=%d, sequential %s accepted=%v hop-limited=%d", i,
 				r.Candidate.Describe(), r.Accepted, r.HopLimited, q.Candidate.Describe(), q.Accepted, q.HopLimited)

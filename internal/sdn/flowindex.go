@@ -13,7 +13,7 @@ package sdn
 // a flat table sorted by priority with ties in installation order — and
 // bucket membership is equivalent to Match.Matches (concrete fields equal
 // the packet's, wildcards match anything). The internal/sdn tests hold the
-// index to a linear scan over Table().
+// index to a linear scan over a flat table of the entries they installed.
 //
 // A forked switch (Network.Fork) layers its own index over the frozen
 // template's: base is read-only and shared by every fork, install probes

@@ -111,9 +111,8 @@ func (n *Network) Fork() *Network {
 		s := &sws[i]
 		*s = Switch{
 			ID: t.ID, Num: t.Num, ports: t.ports, portOf: t.portOf,
-			idx:       flowIndex{seq: t.idx.seq, base: &t.idx},
-			baseTable: t.table,
-			net:       f,
+			idx: flowIndex{seq: t.idx.seq, base: &t.idx},
+			net: f,
 		}
 		s.links, links = links[:len(t.links):len(t.links)], links[len(t.links):]
 		for p, l := range t.links {

@@ -3,6 +3,8 @@ package sdn
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 
@@ -27,6 +29,50 @@ func scanActions(table []FlowEntry, inPort int64, p Packet) ([]actionGroup, uint
 		remaining &^= hit
 	}
 	return acts, remaining
+}
+
+// flatTable is the flat flow table the index is held to, built from the
+// entries a switch was given in installation order: an entry an identical
+// earlier one (same match, priority and action) covers the tag set of is
+// dropped, and the rest are sorted by descending priority, ties in
+// installation order.
+func flatTable(installed []FlowEntry) []FlowEntry {
+	var out []FlowEntry
+	for _, e := range installed {
+		covered := slices.ContainsFunc(out, func(t FlowEntry) bool {
+			return t.Priority == e.Priority && t.Action == e.Action &&
+				t.Match.Equal(e.Match) && e.Tags&^t.Tags == 0
+		})
+		if !covered {
+			out = append(out, e)
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
+	return out
+}
+
+// Table enumerates the switch's index layers in lookup order: highest
+// priority first, equal priorities in installation order.
+func (s *Switch) Table() []FlowEntry {
+	var all []idxEntry
+	for fi := &s.idx; fi != nil; fi = fi.base {
+		for _, g := range fi.groups {
+			for _, b := range g.buckets {
+				all = append(all, b...)
+			}
+		}
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].e.Priority != all[j].e.Priority {
+			return all[i].e.Priority > all[j].e.Priority
+		}
+		return all[i].seq < all[j].seq
+	})
+	out := make([]FlowEntry, len(all))
+	for i := range all {
+		out[i] = all[i].e
+	}
+	return out
 }
 
 // randomEntries draws entries over all six match fields from a value
@@ -98,50 +144,55 @@ func checkAgainstScan(t *testing.T, r *rand.Rand, s *Switch, want []FlowEntry, l
 }
 
 // The production matcher (the tuple-space index) must agree with a linear
-// scan over Table() on every packet.
+// scan over the flat table of the installed entries on every packet.
 func TestIndexMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		s := NewSwitch("s", 1)
-		for _, e := range randomEntries(r, 1+r.Intn(40)) {
+		entries := randomEntries(r, 1+r.Intn(40))
+		for _, e := range entries {
 			s.Install(e)
 		}
-		checkAgainstScan(t, r, s, s.Table(), fmt.Sprintf("seed %d", seed))
+		want := flatTable(entries)
+		label := fmt.Sprintf("seed %d", seed)
+		if !sameEntries(s.Table(), want) {
+			t.Fatalf("%s: index table\n%v\nflat table\n%v", label, s.Table(), want)
+		}
+		checkAgainstScan(t, r, s, want, label)
 	}
 }
 
 // A fork whose entries are split between the frozen base and its own
-// overlay at a random cut must be indistinguishable from one switch that
-// took all installs itself: same Table(), same matches, and a re-install a
-// base entry covers is a no-op.
+// overlay at a random cut must be indistinguishable from the flat table of
+// all its installs: same entries, same matches, and a re-install a base
+// entry covers is a no-op.
 func TestForkedIndexMatchesScan(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		entries := randomEntries(r, 2+r.Intn(40))
 		cut := r.Intn(len(entries) + 1)
-		flat := NewSwitch("s", 1)
-		flat.Install(entries...)
+		flat := flatTable(entries)
 
 		tmpl := NewNetwork()
 		base := NewSwitch("s", 1)
 		tmpl.AddSwitch(base)
 		base.Install(entries[:cut]...)
 		tmpl.Freeze()
-		frozen := base.Table()
+		frozen := flatTable(entries[:cut])
 
 		s := tmpl.Fork().Switches["s"]
 		s.Install(entries[cut:]...)
 		label := fmt.Sprintf("seed %d cut %d/%d", seed, cut, len(entries))
-		if !sameEntries(s.Table(), flat.Table()) {
-			t.Fatalf("%s: fork table\n%v\nflat table\n%v", label, s.Table(), flat.Table())
+		if !sameEntries(s.Table(), flat) {
+			t.Fatalf("%s: fork table\n%v\nflat table\n%v", label, s.Table(), flat)
 		}
-		checkAgainstScan(t, r, s, flat.Table(), label)
+		checkAgainstScan(t, r, s, flat, label)
 
 		for _, e := range frozen {
 			e.Tags &= r.Uint64()
 			s.Install(e)
 		}
-		if !sameEntries(s.Table(), flat.Table()) {
+		if !sameEntries(s.Table(), flat) {
 			t.Fatalf("%s: re-installing covered base entries changed the fork's table", label)
 		}
 

@@ -3,7 +3,6 @@ package sdn
 import (
 	"fmt"
 	"math/bits"
-	"slices"
 	"sort"
 )
 
@@ -15,13 +14,10 @@ type Switch struct {
 	ports  map[int]string
 	portOf map[string]int // reverse of ports: neighbour -> port
 
-	// idx answers both matching and duplicate detection (see flowindex.go).
-	// The flat table is the Table() snapshot only: entries in installation
-	// order, sorted on demand; a fork reads its template's as baseTable.
-	idx       flowIndex
-	table     []FlowEntry
-	baseTable []FlowEntry
-	mcur      []idxCursor // reusable merge cursors for lookups
+	// idx holds the flow table and answers both matching and duplicate
+	// detection (see flowindex.go).
+	idx  flowIndex
+	mcur []idxCursor // reusable merge cursors for lookups
 
 	// net is the network the switch was registered with; links is its
 	// wiring resolved against that network, indexed by port (see
@@ -91,16 +87,15 @@ func (s *Switch) Install(entries ...FlowEntry) {
 	if s.net != nil {
 		s.net.mutate("Install", sealAll)
 	}
-	before := len(s.table)
-	s.table = slices.Grow(s.table, len(entries))
+	added := false
 	for _, e := range entries {
 		// A batch is the best guess at how many buckets a new signature
 		// will hold (a proactive fabric installs one batch per switch).
 		if s.idx.install(e, len(entries)) {
-			s.table = append(s.table, e)
+			added = true
 		}
 	}
-	if s.net != nil && len(s.table) != before {
+	if s.net != nil && added {
 		s.net.epoch++ // a covered re-install changes no match and keeps the record
 	}
 }
@@ -113,17 +108,7 @@ func (s *Switch) ClearTable() {
 		s.net.mutate("ClearTable", sealAll)
 		s.net.epoch++
 	}
-	s.table, s.baseTable = nil, nil
 	s.idx = flowIndex{}
-}
-
-// Table returns a copy of the flow table, highest priority first with
-// equal-priority ties in installation order.
-func (s *Switch) Table() []FlowEntry {
-	out := make([]FlowEntry, 0, len(s.baseTable)+len(s.table))
-	out = append(append(out, s.baseTable...), s.table...)
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Priority > out[j].Priority })
-	return out
 }
 
 // actionGroup is one action and the tag set it won during matching.

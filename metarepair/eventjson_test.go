@@ -14,7 +14,7 @@ import (
 // float magnitudes.
 func TestAppendJSONMatchesMarshal(t *testing.T) {
 	strs := []string{
-		"", "explore.start", "missing FlowTable(3,*,201,*,80,2)",
+		"", "explore.start", "first-accepted", "missing FlowTable(3,*,201,*,80,2)",
 		"change operator == to != in r5 (Swi == 2)",
 		`quote " backslash \ slash /`, "tab\tnewline\ncr\r", "ctrl\x01\x1f",
 		"html <b>&amp;</b>", "unicode é 漢字 🚀", "bad utf8 \xff\xfe tail",

@@ -9,7 +9,7 @@ import (
 // Event is one pipeline progress record. Unused fields are omitted from
 // the JSON encoding, so every event kind shares this envelope:
 //
-//	explore.start       Symptom, Workers (stream search pool; 0 = sequential)
+//	explore.start       Symptom, Workers (stream search pool, always > 0)
 //	explore.candidate   Index, Desc, Cost (one per streamed candidate)
 //	explore.done        Candidates, Steps, Elapsed
 //	candidates.filtered Filtered (removed by a candidate filter)
@@ -17,12 +17,11 @@ import (
 //	capture.start       Dir (live capture attached to a network)
 //	capture.done        Dir, Entries, Bytes, Segments
 //	replay.open         Dir, Entries, Bytes, Segments (store-backed workload)
-//	backtest.start      Parallelism, Strategy ("<strategy>/<producer>":
-//	                    "parallel/streaming", "parallel/first-accepted",
-//	                    "parallel/barrier", "sequential/…") — plus
-//	                    Candidates and Batches when the candidate list
-//	                    was materialized before backtesting began; a
-//	                    live search starts before the counts are known
+//	backtest.start      Parallelism, Strategy (the producer: "streaming",
+//	                    "first-accepted" or "barrier") — plus Candidates
+//	                    and Batches when the candidate list was
+//	                    materialized before backtesting began; a live
+//	                    search starts before the counts are known
 //	batch.done          Batch, Size, Elapsed
 //	suggestion          Index, Desc, Accepted, KS
 //	pipeline.overlap    Elapsed (explore ∩ replay concurrency, streaming mode)

@@ -9,29 +9,6 @@ import (
 	"repro/internal/tracestore"
 )
 
-// Strategy selects the batch runner of the backtest pipeline.
-type Strategy int
-
-const (
-	// StrategyParallel (the default) evaluates candidates in tagged shared
-	// runs (§4.4): the set is cut into batches of at most the configured
-	// batch size, run on WithParallelism workers — WithParallelism(1) is
-	// the serial form.
-	StrategyParallel Strategy = iota
-	// StrategySequential replays each candidate in its own simulation, as
-	// one batch (the upper curve of Figure 9b) — the reference oracle,
-	// used by ablation experiments.
-	StrategySequential
-)
-
-// String names the strategy for event logs.
-func (s Strategy) String() string {
-	if s == StrategySequential {
-		return "sequential"
-	}
-	return "parallel"
-}
-
 // EvalMode selects how shared-run backtests evaluate the NDlog program:
 // the engine's own mode type, re-exported so callers need not import it.
 type EvalMode = ndlog.EvalMode
@@ -59,9 +36,9 @@ func ParseEvalMode(s string) (EvalMode, error) {
 	return EvalDelta, fmt.Errorf("metarepair: unknown eval mode %q (want full or delta)", s)
 }
 
-// PipelineMode selects where Stream's backtest pipeline gets its
-// candidates from — the live search or a materialized list — and whether
-// the first accepted repair stops it.
+// PipelineMode selects how Stream's backtest pipeline takes the live
+// search's candidates — as they are found, or drained into a list first —
+// and whether the first accepted repair stops it.
 type PipelineMode int
 
 const (
@@ -72,9 +49,10 @@ const (
 	// pipeline.overlap event). Candidate order, batch composition, and
 	// every verdict are identical to PipelineBarrier.
 	PipelineStreaming PipelineMode = iota
-	// PipelineBarrier materializes the full candidate list before the
-	// first batch launches — the same pipeline fed from a closed channel,
-	// kept for ablation experiments and phase-isolating benchmarks.
+	// PipelineBarrier drains the search into the full candidate list
+	// before the first batch launches — the same pipeline fed from a
+	// closed channel, kept for ablation experiments and phase-isolating
+	// benchmarks.
 	PipelineBarrier
 	// PipelineFirstAccepted is PipelineStreaming plus early stop: the
 	// first accepted repair cancels the search and the unstarted batches,
@@ -163,7 +141,6 @@ type options struct {
 	coalesce          bool
 	parallelism       int
 	batchSize         int
-	strategy          Strategy
 	pipeline          PipelineMode
 	eval              EvalMode
 	exploreWorkers    int
@@ -181,7 +158,6 @@ func defaultOptions() options {
 		maxCandidates: 64,
 		coalesce:      true,
 		batchSize:     backtest.MaxSharedCandidates,
-		strategy:      StrategyParallel,
 		pipeline:      PipelineStreaming,
 		eval:          EvalDelta,
 	}
@@ -267,19 +243,14 @@ func WithBatchSize(n int) Option {
 	}
 }
 
-// WithStrategy selects the pipeline's batch runner (default
-// StrategyParallel, tagged shared runs); StrategySequential swaps in the
-// one-simulation-per-candidate reference oracle.
-func WithStrategy(s Strategy) Option { return func(o *options) { o.strategy = s } }
-
 // WithEvalMode selects the shared-run evaluation mode (default EvalDelta).
 // Both modes produce identical verdicts; EvalFull is the reference path
 // for differential runs and ablations.
 func WithEvalMode(m EvalMode) Option { return func(o *options) { o.eval = m } }
 
-// WithPipelineMode selects the candidate producer of Stream and Repair
-// (default PipelineStreaming: the live search). PipelineBarrier explores
-// everything first and feeds the materialized list; PipelineFirstAccepted
+// WithPipelineMode selects how Stream and Repair feed the live search to
+// the backtest pipeline (default PipelineStreaming: as it explores).
+// PipelineBarrier drains the search first and feeds the materialized list; PipelineFirstAccepted
 // stops the whole pipeline at the first accepted repair, whichever the
 // producer — the first accepted repair to finish, which is racy when
 // accepted candidates land in different batches (see

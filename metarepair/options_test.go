@@ -23,8 +23,8 @@ func TestOptionDefaults(t *testing.T) {
 	if o.batchSize != backtest.MaxSharedCandidates {
 		t.Errorf("batchSize = %d, want %d", o.batchSize, backtest.MaxSharedCandidates)
 	}
-	if o.strategy != StrategyParallel {
-		t.Errorf("strategy = %v, want parallel", o.strategy)
+	if o.pipeline != PipelineStreaming || o.eval != EvalDelta {
+		t.Errorf("pipeline = %v, eval = %v, want streaming and delta", o.pipeline, o.eval)
 	}
 	if o.alpha != 0 || o.maxPacketInFactor != 0 || o.parallelism != 0 {
 		t.Error("alpha, packet-in factor, and parallelism must default to zero (engine defaults)")
@@ -45,11 +45,11 @@ func TestOptionOverridesDoNotMutateSession(t *testing.T) {
 		t.Fatalf("session options not applied: %+v", sess.opts)
 	}
 	// A per-call override is resolved on a copy.
-	o := sess.opts.with([]Option{WithMaxCandidates(3), WithStrategy(StrategySequential)})
-	if o.maxCandidates != 3 || o.strategy != StrategySequential || o.alpha != 0.01 {
+	o := sess.opts.with([]Option{WithMaxCandidates(3), WithPipelineMode(PipelineBarrier)})
+	if o.maxCandidates != 3 || o.pipeline != PipelineBarrier || o.alpha != 0.01 {
 		t.Fatalf("per-call merge broken: %+v", o)
 	}
-	if sess.opts.maxCandidates != 7 || sess.opts.strategy != StrategyParallel {
+	if sess.opts.maxCandidates != 7 || sess.opts.pipeline != PipelineStreaming {
 		t.Fatalf("per-call options leaked into the session: %+v", sess.opts)
 	}
 }
@@ -151,18 +151,6 @@ func TestOptionValidationKeepsFirstError(t *testing.T) {
 	}
 	if o.batchSize != 8 {
 		t.Fatalf("later valid option ignored: batchSize = %d", o.batchSize)
-	}
-}
-
-func TestStrategyNames(t *testing.T) {
-	names := map[Strategy]string{
-		StrategyParallel:   "parallel",
-		StrategySequential: "sequential",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", s, s.String(), want)
-		}
 	}
 }
 

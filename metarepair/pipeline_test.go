@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/backtest"
+	"repro/internal/scenarios"
 	"repro/metarepair"
 )
 
@@ -208,6 +209,9 @@ func TestOneCompositionAllProducers(t *testing.T) {
 	if ref.report.Batches < 3 || ref.report.Accepted == 0 {
 		t.Fatalf("reference run too small to be telling: %d batches, %d accepted", ref.report.Batches, ref.report.Accepted)
 	}
+	if n := ref.events["explore.candidate"]; n != len(ref.report.Candidates) {
+		t.Fatalf("the drained search announced %d candidates, the report has %d", n, len(ref.report.Candidates))
+	}
 	for _, tc := range []struct {
 		producer string
 		mode     metarepair.PipelineMode
@@ -253,7 +257,12 @@ func TestOneCompositionAllProducers(t *testing.T) {
 				if got.explored != (tc.producer != "evaluate") {
 					t.Errorf("explore span present = %v under producer %s", got.explored, tc.producer)
 				}
-				for _, kind := range []string{"backtest.start", "batch.done", "suggestion", "report"} {
+				kinds := []string{"backtest.start", "batch.done", "suggestion", "report"}
+				if tc.producer != "evaluate" {
+					// The one search, live or drained, announces the same candidates.
+					kinds = append(kinds, "explore.start", "explore.candidate", "explore.done")
+				}
+				for _, kind := range kinds {
 					if got.events[kind] != ref.events[kind] {
 						t.Errorf("%d %s events, want %d", got.events[kind], kind, ref.events[kind])
 					}
@@ -281,5 +290,60 @@ func TestOneCompositionAllProducers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStreamingPipelineMatchesBarrier runs the full repair pipeline both
+// ways on Q1 and demands identical candidates and verdicts: the streaming
+// composition changes wall-clock shape, never results.
+func TestStreamingPipelineMatchesBarrier(t *testing.T) {
+	ctx := context.Background()
+	runMode := func(mode metarepair.PipelineMode) *metarepair.Report {
+		t.Helper()
+		s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+		sess, _, err := s.Diagnose()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := sess.Repair(ctx, s.Symptom(), s.Backtest(), metarepair.WithPipelineMode(mode))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	barrier := runMode(metarepair.PipelineBarrier)
+	stream := runMode(metarepair.PipelineStreaming)
+
+	if len(stream.Candidates) != len(barrier.Candidates) {
+		t.Fatalf("candidates: streaming %d, barrier %d", len(stream.Candidates), len(barrier.Candidates))
+	}
+	if len(stream.Results) != len(barrier.Results) {
+		t.Fatalf("results: streaming %d, barrier %d", len(stream.Results), len(barrier.Results))
+	}
+	for i := range barrier.Results {
+		bs, ss := barrier.Results[i], stream.Results[i]
+		if bs.Candidate.Signature() != ss.Candidate.Signature() {
+			t.Fatalf("candidate %d differs: %s vs %s", i, bs.Candidate.Describe(), ss.Candidate.Describe())
+		}
+		if bs.Accepted != ss.Accepted || bs.Effective != ss.Effective || bs.KS != ss.KS || bs.HopLimited != ss.HopLimited {
+			t.Fatalf("candidate %d verdict differs: accepted %v/%v effective %v/%v KS %v/%v hop-limited %d/%d",
+				i, bs.Accepted, ss.Accepted, bs.Effective, ss.Effective, bs.KS, ss.KS, bs.HopLimited, ss.HopLimited)
+		}
+	}
+	if stream.Steps != barrier.Steps {
+		t.Fatalf("steps: streaming %d, barrier %d", stream.Steps, barrier.Steps)
+	}
+	counts := func(r *metarepair.Report) [3]int {
+		return [3]int{r.Extracted, r.DuplicateSignatures, r.CappedStructures}
+	}
+	if counts(stream) != counts(barrier) {
+		t.Fatalf("extracted / duplicate / capped: streaming %v, barrier %v", counts(stream), counts(barrier))
+	}
+	if got := barrier.Extracted - barrier.DuplicateSignatures - barrier.CappedStructures; got != barrier.Generated {
+		t.Fatalf("%d extracted - %d duplicates - %d capped = %d, but %d generated",
+			barrier.Extracted, barrier.DuplicateSignatures, barrier.CappedStructures, got, barrier.Generated)
+	}
+	if stream.Batches != barrier.Batches {
+		t.Fatalf("batches: streaming %d, barrier %d", stream.Batches, barrier.Batches)
 	}
 }

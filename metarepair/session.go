@@ -29,14 +29,15 @@
 // For incremental consumption use Stream, which returns a Run whose
 // Suggestions channel yields verdicts as batches finish.
 //
-// Backtesting has one composition. Evaluate, Stream and Repair all hand a
-// candidate producer — the live search, or a list materialized first
-// (Evaluate, PipelineBarrier) — to the same backtest.Pipeline, the one
-// scheduler of shared-run batches; one batch callback streams the
-// suggestions and one assembler ranks the Report. WithParallelism sets the
-// pool width (1 is serial), WithPipelineMode picks the producer and the
-// first-accepted early stop, and WithStrategy(StrategySequential) swaps the
-// batch runner for the one-simulation-per-candidate reference oracle.
+// Backtesting has one composition. Evaluate, Stream and Repair all hand
+// candidates to the same backtest.Pipeline, the one scheduler of shared-run
+// batches: straight from the live search, from the same search drained
+// first (PipelineBarrier), or from the caller's list (Evaluate). One batch
+// callback streams the suggestions and one assembler ranks the Report.
+// WithParallelism sets the pool width (1 is serial); WithPipelineMode picks
+// the producer and the first-accepted early stop. The
+// one-simulation-per-candidate run, backtest.Job.RunSequential, is the
+// reference oracle the tests hold shared runs to.
 package metarepair
 
 import (
@@ -232,49 +233,32 @@ func (h *timedHistory) total() time.Duration {
 
 // Explore runs the meta-provenance search for the symptom and returns the
 // cost-ordered candidate set (§3.5) without backtesting it — the first
-// pipeline stage, separated so experiments can measure or ablate it.
+// pipeline stage, separated so experiments can measure or ablate it. It
+// is the live search of Stream, drained.
 func (s *Session) Explore(ctx context.Context, sym Symptom, extra ...Option) (*Exploration, error) {
 	o := s.opts.with(extra)
 	if o.err != nil {
 		return nil, o.err
 	}
-	return s.explore(ctx, sym, o, newTracer(o))
-}
-
-func (s *Session) explore(ctx context.Context, sym Symptom, o options, tr *tracer) (*Exploration, error) {
-	th := &timedHistory{rec: s.rec}
-	ex := metaprov.NewExplorer(meta.NewModel(s.prog), th)
-	o.budget.apply(ex)
-
-	o.emit(Event{Kind: "explore.start", Symptom: sym.String()})
-	endSpan := tr.start(SpanExplore, SpanRun)
-	start := time.Now()
-	expl := &Exploration{Symptom: sym}
-	var cands []metaprov.Candidate
-	var err error
-	switch {
-	case sym.Present != nil:
-		expl.Explanation = s.rec.Explain(*sym.Present)
-		cands, err = ex.RepairPositiveContext(ctx, *sym.Present, s.rec)
-	case sym.Goal.Table != "":
-		expl.Explanation = s.rec.ExplainMissing(s.prog, sym.Goal.Table, nil)
-		// The candidate cap bounds the forest search itself here: the
-		// search is cost-ordered, so stopping at N keeps the N cheapest.
-		ex.MaxCandidates = o.maxCandidates
-		cands, err = ex.ExploreContext(ctx, sym.Goal)
-	default:
-		return nil, errors.New("metarepair: empty symptom")
-	}
+	src, err := s.search(sym, o, newTracer(o))
 	if err != nil {
 		return nil, err
 	}
-	expl.Generated = len(cands)
-	expl.Candidates = o.filterAndCap(cands, expl)
-	expl.finish(ex, th, start)
-	endSpan()
-	o.emit(Event{Kind: "explore.done", Candidates: len(cands), Steps: expl.Steps,
-		Elapsed: ms(expl.genTime)})
-	return expl, nil
+	return drain(ctx, src)
+}
+
+// drain runs a live source to the end and returns its exploration with the
+// candidate list filled in, for callers that need the whole list before
+// backtesting.
+func drain(ctx context.Context, src candidateSource) (*Exploration, error) {
+	cands, wait := src.open(ctx)
+	for c := range cands {
+		src.expl.Candidates = append(src.expl.Candidates, c)
+	}
+	if err := wait(); err != nil {
+		return nil, err
+	}
+	return src.expl, nil
 }
 
 // Evaluate backtests a candidate set against the historical evidence and
@@ -309,7 +293,7 @@ func (s *Session) Evaluate(ctx context.Context, cands []metaprov.Candidate, bt B
 // exploration is still producing, and Stream returns immediately;
 // exploration errors then surface at Wait. Under PipelineBarrier — or with
 // the WithMaxCandidates cap disabled, since the live producer needs a
-// finite cap to size the suggestion buffer — Stream explores synchronously
+// finite cap to size the suggestion buffer — Stream drains the same search
 // first, returns any exploration error directly, and feeds the
 // materialized list to the same pipeline, exactly as Evaluate does.
 func (s *Session) Stream(ctx context.Context, sym Symptom, bt Backtest, extra ...Option) (*Run, error) {
@@ -320,16 +304,18 @@ func (s *Session) Stream(ctx context.Context, sym Symptom, bt Backtest, extra ..
 	if bt.BuildNet == nil {
 		return nil, errors.New("metarepair: Backtest.BuildNet is required")
 	}
-	if sym.Present == nil && sym.Goal.Table == "" {
-		return nil, errors.New("metarepair: empty symptom")
-	}
 	o, flush := o.serialized()
 	tr := newTracer(o)
+	src, err := s.search(sym, o, tr)
+	if err != nil {
+		flush()
+		return nil, err
+	}
 	endRun := tr.start(SpanRun, "")
 	if o.pipeline != PipelineBarrier && o.maxCandidates > 0 {
-		return s.backtest(ctx, bt, o, tr, endRun, flush, s.search(sym, o, tr)), nil
+		return s.backtest(ctx, bt, o, tr, endRun, flush, src), nil
 	}
-	expl, err := s.explore(ctx, sym, o, tr)
+	expl, err := drain(ctx, src)
 	if err != nil {
 		flush()
 		return nil, err
@@ -393,10 +379,14 @@ func materialized(expl *Exploration) candidateSource {
 		}}
 }
 
-// search is the live source: the concurrent forest search forwards its
-// cost-ordered candidate stream as it explores, applying the candidate
-// filter and cap with the same accounting as the synchronous explore stage.
-func (s *Session) search(sym Symptom, o options, tr *tracer) candidateSource {
+// search is the one candidate producer: the concurrent forest search
+// forwards its cost-ordered candidate stream as it explores, applying the
+// candidate filter and cap. Explore and the materializing Stream modes
+// drain it first. An empty symptom is an error.
+func (s *Session) search(sym Symptom, o options, tr *tracer) (candidateSource, error) {
+	if sym.Present == nil && sym.Goal.Table == "" {
+		return candidateSource{}, errors.New("metarepair: empty symptom")
+	}
 	// The candidate count is unknown up front but bounded by the cap
 	// (Stream materializes cap-disabled runs instead).
 	expl := &Exploration{Symptom: sym}
@@ -474,7 +464,7 @@ func (s *Session) search(sym Symptom, o options, tr *tracer) candidateSource {
 		}()
 		return pipe, func() error { return <-feedErr }
 	}
-	return candidateSource{expl: expl, capacity: o.maxCandidates, open: open}
+	return candidateSource{expl: expl, capacity: o.maxCandidates, open: open}, nil
 }
 
 // backtest starts the one backtesting composition in the background and
@@ -505,19 +495,14 @@ func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *t
 	defer cancelExplore()
 	cands, waitSource := src.open(ectx)
 
-	sequential := o.strategy == StrategySequential
 	mode := o.pipeline
 	if src.materialized && mode == PipelineStreaming {
 		mode = PipelineBarrier
 	}
-	started := Event{Kind: "backtest.start", Parallelism: o.parallelism,
-		Strategy: o.strategy.String() + "/" + mode.String()}
+	started := Event{Kind: "backtest.start", Parallelism: o.parallelism, Strategy: mode.String()}
 	if src.materialized {
 		started.Candidates = src.capacity
 		started.Batches = (src.capacity + o.batchSize - 1) / o.batchSize
-		if sequential {
-			started.Batches = min(src.capacity, 1)
-		}
 	}
 	o.emit(started)
 
@@ -548,11 +533,7 @@ func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *t
 		CancelSearch:  cancelExplore,
 		OnBatch:       onBatch,
 	}
-	runBatches := pl.Run
-	if sequential {
-		runBatches = pl.RunSequential
-	}
-	pr, plErr := runBatches(pctx, cands)
+	pr, plErr := pl.Run(pctx, cands)
 	backtestEnd := time.Now()
 	serr := waitSource()
 	if plErr != nil {
@@ -574,7 +555,7 @@ func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *t
 		// Attribute the window to the evaluation mode: the delta child span
 		// covers the same bounds as its parent, so mode-aware consumers can
 		// split time without reshaping existing aggregations.
-		if o.eval == EvalDelta && !sequential {
+		if o.eval == EvalDelta {
 			tr.add(Span{Name: SpanBacktestDelta, Parent: SpanBacktest,
 				Start: pr.FirstBatchStart, End: backtestEnd})
 		}
@@ -670,8 +651,8 @@ func (o options) applyFilter(cands []metaprov.Candidate, expl *Exploration) []me
 // materialized cost-ordered list, recording the Filtered/Dropped
 // accounting on expl and emitting the corresponding events. The cap keeps
 // the cheapest — most plausible — repairs, and the drop is reported,
-// never silent. Both the synchronous explore stage and the live source's
-// positive-symptom branch share this logic.
+// never silent. The search's positive-symptom branch uses it; a
+// missing-tuple search stops at the cap instead.
 func (o options) filterAndCap(cands []metaprov.Candidate, expl *Exploration) []metaprov.Candidate {
 	cands = o.applyFilter(cands, expl)
 	if o.maxCandidates > 0 && len(cands) > o.maxCandidates {

@@ -444,25 +444,6 @@ func TestEvaluateAppliesCandidateFilter(t *testing.T) {
 	}
 }
 
-func TestSequentialStrategyBatchBookkeeping(t *testing.T) {
-	sess, wl := runDiagnostic(t)
-	report, err := sess.Repair(context.Background(), miniSymptom(), miniBacktest(wl),
-		metarepair.WithStrategy(metarepair.StrategySequential), metarepair.WithBatchSize(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sequential evaluation performs no shared runs: the report must not
-	// fabricate multi-batch bookkeeping.
-	if report.Batches != 1 {
-		t.Fatalf("Batches = %d, want 1 for sequential", report.Batches)
-	}
-	for _, s := range report.Suggestions {
-		if s.Batch != 0 {
-			t.Fatalf("suggestion %d carries batch %d under sequential strategy", s.Index, s.Batch)
-		}
-	}
-}
-
 func TestJSONLSinkEventLog(t *testing.T) {
 	var buf bytes.Buffer
 	sess, wl := runDiagnostic(t, metarepair.WithEventSink(metarepair.NewJSONLSink(&buf)))
