@@ -200,16 +200,21 @@ type timingJSON struct {
 	OverlapMS float64 `json:"overlap_ms,omitempty"`
 }
 
+// timingFromReport converts a turnaround breakdown to milliseconds.
+func timingFromReport(t metarepair.Timing) timingJSON {
+	return timingJSON{
+		HistoryMS: float64(t.HistoryLookups.Microseconds()) / 1e3,
+		SolvingMS: float64(t.ConstraintSolving.Microseconds()) / 1e3,
+		PatchMS:   float64(t.PatchGeneration.Microseconds()) / 1e3,
+		ReplayMS:  float64(t.Replay.Microseconds()) / 1e3,
+		OverlapMS: float64(t.Overlap.Microseconds()) / 1e3,
+	}
+}
+
 func reportFromOutcome(out *scenario.Outcome) *reportJSON {
 	r := reportFromRepair(out.Scenario.Name, out.Scenario.Scale, out.Report)
 	// Outcome timing folds the diagnostic replay in; prefer it.
-	r.Timing = timingJSON{
-		HistoryMS: float64(out.Timing.HistoryLookups.Microseconds()) / 1e3,
-		SolvingMS: float64(out.Timing.ConstraintSolving.Microseconds()) / 1e3,
-		PatchMS:   float64(out.Timing.PatchGeneration.Microseconds()) / 1e3,
-		ReplayMS:  float64(out.Timing.Replay.Microseconds()) / 1e3,
-		OverlapMS: float64(out.Timing.Overlap.Microseconds()) / 1e3,
-	}
+	r.Timing = timingFromReport(out.Timing)
 	return r
 }
 

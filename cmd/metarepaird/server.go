@@ -154,17 +154,15 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		batch = batch[:0]
 		return nil
 	}
+	var bad error
 	for {
 		e, err := codec.ReadRecord(br)
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			// The decoded prefix is already durable; the error names the
-			// first bad record so the client can resume past it.
-			flush()
-			writeError(w, http.StatusBadRequest, "record %d: %v", ingested+len(batch), err)
-			return
+			bad = err
+			break
 		}
 		batch = append(batch, e)
 		if len(batch) == cap(batch) {
@@ -180,6 +178,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	if err := st.Sync(); err != nil {
 		writeError(w, http.StatusInternalServerError, "sync: %v", err)
+		return
+	}
+	if bad != nil {
+		// The decoded prefix is durable now; the error names the first
+		// bad record so the client can resume past it.
+		writeError(w, http.StatusBadRequest, "record %d: %v", ingested, bad)
 		return
 	}
 	stats := st.Stats()
@@ -348,11 +352,8 @@ func (s *server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, statusFromJob(j))
 }
 
-// handleJobEvents streams the job's events as SSE: the recorded history
-// first, then the live tail, ending when the job reaches a terminal
-// state (or the client disconnects, or the daemon drains). Events are
-// encoded with Event.AppendJSON into one reused buffer, so a long
-// stream does not allocate per event.
+// handleJobEvents streams the job's events as SSE, ending when the job
+// reaches a terminal state (see streamEvents).
 func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	j, err := s.engine.Get(r.PathValue("id"))
 	if errors.Is(err, jobs.ErrNotFound) {
@@ -364,6 +365,14 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "job has no event log")
 		return
 	}
+	s.streamEvents(w, r, elog)
+}
+
+// streamEvents writes an event log as SSE: the recorded history first,
+// then the live tail, until the log closes, the client disconnects, or
+// the daemon drains. Events are encoded with Event.AppendJSON into one
+// reused buffer, so a long stream does not allocate per event.
+func (s *server) streamEvents(w http.ResponseWriter, r *http.Request, elog *eventLog) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		writeError(w, http.StatusInternalServerError, "streaming unsupported")
@@ -403,10 +412,7 @@ func (s *server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	for {
 		e, ok := sub.Next(ctx)
-		if !ok {
-			return
-		}
-		if !write(e) {
+		if !ok || !write(e) {
 			return
 		}
 	}

@@ -6,8 +6,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -15,6 +18,7 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/scenarios"
+	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/metarepair"
 	"repro/scenario"
@@ -357,6 +361,49 @@ func TestIngestAndStoreBackedJob(t *testing.T) {
 			t.Fatalf("store-backed verdict %d diverges: %+v vs %+v",
 				i, got.Results[i], want.Results[i])
 		}
+	}
+}
+
+// TestIngestBadRecordKeepsDurablePrefix: a body whose records turn to
+// garbage part-way is answered 400 naming the first bad record, and the
+// records before it are on disk — flushed and synced, not buffered —
+// by the time the answer arrives.
+func TestIngestBadRecordKeepsDurablePrefix(t *testing.T) {
+	srv, ts := newTestServer(t, jobs.Config{Workers: 1})
+	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	var body []byte
+	var err error
+	for _, e := range sc.Workload[:5] {
+		if body, err = tracestore.Binary.AppendRecord(body, e); err != nil {
+			t.Fatalf("encoding workload: %v", err)
+		}
+	}
+	body = append(body, bytes.Repeat([]byte{0xAB}, 30)...)
+
+	resp, err := http.Post(ts.URL+"/v1/tenants/acme/traces/torn",
+		"application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	msg, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("ingest: status %d (%s), want 400", resp.StatusCode, msg)
+	}
+	if !strings.Contains(string(msg), "record 5") {
+		t.Fatalf("ingest error %q does not name record 5", msg)
+	}
+	st, err := srv.tenants.Lookup("acme", "torn")
+	if err != nil || st == nil {
+		t.Fatalf("store after ingest: %v, %v", st, err)
+	}
+	seg := filepath.Join(st.Dir(), "seg-00000000"+st.Codec().Ext())
+	fi, err := os.Stat(seg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := int64(5 * trace.RecordSize); fi.Size() != want {
+		t.Fatalf("segment on disk holds %d bytes before Close, want %d", fi.Size(), want)
 	}
 }
 

@@ -294,62 +294,16 @@ func (s *server) handleStopWatch(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, rec.status())
 }
 
-// handleWatchEvents streams the watch's event log as SSE: recorded
-// history first, then the live tail — detections, suppressions, and
-// repair verdicts as they happen — until the watch stops, the client
-// disconnects, or the daemon drains.
+// handleWatchEvents streams the watch's event log as SSE — detections,
+// suppressions, and repair verdicts as they happen — until the watch
+// stops (see streamEvents).
 func (s *server) handleWatchEvents(w http.ResponseWriter, r *http.Request) {
 	rec := s.lookupWatch(r.PathValue("id"))
 	if rec == nil {
 		writeError(w, http.StatusNotFound, "no such watch %q", r.PathValue("id"))
 		return
 	}
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		writeError(w, http.StatusInternalServerError, "streaming unsupported")
-		return
-	}
-	history, sub := rec.log.subscribe(sseBuffer)
-	defer sub.Cancel()
-
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	go func() {
-		select {
-		case <-s.draining:
-			cancel()
-		case <-ctx.Done():
-		}
-	}()
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.WriteHeader(http.StatusOK)
-	var buf []byte
-	write := func(e metarepair.Event) bool {
-		buf = append(buf[:0], "data: "...)
-		buf = e.AppendJSON(buf)
-		buf = append(buf, '\n', '\n')
-		if _, err := w.Write(buf); err != nil {
-			return false
-		}
-		fl.Flush()
-		return true
-	}
-	for _, e := range history {
-		if !write(e) {
-			return
-		}
-	}
-	for {
-		e, ok := sub.Next(ctx)
-		if !ok {
-			return
-		}
-		if !write(e) {
-			return
-		}
-	}
+	s.streamEvents(w, r, rec.log)
 }
 
 // handleScenarios lists the registered scenario catalogue: the names a
@@ -399,13 +353,7 @@ func reportFromRepair(name string, scale scenario.Scale, rep *metarepair.Report)
 		EarlyStopped: rep.EarlyStopped, Evaluated: rep.Evaluated,
 		Suggestions: make([]suggestionJSON, 0, len(rep.Suggestions)),
 		Results:     make([]resultJSON, 0, len(rep.Results)),
-		Timing: timingJSON{
-			HistoryMS: float64(rep.Timing.HistoryLookups.Microseconds()) / 1e3,
-			SolvingMS: float64(rep.Timing.ConstraintSolving.Microseconds()) / 1e3,
-			PatchMS:   float64(rep.Timing.PatchGeneration.Microseconds()) / 1e3,
-			ReplayMS:  float64(rep.Timing.Replay.Microseconds()) / 1e3,
-			OverlapMS: float64(rep.Timing.Overlap.Microseconds()) / 1e3,
-		},
+		Timing:      timingFromReport(rep.Timing),
 	}
 	for _, sg := range rep.Suggestions {
 		r.Suggestions = append(r.Suggestions, suggestionJSON{

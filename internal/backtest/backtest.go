@@ -29,6 +29,11 @@ import (
 // sets are split into batches by Pipeline.
 const MaxSharedCandidates = 63
 
+// alpha is the KS significance level of the §4.3 disruption test: a
+// candidate whose delivery distribution differs from the baseline's at
+// p < alpha is rejected. It is the paper's level.
+const alpha = 0.05
+
 // Job describes one backtesting task.
 type Job struct {
 	// Prog is the original (buggy) controller program.
@@ -56,8 +61,6 @@ type Job struct {
 	// is exposed so checks can inspect controller state (Q5's learning
 	// table).
 	Effective func(net *sdn.Network, ctl *sdn.NDlogController, tag int) bool
-	// Alpha is the KS significance level (default 0.05).
-	Alpha float64
 	// MaxPacketInFactor, when positive, rejects candidates whose
 	// controller PacketIn load exceeds this multiple of the baseline —
 	// the "significant increases of controller traffic" side effect the
@@ -103,13 +106,6 @@ func (r Result) String() string {
 		verdict = "ACCEPTED"
 	}
 	return fmt.Sprintf("%-70s KS=%.5f  %s", r.Candidate.Describe(), r.KS, verdict)
-}
-
-func (j *Job) alpha() float64 {
-	if j.Alpha > 0 {
-		return j.Alpha
-	}
-	return 0.05
 }
 
 // workloadSource resolves the streaming source: an explicit Source wins,
@@ -288,7 +284,7 @@ func (j *Job) judge(c metaprov.Candidate, baseline []int64, net *sdn.Network, ct
 	} else if pi > 0 {
 		factor = float64(pi)
 	}
-	accepted := eff && p >= j.alpha()
+	accepted := eff && p >= alpha
 	if j.MaxPacketInFactor > 0 && factor > j.MaxPacketInFactor {
 		accepted = false
 	}

@@ -22,7 +22,6 @@ import (
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
 	"repro/internal/scenarios"
-	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/metarepair"
 	"repro/scenario"
@@ -573,11 +572,6 @@ func WideCandidates(ctx context.Context, sc scenarios.Scale) (*metarepair.Sessio
 		return nil, nil, metarepair.Backtest{}, err
 	}
 	return sess, expl.Candidates, s.Backtest(), nil
-}
-
-// SmallWorkload exposes a deterministic workload for external tooling.
-func SmallWorkload() []trace.Entry {
-	return scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300}).Workload
 }
 
 // SuiteMatrix evaluates the registered scenarios across the given scales

@@ -785,70 +785,6 @@ func (e *Engine) Rows(table string) []Tuple {
 	return out
 }
 
-// Lookup returns stored tuples of a table matching the given filter, in
-// insertion order; nil filter values match anything. When the filter binds
-// the columns of one of the planner's indexes, the lookup is answered from
-// that index's bucket instead of scanning every row.
-func (e *Engine) Lookup(table string, filter []*Value) []Tuple {
-	tbl := e.tables[table]
-	if tbl == nil {
-		return nil
-	}
-	rows := tbl.rows
-	if best := lookupIndex(tbl, filter); best != nil {
-		buf := make([]byte, 0, 8*len(best.cols))
-		for _, c := range best.cols {
-			buf = appendHashKey(buf, *filter[c])
-		}
-		rows = best.rowsFor(string(buf))
-		e.Stats.IndexLookups++
-		e.Stats.IndexRows += int64(len(rows))
-	} else {
-		e.Stats.Scans++
-		e.Stats.ScanRows += int64(tbl.live)
-	}
-	var out []Tuple
-	for _, r := range rows {
-		if r.gone {
-			continue
-		}
-		t := r.Tuple
-		if len(filter) > len(t.Args) {
-			continue
-		}
-		ok := true
-		for i, f := range filter {
-			if f != nil && !f.Equal(t.Args[i]) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-// lookupIndex picks the most selective index whose columns the filter binds
-// to concrete (non-nil, non-wildcard) values.
-func lookupIndex(tbl *table, filter []*Value) *index {
-	var best *index
-	for _, x := range tbl.indexes {
-		usable := true
-		for _, c := range x.cols {
-			if c >= len(filter) || filter[c] == nil || filter[c].Kind == KindWild {
-				usable = false
-				break
-			}
-		}
-		if usable && (best == nil || len(x.cols) > len(best.cols)) {
-			best = x
-		}
-	}
-	return best
-}
-
 // Count returns the number of stored tuples in a table.
 func (e *Engine) Count(table string) int {
 	if tbl := e.tables[table]; tbl != nil {

@@ -1,9 +1,6 @@
 package ndlog
 
-import (
-	"fmt"
-	"testing"
-)
+import "testing"
 
 // threeWayProgram joins three state tables off one event trigger; every
 // extension is equality-constrained, so the planner should index all three.
@@ -161,36 +158,6 @@ p Cnt(@Rul,Sub,a_count<Arg>) :- PredFunc(@Rul,Sub,Arg).
 	}
 }
 
-func TestLookupUsesIndex(t *testing.T) {
-	e := MustNewEngine(MustParse("plan", threeWayProgram))
-	for i := 0; i < 50; i++ {
-		e.Insert(NewTuple("Link", Int(int64(i%10)), Int(int64(i))))
-	}
-	e.Stats = EngineStats{}
-	v := Int(3)
-	got := e.Lookup("Link", []*Value{&v, nil})
-	if len(got) != 5 {
-		t.Fatalf("Lookup returned %d rows, want 5", len(got))
-	}
-	if e.Stats.IndexLookups != 1 || e.Stats.Scans != 0 {
-		t.Fatalf("Lookup did not use the planner's index: %+v", e.Stats)
-	}
-	// Insertion-order determinism: seq values ascend.
-	for i := 1; i < len(got); i++ {
-		if got[i-1].Args[1].Int > got[i].Args[1].Int {
-			t.Fatalf("Lookup order not insertion order: %v", got)
-		}
-	}
-	// A filter binding no indexed column falls back to a scan. (Cost is
-	// only ever joined through its first column, so nothing indexes col 1.)
-	e.Stats = EngineStats{}
-	w := Int(7)
-	e.Lookup("Cost", []*Value{nil, &w})
-	if e.Stats.Scans != 1 || e.Stats.IndexLookups != 0 {
-		t.Fatalf("unindexed filter should scan: %+v", e.Stats)
-	}
-}
-
 func TestStorageCompaction(t *testing.T) {
 	e := MustNewEngine(MustParse("kv", `
 materialize(KV, 1, 2, keys(0)).
@@ -288,18 +255,4 @@ func BenchmarkTupleKeyInterned(b *testing.B) {
 			b.Fatal("empty key")
 		}
 	}
-}
-
-func ExampleEngine_Lookup() {
-	e := MustNewEngine(MustParse("plan", threeWayProgram))
-	e.Insert(NewTuple("Link", Int(1), Int(2)))
-	e.Insert(NewTuple("Link", Int(1), Int(3)))
-	e.Insert(NewTuple("Link", Int(2), Int(3)))
-	v := Int(1)
-	for _, t := range e.Lookup("Link", []*Value{&v, nil}) {
-		fmt.Println(t)
-	}
-	// Output:
-	// Link(1,2)
-	// Link(1,3)
 }

@@ -7,8 +7,8 @@ import (
 
 // Fabric is a built topology: the network plus the naming and routing
 // helpers scenario packages compose on. Every generated shape — campus,
-// fat-tree, linear — produces one, so a reactive zone written against a
-// Fabric runs unchanged on any of them: CoreIDs are the backbone switches
+// linear — produces one, so a reactive zone written against a Fabric
+// runs unchanged on either of them: CoreIDs are the backbone switches
 // zones attach to, EdgeIDs the host-bearing switches, and HostIDs every
 // host in attachment order.
 type Fabric struct {

@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sdn"
 )
@@ -51,80 +50,6 @@ func (c Campus) Generate(sz Size) *Fabric {
 	cfg.BaseSwitchNum = c.BaseSwitchNum
 	cfg.BaseHostIP = c.BaseHostIP
 	return Build(cfg)
-}
-
-// FatTree generates a k-ary fat-tree — the canonical data-center fabric:
-// (k/2)² core switches and k pods of k/2 aggregation plus k/2 edge
-// switches, every edge switch dual-homed to its pod's aggregation layer
-// and every aggregation switch striped across the core. CoreIDs are the
-// core layer (reactive zones attach there), EdgeIDs the edge layer.
-type FatTree struct {
-	// K fixes the pod arity (even, >= 4). Zero derives the largest legal
-	// k from Size.Switches (total switches = 5k²/4).
-	K int
-	// BaseHostIP is the first host IP assigned (default 1000).
-	BaseHostIP int64
-}
-
-// Name implements Generator.
-func (FatTree) Name() string { return "fattree" }
-
-// Generate implements Generator. Size.Hosts defaults to the classic k³/4
-// server complement, round-robined across the edge layer.
-func (ft FatTree) Generate(sz Size) *Fabric {
-	k := ft.K
-	if k < 4 {
-		// Largest even k whose 5k²/4 switches fit the budget, minimum 4.
-		k = 4
-		for (k+2)*(k+2)*5/4 <= sz.Switches {
-			k += 2
-		}
-	}
-	if k%2 != 0 {
-		k++
-	}
-	f := &Fabric{Net: sdn.NewNetwork()}
-	num := int64(100)
-	half := k / 2
-	// Core layer: (k/2)² switches.
-	cores := make([]string, half*half)
-	for i := range cores {
-		id := fmt.Sprintf("core%d", i)
-		cores[i] = id
-		addSwitch(f, id, &num)
-		f.CoreIDs = append(f.CoreIDs, id)
-	}
-	// Pods: k/2 aggregation and k/2 edge switches each.
-	for p := 0; p < k; p++ {
-		aggs := make([]string, half)
-		for a := 0; a < half; a++ {
-			id := fmt.Sprintf("agg%d-%d", p, a)
-			aggs[a] = id
-			addSwitch(f, id, &num)
-			// Aggregation switch a connects to core group a.
-			for c := 0; c < half; c++ {
-				f.Net.Link(id, cores[a*half+c])
-			}
-		}
-		for e := 0; e < half; e++ {
-			id := fmt.Sprintf("edge%d-%d", p, e)
-			addSwitch(f, id, &num)
-			f.EdgeIDs = append(f.EdgeIDs, id)
-			for _, agg := range aggs {
-				f.Net.Link(id, agg)
-			}
-		}
-	}
-	hosts := sz.Hosts
-	if hosts <= 0 {
-		hosts = k * k * k / 4
-	}
-	baseIP := ft.BaseHostIP
-	if baseIP == 0 {
-		baseIP = 1000
-	}
-	attachHosts(f, hosts, baseIP)
-	return f
 }
 
 // Linear generates a chain of switches with hosts round-robined along it
@@ -182,23 +107,4 @@ func (l Linear) Generate(sz Size) *Fabric {
 func addSwitch(f *Fabric, id string, num *int64) {
 	f.Net.AddSwitch(sdn.NewSwitch(id, *num))
 	*num++
-}
-
-// Generators returns the built-in topology shapes.
-func Generators() []Generator {
-	return []Generator{Campus{}, FatTree{}, Linear{}}
-}
-
-// GeneratorByName resolves a built-in shape by name; the error lists the
-// known shapes.
-func GeneratorByName(name string) (Generator, error) {
-	var names []string
-	for _, g := range Generators() {
-		if g.Name() == name {
-			return g, nil
-		}
-		names = append(names, g.Name())
-	}
-	sort.Strings(names)
-	return nil, fmt.Errorf("topo: unknown topology %q (built-in shapes: %v)", name, names)
 }

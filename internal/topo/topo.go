@@ -2,9 +2,9 @@
 // §5.2 Stanford-campus-style network — 16 operational-zone/backbone core
 // routers, edge networks hanging off the core, and 1–15 hosts per edge
 // network — and the Generator interface makes the shape pluggable:
-// Campus, FatTree, and Linear all produce a Fabric with the same naming
+// Campus and Linear both produce a Fabric with the same naming
 // and proactive-routing helpers, so scenario packages compose a bug and
-// workload with any of them. The core is proactively configured
+// workload with either of them. The core is proactively configured
 // (shortest-path forwarding entries for every host); scenario packages
 // attach small reactive zones that the controller program manages.
 package topo

@@ -9,13 +9,11 @@ import (
 
 // Recorder adapts a Store to the sdn packet-capture hook: every packet
 // injected into the network becomes one trace entry, stamped by a
-// monotone tick counter (or a caller-supplied clock) and appended to the
-// store. It is safe for concurrent capture — parallel injectors
+// per-recorder monotone tick counter and appended to the store. It is safe for concurrent capture — parallel injectors
 // interleave whole records, never tear them.
 type Recorder struct {
 	mu    sync.Mutex
 	st    *Store
-	clock func() int64
 	tick  int64
 	count int64
 	err   error
@@ -23,13 +21,6 @@ type Recorder struct {
 
 // NewRecorder wraps a store as a capture hook.
 func NewRecorder(st *Store) *Recorder { return &Recorder{st: st} }
-
-// WithClock substitutes the timestamp source (e.g. wall-clock
-// nanoseconds); the default is a per-recorder monotone tick counter.
-func (r *Recorder) WithClock(fn func() int64) *Recorder {
-	r.clock = fn
-	return r
-}
 
 // CapturePacket implements sdn.PacketCapture. Backtesting tags are a
 // replay artifact and are not recorded. The first append error is
@@ -41,15 +32,9 @@ func (r *Recorder) CapturePacket(srcHost string, pkt sdn.Packet) {
 	if r.err != nil {
 		return
 	}
-	var t int64
-	if r.clock != nil {
-		t = r.clock()
-	} else {
-		r.tick++
-		t = r.tick
-	}
+	r.tick++
 	pkt.Tags = 0
-	if err := r.st.Append(trace.Entry{Time: t, SrcHost: srcHost, Pkt: pkt}); err != nil {
+	if err := r.st.Append(trace.Entry{Time: r.tick, SrcHost: srcHost, Pkt: pkt}); err != nil {
 		r.err = err
 		return
 	}

@@ -4,9 +4,9 @@
 // for debuggability — into numbered segment files that rotate at a size
 // threshold, carry a sidecar index (entry count, time range, source
 // hosts), and are replayed through a streaming iterator whose memory use
-// is O(one record), independent of workload length. Retention and
-// compaction keep the log bounded; the iterator's time-window and host
-// filters use the per-segment index to skip whole segments.
+// is O(one record), independent of workload length. The log only grows:
+// a sealed segment never changes, and the iterator's time window uses
+// the per-segment index to skip whole segments.
 package tracestore
 
 import (
@@ -22,8 +22,7 @@ import (
 
 // Codec encodes trace entries as on-disk records. Implementations must
 // produce self-delimiting records so a segment is the plain
-// concatenation of its records (which is what makes compaction a byte
-// copy).
+// concatenation of its records.
 type Codec interface {
 	// Name identifies the codec in segment file extensions and CLIs.
 	Name() string

@@ -8,15 +8,14 @@ import (
 	"repro/internal/trace"
 )
 
-// View is a filtered, streaming read of the store. It implements
+// View is a time-windowed, streaming read of the store. It implements
 // trace.Source, so it plugs directly into backtesting as a workload:
 // segments stream one record at a time through a fixed-size buffer, and
-// the per-segment time/host index skips segments the filters exclude —
-// replay memory is O(one record), independent of trace length.
+// the per-segment time index skips segments outside the window — replay
+// memory is O(one record), independent of trace length.
 type View struct {
 	st       *Store
 	from, to int64
-	hosts    map[string]struct{}
 }
 
 // Source returns an unfiltered view over the whole log.
@@ -39,52 +38,19 @@ func (v *View) Window(from, to int64) *View {
 	return &w
 }
 
-// ForHosts restricts the view to entries injected by the given hosts.
-func (v *View) ForHosts(hosts ...string) *View {
-	w := *v
-	w.hosts = make(map[string]struct{}, len(hosts))
-	for _, h := range hosts {
-		w.hosts[h] = struct{}{}
-	}
-	return &w
-}
-
-// keep applies the record-level filters.
+// keep applies the time window to one record.
 func (v *View) keep(e trace.Entry) bool {
-	if e.Time < v.from || e.Time > v.to {
-		return false
-	}
-	if v.hosts != nil {
-		if _, ok := v.hosts[e.SrcHost]; !ok {
-			return false
-		}
-	}
-	return true
+	return e.Time >= v.from && e.Time <= v.to
 }
 
-// skipSegment applies the segment-level index filters.
+// skipSegment applies the time window to one segment's index.
 func (v *View) skipSegment(si SegmentInfo) bool {
-	if !si.overlapsWindow(v.from, v.to) {
-		return true
-	}
-	if v.hosts != nil {
-		any := false
-		for h := range v.hosts {
-			if si.mayContainHost(h) {
-				any = true
-				break
-			}
-		}
-		if !any {
-			return true
-		}
-	}
-	return false
+	return !si.overlapsWindow(v.from, v.to)
 }
 
-// Scan streams every matching entry, in segment order, to fn. It reads
-// a consistent snapshot — segments sealed or flushed before the call —
-// that concurrent appends, retention, and compaction cannot disturb.
+// Scan streams every entry in the window, in segment order, to fn. It
+// reads a consistent snapshot — segments sealed or flushed before the
+// call — that concurrent appends cannot disturb.
 func (v *View) Scan(fn func(trace.Entry) error) error {
 	segs, err := v.st.snapshotReadable(v.skipSegment)
 	if err != nil {

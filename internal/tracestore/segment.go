@@ -28,8 +28,7 @@ func (c *countingReader) Read(p []byte) (int, error) {
 }
 
 // MaxIndexedHosts bounds the per-segment host index; a segment touched
-// by more distinct hosts records none (HostsOverflow) and is treated as
-// possibly containing any host.
+// by more distinct hosts records none (HostsOverflow).
 const MaxIndexedHosts = 512
 
 // SegmentInfo describes one segment of the log.
@@ -56,16 +55,6 @@ type SegmentInfo struct {
 
 // Path returns the segment file's location.
 func (si SegmentInfo) Path() string { return si.path }
-
-// mayContainHost consults the host index; unknown (overflowed or empty
-// pre-index) segments may contain anything.
-func (si SegmentInfo) mayContainHost(host string) bool {
-	if si.HostsOverflow || si.Hosts == nil {
-		return true
-	}
-	i := sort.SearchStrings(si.Hosts, host)
-	return i < len(si.Hosts) && si.Hosts[i] == host
-}
 
 // overlapsWindow consults the time index.
 func (si SegmentInfo) overlapsWindow(from, to int64) bool {

@@ -41,10 +41,9 @@ func (o Options) withDefaults() Options {
 
 // Store is an append-only, segmented on-disk trace log. Appends go to
 // the active segment, which seals (index sidecar + fsync) when it
-// reaches the rotation thresholds; sealed segments are immutable and are
-// the unit of retention, compaction, and index-based skipping. A Store
-// is safe for concurrent use; readers obtained from Source observe a
-// consistent prefix of the log.
+// reaches the rotation thresholds; sealed segments never change and are
+// the unit of index-based skipping. A Store is safe for concurrent use;
+// readers obtained from Source observe a consistent prefix of the log.
 type Store struct {
 	dir  string
 	opts Options
@@ -159,8 +158,8 @@ func (s *Store) Append(entries ...trace.Entry) error {
 	return nil
 }
 
-// changes returns a channel closed on the next mutation of the readable
-// extent (append, seal, retention, compaction, close). Follow-mode
+// changes returns a channel closed on the next growth of the readable
+// extent (append or close). Follow-mode
 // readers grab the channel before scanning, so a mutation racing the
 // scan still wakes the subsequent wait.
 func (s *Store) changes() <-chan struct{} {
@@ -290,13 +289,12 @@ type openSegment struct {
 
 // snapshotReadable freezes the readable extent of the log: all sealed
 // segments plus the flushed prefix of the active one. Segment files are
-// opened here, under the store lock, so a concurrent Retain or Compact —
-// which unlinks or renames files under the same lock — can never
-// invalidate the snapshot: an already-open handle keeps reading the
-// original bytes. Readers bound the active segment to its size at
-// snapshot time, so concurrent appends never tear a read. skip lets the
-// caller avoid opening segments its filters exclude. The caller owns the
-// returned file handles.
+// opened here, under the store lock, so the snapshot and its handles
+// agree; a segment file that has vanished from disk fails the snapshot
+// with an error wrapping fs.ErrNotExist. Readers bound the active
+// segment to its size at snapshot time, so concurrent appends never tear
+// a read. skip lets the caller avoid opening segments its filters
+// exclude. The caller owns the returned file handles.
 func (s *Store) snapshotReadable(skip func(SegmentInfo) bool) ([]openSegment, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -3,7 +3,6 @@ package tracestore
 import (
 	"math/rand"
 	"os"
-	"path/filepath"
 	"sync"
 	"testing"
 
@@ -234,40 +233,6 @@ func TestRecoveryRefusesMidFileCorruption(t *testing.T) {
 	}
 }
 
-func TestScanSurvivesConcurrentRetention(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{SegmentEntries: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(testEntries(50, 1)...); err != nil {
-		t.Fatal(err)
-	}
-	var count int64
-	err = st.Source().Scan(func(e trace.Entry) error {
-		count++
-		if count == 1 {
-			// Drop almost every segment mid-scan: the snapshot's open
-			// handles must keep reading the unlinked files.
-			if _, err := st.Retain(RetentionPolicy{MaxSegments: 1}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if count != 50 {
-		t.Fatalf("scan under retention saw %d of 50 entries", count)
-	}
-	// The retention did apply for later readers.
-	n, err := st.Source().Count()
-	if err != nil || n != 10 {
-		t.Fatalf("post-retention count = %d err = %v", n, err)
-	}
-	st.Close()
-}
-
 func TestOpenRejectsCodecMismatch(t *testing.T) {
 	dir := t.TempDir()
 	st, err := Open(dir, Options{Codec: JSONL})
@@ -299,145 +264,12 @@ func TestViewWindowAndHostFilters(t *testing.T) {
 			t.Fatalf("entry outside window: %+v", e)
 		}
 	}
-	// Host filter: h1 appears at indices 0,3,6,... (34 of 100).
-	n, err := st.Source().ForHosts("h1").Count()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != 34 {
-		t.Fatalf("h1 entries = %d, want 34", n)
-	}
-	// Unknown host: the segment index skips everything.
-	n, err = st.Source().ForHosts("nope").Count()
-	if err != nil || n != 0 {
-		t.Fatalf("unknown host entries = %d err = %v", n, err)
-	}
 	// Disjoint window: skipped via the time index.
-	n, err = st.Source().Window(10_000, 20_000).Count()
+	n, err := st.Source().Window(10_000, 20_000).Count()
 	if err != nil || n != 0 {
 		t.Fatalf("disjoint window entries = %d err = %v", n, err)
 	}
 	st.Close()
-}
-
-func TestRetention(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{SegmentEntries: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st.Append(testEntries(100, 1)...); err != nil {
-		t.Fatal(err)
-	}
-	// 5 sealed segments of 20 entries, no active remainder.
-	if got := len(st.Segments()); got != 5 {
-		t.Fatalf("segments = %d, want 5", got)
-	}
-	removed, err := st.Retain(RetentionPolicy{MaxSegments: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(removed) != 2 {
-		t.Fatalf("removed = %d, want 2", len(removed))
-	}
-	n, err := st.Source().Count()
-	if err != nil || n != 60 {
-		t.Fatalf("entries after retention = %d err = %v", n, err)
-	}
-	// The newest entries survive.
-	got := collect(t, st.Source())
-	if got[0].Time != 41 {
-		t.Fatalf("oldest surviving time = %d, want 41", got[0].Time)
-	}
-	// Segment files are actually gone.
-	for _, si := range removed {
-		if _, err := os.Stat(si.Path()); !os.IsNotExist(err) {
-			t.Fatalf("segment %s still on disk", si.Path())
-		}
-	}
-	// Time-based retention drops segments wholly before the cut.
-	removed, err = st.Retain(RetentionPolicy{DropBefore: 61})
-	if err != nil || len(removed) != 1 {
-		t.Fatalf("time retention removed %d err = %v", len(removed), err)
-	}
-	st.Close()
-}
-
-func TestRetentionMaxBytes(t *testing.T) {
-	st, err := Open(t.TempDir(), Options{SegmentEntries: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st.Append(testEntries(40, 1)...)
-	segBytes := int64(10 * trace.RecordSize)
-	removed, err := st.Retain(RetentionPolicy{MaxBytes: 2 * segBytes})
-	if err != nil || len(removed) != 2 {
-		t.Fatalf("removed %d err = %v", len(removed), err)
-	}
-	if st.Stats().Bytes != 2*segBytes {
-		t.Fatalf("bytes = %d", st.Stats().Bytes)
-	}
-	st.Close()
-}
-
-func TestCompactMergesSmallSegments(t *testing.T) {
-	dir := t.TempDir()
-	st, err := Open(dir, Options{SegmentEntries: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Three tiny sealed segments via reopen (each Open+Close seals).
-	want := 0
-	for i := 0; i < 3; i++ {
-		st.Append(testEntries(10, int64(1+100*i))...)
-		st.Close()
-		want += 10
-		st, err = Open(dir, Options{SegmentEntries: 100})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	if got := len(st.Segments()); got != 3 {
-		t.Fatalf("pre-compact segments = %d", got)
-	}
-	merged, err := st.Compact()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if merged != 2 {
-		t.Fatalf("merged = %d, want 2", merged)
-	}
-	segs := st.Segments()
-	if len(segs) != 1 || segs[0].Entries != int64(want) {
-		t.Fatalf("post-compact segments = %+v", segs)
-	}
-	if segs[0].MinTime != 1 || segs[0].MaxTime != 210 {
-		t.Fatalf("merged time index = [%d,%d]", segs[0].MinTime, segs[0].MaxTime)
-	}
-	got := collect(t, st.Source())
-	if len(got) != want {
-		t.Fatalf("entries after compact = %d, want %d", len(got), want)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time < got[i-1].Time {
-			t.Fatal("compaction reordered entries")
-		}
-	}
-	// The merged segment survives a reopen via its rewritten index.
-	st.Close()
-	st2, err := Open(dir, Options{SegmentEntries: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n, err := st2.Source().Count(); err != nil || n != int64(want) {
-		t.Fatalf("after reopen: %d err = %v", n, err)
-	}
-	st2.Close()
-
-	// Stray index files of merged-away segments are gone.
-	matches, _ := filepath.Glob(filepath.Join(dir, "*.idx"))
-	if len(matches) != 1 {
-		t.Fatalf("stray index files: %v", matches)
-	}
 }
 
 func TestConcurrentCaptureAndScan(t *testing.T) {

@@ -12,7 +12,7 @@ import (
 
 // TailPosition locates a follow-mode reader in the log: the segment it
 // is reading and the byte offset of the next record within it. The zero
-// value means "the oldest record still retained".
+// value means "the oldest record on disk".
 type TailPosition struct {
 	Segment uint64
 	Offset  int64
@@ -20,7 +20,7 @@ type TailPosition struct {
 
 // TailOptions configures a Tail. Zero values take the defaults.
 type TailOptions struct {
-	// From is the starting position (zero = oldest retained record).
+	// From is the starting position (zero = oldest record on disk).
 	From TailPosition
 	// Poll is the fallback wake interval for stores mutated by another
 	// process (default 200ms). Same-process appends wake the tail
@@ -30,12 +30,12 @@ type TailOptions struct {
 }
 
 // Tail is a follow-mode reader: it streams records in log order as
-// segments grow and rotate, then blocks until more arrive. It interacts
-// safely with retention and compaction — segment files are opened under
-// the store lock (an unlink cannot invalidate an open snapshot), and
-// when the segment the tail is positioned on has been retained away the
-// tail skips forward to the oldest surviving segment, counting the hop
-// in Skipped rather than erroring.
+// segments grow and rotate, then blocks until more arrive. The store
+// never removes a segment, so a gap in the log is out-of-band loss. A
+// tail resumed on a reopened store whose positioned segment was removed
+// from disk between opens skips forward to the oldest surviving segment
+// and counts the hop in Skipped; a segment file removed under a live
+// store fails Follow with an error wrapping fs.ErrNotExist.
 //
 // A Tail reads whole records only: appends become visible record-at-a-
 // time because the segment writer flushes complete encodings, and each
@@ -57,8 +57,8 @@ func (s *Store) Tail(opts TailOptions) *Tail {
 	if opts.Poll <= 0 {
 		opts.Poll = 200 * time.Millisecond
 	}
-	// A zero From means "the oldest record still retained": landing on a
-	// first segment with a higher ID is then by definition not a loss.
+	// A zero From means "the oldest record on disk": landing on a first
+	// segment with a higher ID is then by definition not a loss.
 	return &Tail{st: s, pos: opts.From, poll: opts.Poll,
 		doneSealed: opts.From == TailPosition{}}
 }
@@ -68,8 +68,8 @@ func (s *Store) Tail(opts TailOptions) *Tail {
 // the callback.
 func (t *Tail) Position() TailPosition { return t.pos }
 
-// Skipped counts the segments the tail hopped over because retention
-// (or compaction) removed them before they were read.
+// Skipped counts the segments the tail hopped over because they were
+// removed from disk, out of band, before it had read them whole.
 func (t *Tail) Skipped() int64 { return t.skipped.Load() }
 
 // Entries counts records delivered to the callback.
@@ -138,8 +138,8 @@ func (t *Tail) catchUp(fn func(trace.Entry) error) (int, error) {
 		if seg.info.ID > t.pos.Segment {
 			// The positioned segment is absent from the snapshot. Either
 			// we had consumed it whole while sealed (a natural advance),
-			// or retention removed it before we finished — skip forward
-			// to the oldest survivor and count the hop.
+			// or it was removed from disk before we finished — skip
+			// forward to the oldest survivor and count the hop.
 			if !t.doneSealed {
 				t.skipped.Add(1)
 			}
@@ -148,8 +148,8 @@ func (t *Tail) catchUp(fn func(trace.Entry) error) (int, error) {
 		}
 		if t.pos.Offset > seg.info.Bytes {
 			// The file shrank under us (possible only through external
-			// interference); treat like a retained segment rather than
-			// reading garbage.
+			// interference); treat it as lost rather than reading
+			// garbage.
 			t.skipped.Add(1)
 			t.pos = TailPosition{Segment: seg.info.ID + 1}
 			t.doneSealed = false
@@ -163,10 +163,9 @@ func (t *Tail) catchUp(fn func(trace.Entry) error) (int, error) {
 				return delivered, err
 			}
 		}
-		// Consumed to the snapshot extent. A sealed segment can still
-		// grow (compaction merges successors into it), so the position
-		// stays here; doneSealed marks that its disappearance would lose
-		// nothing.
+		// Consumed to the snapshot extent. The position stays here until
+		// a successor shows up; doneSealed marks that this segment is
+		// sealed and read whole, so moving past it loses nothing.
 		t.doneSealed = seg.info.Sealed && t.pos.Offset == seg.info.Bytes
 	}
 	return delivered, nil

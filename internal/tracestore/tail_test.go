@@ -3,6 +3,9 @@ package tracestore
 import (
 	"context"
 	"errors"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -71,15 +74,39 @@ func TestTailFollowsLiveAppends(t *testing.T) {
 				}
 			}
 			if tl.Skipped() != 0 {
-				t.Fatalf("skipped = %d on an unretained store", tl.Skipped())
+				t.Fatalf("skipped = %d on a store nothing removes from", tl.Skipped())
 			}
 		})
 	}
 }
 
-// TestTailStartsAtOldestRetained: records retained away before the tail
-// starts are not a skip — the zero position means "oldest retained".
-func TestTailStartsAtOldestRetained(t *testing.T) {
+// removeSegments deletes segments' data and index files from a store
+// directory, as an operator or a disk fault would: out of band.
+func removeSegments(t *testing.T, st *Store, ids ...uint64) {
+	t.Helper()
+	for _, id := range ids {
+		for _, name := range []string{segmentName(id, st.Codec()), indexName(id)} {
+			if err := os.Remove(filepath.Join(st.Dir(), name)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// reopen opens the store directory again with the options of a store
+// already closed.
+func reopen(t *testing.T, st *Store) *Store {
+	t.Helper()
+	st2, err := Open(st.Dir(), st.opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st2
+}
+
+// TestTailStartsAtOldestSurvivor: segments removed from disk before the
+// tail starts are not a skip — the zero position means "oldest on disk".
+func TestTailStartsAtOldestSurvivor(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{SegmentEntries: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -87,9 +114,11 @@ func TestTailStartsAtOldestRetained(t *testing.T) {
 	if err := st.Append(testEntries(20, 1)...); err != nil { // segments 0..3
 		t.Fatal(err)
 	}
-	if _, err := st.Retain(RetentionPolicy{MaxSegments: 2}); err != nil {
+	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	removeSegments(t, st, 0, 1)
+	st = reopen(t, st)
 	tl := st.Tail(TailOptions{})
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -105,17 +134,18 @@ func TestTailStartsAtOldestRetained(t *testing.T) {
 		t.Fatalf("Follow: %v", err)
 	}
 	if len(got) != 10 || got[0].Time != 11 {
-		t.Fatalf("got %d entries starting at %d, want 10 starting at 11", len(got), got[0].Time)
+		t.Fatalf("got %d entries starting at %v, want 10 starting at 11", len(got), got)
 	}
 	if tl.Skipped() != 0 {
-		t.Fatalf("skipped = %d, want 0 (zero position = oldest retained)", tl.Skipped())
+		t.Fatalf("skipped = %d, want 0 (zero position = oldest on disk)", tl.Skipped())
 	}
 }
 
-// TestTailSkipsForwardPastRetention: a tail positioned mid-segment when
-// retention deletes that segment skips forward cleanly to the oldest
-// survivor and counts the hop.
-func TestTailSkipsForwardPastRetention(t *testing.T) {
+// TestTailCountsLostSegments: a tail paused mid-segment, then resumed at
+// its position on a reopened store whose segments 0..2 were removed
+// from disk in between, skips forward to the oldest survivor and counts
+// the hop.
+func TestTailCountsLostSegments(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{SegmentEntries: 5})
 	if err != nil {
 		t.Fatal(err)
@@ -137,33 +167,62 @@ func TestTailSkipsForwardPastRetention(t *testing.T) {
 	if err != stop || n != 3 {
 		t.Fatalf("paused follow: n=%d err=%v", n, err)
 	}
-	if _, err := st.Retain(RetentionPolicy{MaxSegments: 1}); err != nil {
-		t.Fatal(err)
-	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
+	removeSegments(t, st, 0, 1, 2)
+	st = reopen(t, st)
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	resumed := st.Tail(TailOptions{From: tl.Position()})
 	var got []trace.Entry
-	if err := tl.Follow(context.Background(), func(e trace.Entry) error {
+	if err := resumed.Follow(context.Background(), func(e trace.Entry) error {
 		got = append(got, e)
 		return nil
 	}); err != nil {
-		t.Fatalf("Follow after retention: %v", err)
+		t.Fatalf("Follow after loss: %v", err)
 	}
 	if len(got) != 5 || got[0].Time != 16 {
 		t.Fatalf("got %d entries starting at %v, want segment 3's 5 entries from 16",
 			len(got), got)
 	}
-	if tl.Skipped() == 0 {
-		t.Fatal("skip past retained segments not counted")
+	if resumed.Skipped() != 1 {
+		t.Fatalf("skipped = %d, want 1 (the partly read segment 0)", resumed.Skipped())
 	}
 }
 
-// TestTailRaceRotationRetention is the satellite race check: one
-// goroutine appends (rotating every few records), one applies retention
-// continuously, and a tail follows throughout. The tail must never
-// error, must deliver records in order, and must reach the end of the
-// log once the writer closes the store.
+// TestTailFailsOnSegmentDeletedUnderLiveStore: a sealed segment removed
+// from disk while its store is open is a fault, not a gap to skip —
+// Follow returns an error wrapping fs.ErrNotExist instead of hanging or
+// silently delivering around it.
+func TestTailFailsOnSegmentDeletedUnderLiveStore(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{SegmentEntries: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append(testEntries(17, 1)...); err != nil { // 0..2 sealed, 3 active
+		t.Fatal(err)
+	}
+	removeSegments(t, st, 1)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	n := 0
+	err = st.Tail(TailOptions{}).Follow(ctx, func(trace.Entry) error { n++; return nil })
+	if !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("Follow = %v after %d entries, want an error wrapping fs.ErrNotExist", err, n)
+	}
+	if n != 0 {
+		t.Fatalf("delivered %d entries around the missing segment", n)
+	}
+}
+
+// TestTailRaceRotationRetention is the append/rotation race check: one
+// goroutine appends, rotating every few records, while a tail follows
+// throughout. The tail must never error, must deliver every record in
+// order with nothing skipped, and must reach the end of the log once the
+// writer closes the store.
 func TestTailRaceRotationRetention(t *testing.T) {
 	st, err := Open(t.TempDir(), Options{SegmentEntries: 8})
 	if err != nil {
@@ -175,22 +234,6 @@ func TestTailRaceRotationRetention(t *testing.T) {
 	tl := st.Tail(TailOptions{Poll: 5 * time.Millisecond})
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-
-	retDone := make(chan struct{})
-	go func() {
-		defer close(retDone)
-		for ctx.Err() == nil {
-			if _, err := st.Retain(RetentionPolicy{MaxSegments: 3}); err != nil {
-				t.Errorf("retain: %v", err)
-				return
-			}
-			select {
-			case <-ctx.Done():
-			case <-time.After(time.Millisecond):
-			}
-		}
-	}()
-
 	out, done := follow(ctx, tl)
 
 	writeDone := make(chan struct{})
@@ -205,32 +248,28 @@ func TestTailRaceRotationRetention(t *testing.T) {
 		}
 	}()
 
-	// Drain deliveries until the tail reaches the final record. The last
-	// segments always survive retention (the active segment is never
-	// dropped and MaxSegments keeps the newest sealed ones), so the tail
-	// is guaranteed to get there.
 	var got []trace.Entry
-	for len(got) == 0 || got[len(got)-1].Time != want[total-1].Time {
+	for len(got) < total {
 		select {
 		case e := <-out:
 			got = append(got, e)
 		case <-ctx.Done():
-			t.Fatalf("timed out: %d entries delivered, skipped %d", len(got), tl.Skipped())
+			t.Fatalf("timed out: %d/%d entries delivered, skipped %d", len(got), total, tl.Skipped())
 		}
 	}
 	<-writeDone
-	cancel() // stop the retention loop
-	<-retDone
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := <-done; err != nil && err != context.Canceled {
+	if err := <-done; err != nil {
 		t.Fatalf("Follow: %v", err)
 	}
-	for i := 1; i < len(got); i++ {
-		if got[i].Time <= got[i-1].Time {
-			t.Fatalf("out-of-order delivery at %d: %d after %d", i, got[i].Time, got[i-1].Time)
+	for i := range want {
+		if got[i].Time != want[i].Time {
+			t.Fatalf("delivery %d: time %d, want %d", i, got[i].Time, want[i].Time)
 		}
 	}
-	t.Logf("delivered %d/%d entries, skipped %d segment hops", len(got), total, tl.Skipped())
+	if tl.Skipped() != 0 {
+		t.Fatalf("skipped = %d, want 0 on a store nothing removes from", tl.Skipped())
+	}
 }

@@ -136,7 +136,6 @@ type options struct {
 	// entry points reject the whole call instead of silently correcting.
 	err               error
 	maxCandidates     int
-	alpha             float64
 	budget            Budget
 	coalesce          bool
 	parallelism       int
@@ -198,10 +197,6 @@ type Option func(*options)
 // silently truncated. Zero or negative removes the cap; an uncapped
 // session always materializes its candidates first (see WithPipelineMode).
 func WithMaxCandidates(n int) Option { return func(o *options) { o.maxCandidates = n } }
-
-// WithAlpha sets the KS significance level for the §4.3 disruption test
-// (default 0.05).
-func WithAlpha(alpha float64) Option { return func(o *options) { o.alpha = alpha } }
 
 // WithBudget bounds the meta-provenance search; zero-valued fields keep
 // the defaults.

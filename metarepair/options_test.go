@@ -26,8 +26,8 @@ func TestOptionDefaults(t *testing.T) {
 	if o.pipeline != PipelineStreaming || o.eval != EvalDelta {
 		t.Errorf("pipeline = %v, eval = %v, want streaming and delta", o.pipeline, o.eval)
 	}
-	if o.alpha != 0 || o.maxPacketInFactor != 0 || o.parallelism != 0 {
-		t.Error("alpha, packet-in factor, and parallelism must default to zero (engine defaults)")
+	if o.maxPacketInFactor != 0 || o.parallelism != 0 {
+		t.Error("packet-in factor and parallelism must default to zero (engine defaults)")
 	}
 	if o.sink != nil || o.filter != nil {
 		t.Error("sink and filter must default nil")
@@ -37,16 +37,16 @@ func TestOptionDefaults(t *testing.T) {
 func TestOptionOverridesDoNotMutateSession(t *testing.T) {
 	sess, err := NewSession(ndlog.MustParse("t",
 		`r1 FlowTable(@Swi,Sip,Dip,Spt,Dpt,Prt) :- PacketIn(@C,Swi,InPrt,Sip,Dip,Spt,Dpt), Swi == 1, Prt := 2.`),
-		WithMaxCandidates(7), WithAlpha(0.01))
+		WithMaxCandidates(7), WithMaxPacketInFactor(2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sess.opts.maxCandidates != 7 || sess.opts.alpha != 0.01 {
+	if sess.opts.maxCandidates != 7 || sess.opts.maxPacketInFactor != 2 {
 		t.Fatalf("session options not applied: %+v", sess.opts)
 	}
 	// A per-call override is resolved on a copy.
 	o := sess.opts.with([]Option{WithMaxCandidates(3), WithPipelineMode(PipelineBarrier)})
-	if o.maxCandidates != 3 || o.pipeline != PipelineBarrier || o.alpha != 0.01 {
+	if o.maxCandidates != 3 || o.pipeline != PipelineBarrier || o.maxPacketInFactor != 2 {
 		t.Fatalf("per-call merge broken: %+v", o)
 	}
 	if sess.opts.maxCandidates != 7 || sess.opts.pipeline != PipelineStreaming {

@@ -621,7 +621,6 @@ func (s *Session) backtestJob(bt Backtest, o options) *backtest.Job {
 		Workload:          bt.Workload,
 		Source:            s.workloadSource(bt, o),
 		Effective:         bt.Effective,
-		Alpha:             o.alpha,
 		MaxPacketInFactor: o.maxPacketInFactor,
 		SkipCoalesce:      !o.coalesce,
 		Eval:              o.eval,

@@ -108,7 +108,9 @@ type WatchStats struct {
 	Windows    int64
 	Detections int64
 	Debounced  int64
-	// SkippedSegments counts retention hops in the live tail.
+	// SkippedSegments counts segments the live tail hopped over because
+	// they were removed from disk, out of band, before it read them whole
+	// (see tracestore.Tail.Skipped).
 	SkippedSegments int64
 	// Suppressed counts detections not acted on (in-flight overlap,
 	// concurrency bound, launcher refusal).

@@ -33,8 +33,8 @@ type Spec struct {
 	Query string
 
 	// Topology generates the base fabric (nil: the §5.2 campus). Any
-	// topo.Generator works — the built-in shapes are topo.Campus,
-	// topo.FatTree, and topo.Linear.
+	// topo.Generator works — the built-in shapes are topo.Campus and
+	// topo.Linear.
 	Topology topo.Generator
 
 	// Attach wires the scenario onto the freshly generated fabric: zone
