@@ -17,7 +17,6 @@ import (
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
-	"repro/internal/scenarios"
 	"repro/internal/solver"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -27,7 +26,7 @@ import (
 
 // benchScale keeps per-iteration work around a second so the full suite
 // stays tractable; shapes are scale-invariant.
-func benchScale() scenarios.Scale { return scenarios.Scale{Switches: 19, Flows: 600} }
+func benchScale() scenario.Scale { return scenario.Scale{Switches: 19, Flows: 600} }
 
 // BenchmarkTable1_RepairCandidates regenerates Table 1: all five
 // diagnostic queries end to end (generate + backtest).
@@ -50,7 +49,7 @@ func BenchmarkTable1_RepairCandidates(b *testing.B) {
 // with KS statistics and verdicts.
 func BenchmarkTable2_Q1Candidates(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.CandidateTable(context.Background(), scenarios.Q1(benchScale()))
+		rows, err := experiments.CandidateTable(context.Background(), scenario.Q1Spec().MustInstantiate(benchScale()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -137,7 +136,7 @@ func BenchmarkFigure9b_Backtesting(b *testing.B) {
 	// 63-tag ceiling, full fixpoint per run versus the delta path that
 	// runs the base fixpoint once and replays every candidate as a tagged
 	// delta against it. Delta/Full is the speedup EXPERIMENTS.md records.
-	wsess, wide, wbt, err := experiments.WideCandidates(ctx, scenarios.Scale{Switches: 19, Flows: 300})
+	wsess, wide, wbt, err := experiments.WideCandidates(ctx, scenario.Scale{Switches: 19, Flows: 300})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -226,7 +225,7 @@ func BenchmarkBatchedBacktest(b *testing.B) {
 //     waiting for the whole candidate set.
 func BenchmarkExplorePipeline(b *testing.B) {
 	ctx := context.Background()
-	s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		b.Fatal(err)
@@ -326,7 +325,7 @@ func captureToStore(b *testing.B, wl []trace.Entry) *tracestore.Store {
 // records): the storage layer's cost for the O(segment)-memory replay
 // path that removes the workload-size ceiling.
 func BenchmarkReplaySource(b *testing.B) {
-	s := scenarios.Q1(benchScale())
+	s := scenario.Q1Spec().MustInstantiate(benchScale())
 	wl := s.Workload
 	st := captureToStore(b, wl)
 	b.Run("Memory", func(b *testing.B) {
@@ -359,7 +358,7 @@ func BenchmarkReplaySource(b *testing.B) {
 // (sdn.Network.Inject) — so entries/op − walks/op over entries/op is the
 // record's hit rate behind the ns/entry figure.
 func BenchmarkReplayFlowRuns(b *testing.B) {
-	s := scenarios.Q5(scenarios.Scale{Switches: 19, Flows: 6000})
+	s := scenario.Q5Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 6000})
 	st := captureToStore(b, s.Workload)
 	for _, from := range []struct {
 		name string
@@ -435,7 +434,7 @@ func BenchmarkFigure9c_NetworkScalability(b *testing.B) {
 	for _, n := range []int{19, 49, 79, 109, 139, 169} {
 		b.Run(fmt.Sprintf("switches=%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := scenarios.Q1(scenarios.Scale{Switches: n, Flows: 600})
+				s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: n, Flows: 600})
 				if _, err := s.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
@@ -450,7 +449,7 @@ func BenchmarkFigure10_ProgramScalability(b *testing.B) {
 	for _, lines := range []int{100, 300, 500, 700, 900} {
 		b.Run(fmt.Sprintf("lines=%d", lines), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s := scenarios.Q1(benchScale())
+				s := scenario.Q1Spec().MustInstantiate(benchScale())
 				s.Prog = experiments.AugmentProgram(s.Prog, lines)
 				if _, err := s.Run(context.Background()); err != nil {
 					b.Fatal(err)
@@ -499,7 +498,7 @@ func BenchmarkEngineJoin(b *testing.B) {
 // controller under a Cbench-style PacketIn stream with and without
 // provenance maintenance.
 func BenchmarkOverhead_Provenance(b *testing.B) {
-	s := scenarios.Q1(benchScale())
+	s := scenario.Q1Spec().MustInstantiate(benchScale())
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := benchStress(s.Prog, false); err != nil {
@@ -543,7 +542,7 @@ func benchStress(prog *ndlog.Program, withProv bool) (any, error) {
 func BenchmarkStorage_LogRate(b *testing.B) {
 	var rate float64
 	for i := 0; i < b.N; i++ {
-		s := scenarios.Q1(benchScale())
+		s := scenario.Q1Spec().MustInstantiate(benchScale())
 		rate = float64(trace.Bytes(s.Workload))
 	}
 	b.ReportMetric(rate, "bytes/run")

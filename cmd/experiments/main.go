@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/experiments"
-	"repro/internal/scenarios"
 	"repro/scenario"
 )
 
@@ -33,7 +32,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	sc := scenarios.Scale{Switches: 19, Flows: 900}
+	sc := scenario.Scale{Switches: 19, Flows: 900}
 	sizes := []int{19, 49, 79, 109, 139, 169}
 	lineSizes := []int{100, 300, 500, 700, 900}
 	events := 30000
@@ -67,7 +66,7 @@ func main() {
 		fmt.Println(experiments.FormatTable1(rows))
 	}
 	if run("table2") {
-		rows, err := experiments.CandidateTable(ctx, scenarios.Q1(sc))
+		rows, err := experiments.CandidateTable(ctx, scenario.Q1Spec().MustInstantiate(sc))
 		if err != nil {
 			fail(err)
 		}

@@ -49,14 +49,14 @@
 //	  run the same pipeline but stream the backtest workload out of the
 //	  store (optionally a time window of it) instead of memory.
 //
-// Scenario names resolve through the scenario package's default registry;
-// importing internal/scenarios registers the five §5.3 case studies, and
-// third-party packages register their own specs the same way. A typo
-// prints the registered menu instead of panicking.
+// Scenario names resolve through the scenario package's default registry,
+// which holds the five §5.3 case studies as soon as the package is
+// imported; third-party packages register their own specs the same way. A
+// typo prints the registered menu instead of panicking.
 //
-// -events streams pipeline progress — including suite cell events,
-// capture.done, and replay.open — as JSONL to the given file; "-" writes
-// to stderr. -timeout cancels the whole pipeline via context.
+// -events streams pipeline progress — including suite cell events and
+// replay.open — as JSONL to the given file; "-" writes to stderr.
+// -timeout cancels the whole pipeline via context.
 //
 // -metrics (run and replay) aggregates the run's telemetry — session
 // span durations, event and suggestion counts, NDlog engine work — into
@@ -79,7 +79,6 @@ import (
 	"time"
 
 	"repro/internal/obsv"
-	_ "repro/internal/scenarios" // register Q1–Q5 in the default registry
 	"repro/internal/sentinel"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
@@ -741,6 +740,10 @@ func runPipeline(cmd string, args []string) {
 			fmt.Fprintln(os.Stderr, "replay: -dir is required (run `metarepair capture` first)")
 			os.Exit(2)
 		}
+		if *from > *to {
+			fmt.Fprintf(os.Stderr, "replay: from %d exceeds to %d\n", *from, *to)
+			os.Exit(2)
+		}
 		codec, err := tracestore.CodecByName(*format)
 		if err != nil {
 			fail(err)
@@ -752,9 +755,7 @@ func runPipeline(cmd string, args []string) {
 		defer st.Close()
 		stats := st.Stats()
 		// The store becomes the scenario's workload — diagnosis and
-		// backtesting both stream this windowed view (an explicit
-		// Backtest.Source outranks the session-store option, so no
-		// WithTraceStore is needed here).
+		// backtesting both stream this windowed view.
 		s.Source = st.Source().Window(*from, *to)
 		workload = fmt.Sprintf("%d entries in %d on-disk segment(s) (%d bytes)",
 			stats.Entries, stats.Segments, stats.Bytes)

@@ -44,7 +44,7 @@ type jobRequest struct {
 	repairRequest
 	// Trace names a previously ingested trace of the same tenant to
 	// stream the workload from; From/To window the replay by record
-	// timestamp (metarepair.WithReplayWindow).
+	// timestamp (tracestore.View.Window). From above To is a 400.
 	Trace string `json:"trace,omitempty"`
 	From  *int64 `json:"from,omitempty"`
 	To    *int64 `json:"to,omitempty"`

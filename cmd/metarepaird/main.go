@@ -56,7 +56,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	_ "repro/internal/scenarios" // register Q1–Q5 in the default registry
 	"repro/internal/tracestore"
 	"repro/scenario"
 )

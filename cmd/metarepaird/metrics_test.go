@@ -13,8 +13,8 @@ import (
 
 	"repro/internal/jobs"
 	"repro/internal/obsv"
-	"repro/internal/scenarios"
 	"repro/internal/tracestore"
+	"repro/scenario"
 )
 
 // scrapeMetrics GETs /metrics and parses the exposition.
@@ -189,7 +189,7 @@ func TestMetricsReconcile(t *testing.T) {
 // ingest with real values matching the ingest response.
 func TestMetricsStoreFamilies(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 1})
-	spec := scenarios.Q1Spec().MustInstantiate(testScale)
+	spec := scenario.Q1Spec().MustInstantiate(testScale)
 
 	var stream []byte
 	var err error

@@ -271,6 +271,10 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 			if req.To != nil {
 				to = *req.To
 			}
+			if from > to {
+				writeError(w, http.StatusBadRequest, "from %d exceeds to %d", from, to)
+				return
+			}
 			view = view.Window(from, to)
 		}
 		source = view

@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/scenarios"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/metarepair"
@@ -33,8 +32,8 @@ var testScale = scenario.Scale{Switches: 19, Flows: 200}
 func newTestServer(t *testing.T, cfg jobs.Config) (*server, *httptest.Server) {
 	t.Helper()
 	reg := scenario.NewRegistry()
-	reg.MustRegister(scenarios.Q1Spec())
-	slow := scenarios.Q1Spec()
+	reg.MustRegister(scenario.Q1Spec())
+	slow := scenario.Q1Spec()
 	slow.Name = "Q1slow"
 	reg.MustRegister(slow)
 
@@ -143,7 +142,7 @@ func TestJobLifecycle(t *testing.T) {
 	if !rep.Suggestions[0].Accepted {
 		t.Fatalf("ranking violated: first suggestion rejected: %+v", rep.Suggestions[0])
 	}
-	fix := scenarios.Q1Spec().IntuitiveFix
+	fix := scenario.Q1Spec().IntuitiveFix
 	found := false
 	for _, r := range rep.Results {
 		if r.Accepted && strings.Contains(r.Desc, fix) {
@@ -164,7 +163,7 @@ func TestJobLifecycle(t *testing.T) {
 // concurrent repair jobs across 4 tenants, every report verdict-identical
 // to a one-shot in-process run of the same scenario at the same scale.
 func TestVerdictParityAcrossTenants(t *testing.T) {
-	sc := scenarios.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 150})
+	sc := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 150})
 	out, err := sc.Run(context.Background())
 	if err != nil {
 		t.Fatalf("one-shot run: %v", err)
@@ -309,7 +308,7 @@ func TestNotFoundAndBadRequests(t *testing.T) {
 // expects the same verdicts as the in-memory run.
 func TestIngestAndStoreBackedJob(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 2})
-	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
 
 	var stream []byte
 	var err error
@@ -364,13 +363,54 @@ func TestIngestAndStoreBackedJob(t *testing.T) {
 	}
 }
 
+// TestInvertedReplayWindowRejected: a store-backed job whose window has
+// from above to would replay nothing and report "no repair" for traffic
+// it never saw, so intake answers 400 and queues no job.
+func TestInvertedReplayWindowRejected(t *testing.T) {
+	_, ts := newTestServer(t, jobs.Config{Workers: 1})
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
+	var stream []byte
+	var err error
+	for _, e := range sc.Workload[:5] {
+		if stream, err = tracestore.Binary.AppendRecord(stream, e); err != nil {
+			t.Fatalf("encoding workload: %v", err)
+		}
+	}
+	resp, err := http.Post(ts.URL+"/v1/tenants/acme/traces/q1cap?format=binary",
+		"application/octet-stream", bytes.NewReader(stream))
+	if err != nil {
+		t.Fatalf("ingest: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+
+	from, to := int64(10), int64(5)
+	resp2, body := postJSON(t, ts.URL+"/v1/tenants/acme/jobs", jobRequest{
+		repairRequest: repairRequest{Scenario: "Q1", Switches: testScale.Switches, Flows: testScale.Flows},
+		Trace:         "q1cap", From: &from, To: &to,
+	})
+	if resp2.StatusCode != http.StatusBadRequest {
+		t.Fatalf("inverted window: status %d (%s), want 400", resp2.StatusCode, body)
+	}
+	if !bytes.Contains(body, []byte("from 10 exceeds to 5")) {
+		t.Fatalf("inverted-window error %q does not name the bounds", body)
+	}
+	var list struct{ Jobs []jobStatus }
+	getJSON(t, ts.URL+"/v1/tenants/acme/jobs", &list)
+	if len(list.Jobs) != 0 {
+		t.Fatalf("rejected request queued %d job(s)", len(list.Jobs))
+	}
+}
+
 // TestIngestBadRecordKeepsDurablePrefix: a body whose records turn to
 // garbage part-way is answered 400 naming the first bad record, and the
 // records before it are on disk — flushed and synced, not buffered —
 // by the time the answer arrives.
 func TestIngestBadRecordKeepsDurablePrefix(t *testing.T) {
 	srv, ts := newTestServer(t, jobs.Config{Workers: 1})
-	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
 	var body []byte
 	var err error
 	for _, e := range sc.Workload[:5] {
@@ -453,7 +493,7 @@ func TestSSEMatchesSessionEvents(t *testing.T) {
 	}
 
 	// One-shot baseline with an in-process sink and identical options.
-	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
 	var mu sync.Mutex
 	var want []metarepair.Event
 	_, err := sc.Run(context.Background(),

@@ -11,10 +11,10 @@ import (
 	"time"
 
 	"repro/internal/jobs"
-	"repro/internal/scenarios"
 	"repro/internal/sentinel"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
+	"repro/scenario"
 )
 
 // TestScenarioCatalogue checks GET /scenarios lists every registered
@@ -112,7 +112,7 @@ func ingestEntries(t *testing.T, ts *httptest.Server, tenant, name string, entri
 // full story visible on the watch's SSE stream and in the job list.
 func TestWatchSelfHealsThroughDaemon(t *testing.T) {
 	_, ts := newTestServer(t, jobs.Config{Workers: 2})
-	sc := scenarios.Q1Spec().MustInstantiate(testScale)
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
 
 	// Arrival order: time-sorted, healthy traffic first, symptom traffic
 	// last, restamped to a single tick clock — the fault appears

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"strings"
 
-	_ "repro/internal/scenarios" // register Q1-Q5 in the default registry
 	"repro/scenario"
 )
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"time"
 
-	_ "repro/internal/scenarios" // register Q1-Q5 in the default registry
 	"repro/scenario"
 )
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/pyretic"
-	_ "repro/internal/scenarios" // register Q1-Q5 in the default registry
 	"repro/internal/trema"
 	"repro/scenario"
 )

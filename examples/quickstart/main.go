@@ -82,7 +82,7 @@ func main() {
 	}
 	defer store.Close()
 
-	sess, err := metarepair.NewSession(prog, metarepair.WithTraceStore(store))
+	sess, err := metarepair.NewSession(prog)
 	if err != nil {
 		panic(err)
 	}
@@ -98,29 +98,29 @@ func main() {
 	// control plane, the trace store the data plane.
 	net := topology.Fork()
 	net.Ctrl = sess.Controller()
-	stopCapture, err := sess.Capture(net)
-	if err != nil {
-		panic(err)
-	}
+	rec := tracestore.NewRecorder(store)
+	net.Capture = rec
 	wl := workload()
 	if n := trace.Replay(net, wl, 1); n != len(wl) {
 		panic(fmt.Sprintf("partial replay: %d of %d", n, len(wl)))
 	}
-	captured, err := stopCapture()
-	if err != nil {
+	if err := rec.Err(); err != nil {
+		panic(err)
+	}
+	if err := store.Sync(); err != nil {
 		panic(err)
 	}
 	stats := store.Stats()
 	fmt.Printf("captured %d packets into %d on-disk segment(s) (%d bytes)\n",
-		captured, stats.Segments, stats.Bytes)
+		rec.Count(), stats.Segments, stats.Bytes)
 
 	h2 := net.Hosts["h2"]
 	fmt.Printf("symptom: backup server h2 received %d HTTP packets (primary: %d)\n\n",
 		h2.PortCountFor(sdn.PortHTTP, 0), net.Hosts["h1"].PortCountFor(sdn.PortHTTP, 0))
 
 	// The operator's query: why is there no flow entry at switch 3
-	// forwarding HTTP to port 2? The backtest workload comes from the
-	// store (no Workload slice — the session streams the captured log).
+	// forwarding HTTP to port 2? The backtest streams its workload out of
+	// the store.
 	// Under the default streaming pipeline the concurrent forest search
 	// feeds candidates straight into small shared-run batches that launch
 	// while exploration is still producing, so the first verdicts arrive
@@ -130,6 +130,7 @@ func main() {
 		metarepair.Pin(3), nil, nil, nil, metarepair.Pin(80), metarepair.Pin(2))
 	run, err := sess.Stream(ctx, sym, metarepair.Backtest{
 		BuildNet: topology.Fork,
+		Source:   store.Source(),
 		Effective: func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 			return n.Hosts["h2"].PortCountFor(sdn.PortHTTP, tag) > 0
 		},

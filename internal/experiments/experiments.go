@@ -21,7 +21,6 @@ import (
 	"repro/internal/meta"
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
 	"repro/internal/tracestore"
 	"repro/metarepair"
 	"repro/scenario"
@@ -36,9 +35,10 @@ type Table1Row struct {
 }
 
 // Table1 runs the five diagnostic queries end to end.
-func Table1(ctx context.Context, sc scenarios.Scale) ([]Table1Row, error) {
+func Table1(ctx context.Context, sc scenario.Scale) ([]Table1Row, error) {
 	var rows []Table1Row
-	for _, s := range scenarios.All(sc) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(sc)
 		out, err := s.Run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
@@ -110,10 +110,11 @@ type Table3Row struct {
 }
 
 // Table3 reruns the scenarios under the Trema and Pyretic front-ends.
-func Table3(ctx context.Context, sc scenarios.Scale) ([]Table3Row, error) {
+func Table3(ctx context.Context, sc scenario.Scale) ([]Table3Row, error) {
 	var rows []Table3Row
 	for _, lang := range []scenario.Language{scenario.TremaLang(), scenario.PyreticLang()} {
-		for _, s := range scenarios.All(sc) {
+		for _, spec := range scenario.Default().Specs() {
+			s := spec.MustInstantiate(sc)
 			out, err := s.RunWithLanguage(ctx, lang)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s: %w", s.Name, lang.Name, err)
@@ -151,9 +152,10 @@ type Figure9aRow struct {
 }
 
 // Figure9a measures repair-generation turnaround per scenario.
-func Figure9a(ctx context.Context, sc scenarios.Scale) ([]Figure9aRow, error) {
+func Figure9a(ctx context.Context, sc scenario.Scale) ([]Figure9aRow, error) {
 	var rows []Figure9aRow
-	for _, s := range scenarios.All(sc) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(sc)
 		out, err := s.Run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", s.Name, err)
@@ -196,8 +198,8 @@ type Figure9bRow struct {
 // the Q1 candidate list: Job.RunSequential, one simulation per candidate
 // (the paper's baseline), against Job.RunShared, the §4.4 multi-query
 // run, on the same candidates.
-func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow, error) {
-	s := scenarios.Q1(sc)
+func Figure9b(ctx context.Context, sc scenario.Scale, maxK int) ([]Figure9bRow, error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return nil, err
@@ -231,7 +233,7 @@ func Figure9b(ctx context.Context, sc scenarios.Scale, maxK int) ([]Figure9bRow,
 // with: the §4.4 shared run under delta evaluation, coalescing on.
 func BacktestJob(prog *ndlog.Program, bt metarepair.Backtest, cands []metaprov.Candidate) *backtest.Job {
 	return &backtest.Job{Prog: prog, Candidates: cands, BuildNet: bt.BuildNet, State: bt.State,
-		Workload: bt.Workload, Source: bt.Source, Effective: bt.Effective, Eval: ndlog.EvalDelta}
+		Source: bt.Source, Effective: bt.Effective, Eval: ndlog.EvalDelta}
 }
 
 // FormatFigure9b renders the Figure 9b series.
@@ -261,7 +263,7 @@ type Figure9cRow struct {
 func Figure9c(ctx context.Context, sizes []int, flows int) ([]Figure9cRow, error) {
 	var rows []Figure9cRow
 	for _, n := range sizes {
-		s := scenarios.Q1(scenarios.Scale{Switches: n, Flows: flows})
+		s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: n, Flows: flows})
 		out, err := s.Run(ctx)
 		if err != nil {
 			return nil, fmt.Errorf("switches=%d: %w", n, err)
@@ -325,10 +327,10 @@ func AugmentProgram(prog *ndlog.Program, lines int) *ndlog.Program {
 }
 
 // Figure10 scales the Q1 controller program from ~100 to ~900 lines.
-func Figure10(ctx context.Context, lineSizes []int, sc scenarios.Scale) ([]Figure10Row, error) {
+func Figure10(ctx context.Context, lineSizes []int, sc scenario.Scale) ([]Figure10Row, error) {
 	var rows []Figure10Row
 	for _, lines := range lineSizes {
-		s := scenarios.Q1(sc)
+		s := scenario.Q1Spec().MustInstantiate(sc)
 		s.Prog = AugmentProgram(s.Prog, lines)
 		out, err := s.Run(ctx)
 		if err != nil {
@@ -368,8 +370,8 @@ type OverheadReport struct {
 // the storage rate of its workload. The rate is derived from a real
 // capture: the workload is appended to a temporary segmented trace store
 // and the accountant reads the actual segment sizes off disk.
-func Overhead(sc scenarios.Scale, events int) (OverheadReport, error) {
-	s := scenarios.Q1(sc)
+func Overhead(sc scenario.Scale, events int) (OverheadReport, error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	latInc, thrRed, on, off, err := bench.Overhead(s.Prog, events)
 	if err != nil {
 		return OverheadReport{}, err
@@ -446,8 +448,8 @@ func topRules(rules []ndlog.RuleStats, n int) string {
 // exploration (same cutoff): the §3.5 design choice. It returns the steps
 // each strategy needed to produce its candidate set and the candidate
 // counts.
-func AblationCostOrder(ctx context.Context, sc scenarios.Scale) (orderedSteps, fifoSteps, orderedCands, fifoCands int, err error) {
-	s := scenarios.Q1(sc)
+func AblationCostOrder(ctx context.Context, sc scenario.Scale) (orderedSteps, fifoSteps, orderedCands, fifoCands int, err error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return 0, 0, 0, 0, err
@@ -478,8 +480,8 @@ func AblationCostOrder(ctx context.Context, sc scenarios.Scale) (orderedSteps, f
 // launch mid-search). Both produce
 // identical candidates and verdicts; the streaming run also reports how
 // long the two phases overlapped.
-func AblationPipeline(ctx context.Context, sc scenarios.Scale, workers int) (barrier, streaming, overlap time.Duration, err error) {
-	s := scenarios.Q1(sc)
+func AblationPipeline(ctx context.Context, sc scenario.Scale, workers int) (barrier, streaming, overlap time.Duration, err error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return 0, 0, 0, err
@@ -508,8 +510,8 @@ func AblationPipeline(ctx context.Context, sc scenarios.Scale, workers int) (bar
 
 // AblationCoalescing compares shared backtesting with and without rule
 // coalescing (§4.4).
-func AblationCoalescing(ctx context.Context, sc scenarios.Scale) (with, without time.Duration, err error) {
-	s := scenarios.Q1(sc)
+func AblationCoalescing(ctx context.Context, sc scenario.Scale) (with, without time.Duration, err error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return 0, 0, err
@@ -543,8 +545,8 @@ func AblationCoalescing(ctx context.Context, sc scenarios.Scale) (with, without 
 // benchmarks that exercise the evaluation stage with their own strategy
 // options. The session and the scenario's backtest evidence are returned
 // alongside the cost-ordered candidates.
-func QuickCandidates(ctx context.Context, sc scenarios.Scale) (*metarepair.Session, []metaprov.Candidate, metarepair.Backtest, error) {
-	s := scenarios.Q1(sc)
+func QuickCandidates(ctx context.Context, sc scenario.Scale) (*metarepair.Session, []metaprov.Candidate, metarepair.Backtest, error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return nil, nil, metarepair.Backtest{}, err
@@ -559,8 +561,8 @@ func QuickCandidates(ctx context.Context, sc scenarios.Scale) (*metarepair.Sessi
 // WideCandidates is QuickCandidates under the widened search budget
 // (64 candidates, cost cutoff 4.6) — the regime that fills one shared
 // run's 63-tag space, used by the delta-vs-full backtest benchmarks.
-func WideCandidates(ctx context.Context, sc scenarios.Scale) (*metarepair.Session, []metaprov.Candidate, metarepair.Backtest, error) {
-	s := scenarios.Q1(sc)
+func WideCandidates(ctx context.Context, sc scenario.Scale) (*metarepair.Session, []metaprov.Candidate, metarepair.Backtest, error) {
+	s := scenario.Q1Spec().MustInstantiate(sc)
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		return nil, nil, metarepair.Backtest{}, err

@@ -6,10 +6,10 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
+	"repro/scenario"
 )
 
-func tinyScale() scenarios.Scale { return scenarios.Scale{Switches: 19, Flows: 600} }
+func tinyScale() scenario.Scale { return scenario.Scale{Switches: 19, Flows: 600} }
 
 func TestTable1Shape(t *testing.T) {
 	rows, err := Table1(context.Background(), tinyScale())
@@ -34,7 +34,7 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestAugmentProgram(t *testing.T) {
-	base := scenarios.Q1(tinyScale()).Prog
+	base := scenario.Q1Spec().MustInstantiate(tinyScale()).Prog
 	big := AugmentProgram(base, 600)
 	if len(big.Rules) <= len(base.Rules) {
 		t.Fatal("no rules added")
@@ -53,7 +53,7 @@ func TestAugmentProgram(t *testing.T) {
 		t.Fatal("filler rules missing")
 	}
 	// Base program untouched.
-	if len(base.Rules) != len(scenarios.Q1(tinyScale()).Prog.Rules) {
+	if len(base.Rules) != len(scenario.Q1Spec().MustInstantiate(tinyScale()).Prog.Rules) {
 		t.Fatal("AugmentProgram mutated its input")
 	}
 }

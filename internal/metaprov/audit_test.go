@@ -7,7 +7,6 @@ import (
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/solver"
 	"repro/internal/solver/reference"
@@ -48,8 +47,8 @@ func explorer(s *scenario.Scenario, rec *provenance.Recorder) *metaprov.Explorer
 // also find exactly what the unaudited one finds, so the pre-fork check
 // never decided differently from the full one.
 func TestPruneDecisionsMatchReference(t *testing.T) {
-	for _, s := range scenarios.All(scenarios.Scale{Switches: 19, Flows: 300}) {
-		s := s
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 		t.Run(s.Name, func(t *testing.T) {
 			rec := history(t, s)
 			plain := explorer(s, rec)

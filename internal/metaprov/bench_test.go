@@ -4,9 +4,9 @@ import (
 	"testing"
 
 	"repro/internal/metaprov"
-	"repro/internal/scenarios"
 	"repro/internal/solver"
 	"repro/internal/solver/reference"
+	"repro/scenario"
 )
 
 // verdictCase is one pruning verdict of a real search: the pool of the tree
@@ -21,7 +21,7 @@ type verdictCase struct {
 // trees it expanded and every pruning verdict taken while doing so.
 func captureQ1(b *testing.B) ([]*metaprov.Tree, []verdictCase) {
 	b.Helper()
-	s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 	ex := explorer(s, history(b, s))
 	var (
 		trees []*metaprov.Tree

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/metaprov"
-	"repro/internal/scenarios"
 	"repro/scenario"
 )
 
@@ -18,12 +17,13 @@ import (
 // Stats counts — the cost-epoch emitter releases a candidate only when no
 // cheaper partial tree remains anywhere.
 func TestExploreStreamEquivalenceAllScenarios(t *testing.T) {
-	sc := scenarios.Scale{Switches: 19, Flows: 300}
-	for _, s := range scenarios.All(sc) {
+	sc := scenario.Scale{Switches: 19, Flows: 300}
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(sc)
 		t.Run(s.Name, func(t *testing.T) { streamMatchesSequential(t, s, nil) })
 	}
 	t.Run("explore-wide", func(t *testing.T) {
-		streamMatchesSequential(t, scenarios.Q1(sc), func(ex *metaprov.Explorer) {
+		streamMatchesSequential(t, scenario.Q1Spec().MustInstantiate(sc), func(ex *metaprov.Explorer) {
 			ex.Cutoff, ex.MaxCandidates, ex.MaxPerStructure = 4.6, 64, 3
 		})
 	})

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
 	"repro/metarepair"
+	"repro/scenario"
 )
 
 // TestDeltaBacktestDifferentialScenarios runs every registered scenario's
@@ -21,7 +21,7 @@ func TestDeltaBacktestDifferentialScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline differential is not a -short test")
 	}
-	sc := scenarios.Scale{Switches: 19, Flows: 500}
+	sc := scenario.Scale{Switches: 19, Flows: 500}
 	type verdict struct {
 		desc     string
 		accepted bool
@@ -31,7 +31,8 @@ func TestDeltaBacktestDifferentialScenarios(t *testing.T) {
 		prev := ndlog.SetDefaultJoinStrategy(strat)
 		defer ndlog.SetDefaultJoinStrategy(prev)
 		out := make(map[string][]verdict)
-		for _, s := range scenarios.All(sc) {
+		for _, spec := range scenario.Default().Specs() {
+			s := spec.MustInstantiate(sc)
 			res, err := s.Run(context.Background(), metarepair.WithEvalMode(eval))
 			if err != nil {
 				t.Fatalf("%s under strategy %d eval %v: %v", s.Name, strat, eval, err)

@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
+	"repro/scenario"
 )
 
 // TestEngineDifferentialScenarios runs every registered scenario's full
@@ -20,7 +20,7 @@ func TestEngineDifferentialScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-pipeline differential is not a -short test")
 	}
-	sc := scenarios.Scale{Switches: 19, Flows: 500}
+	sc := scenario.Scale{Switches: 19, Flows: 500}
 	type verdict struct {
 		desc     string
 		accepted bool
@@ -30,7 +30,8 @@ func TestEngineDifferentialScenarios(t *testing.T) {
 		prev := ndlog.SetDefaultJoinStrategy(strat)
 		defer ndlog.SetDefaultJoinStrategy(prev)
 		out := make(map[string][]verdict)
-		for _, s := range scenarios.All(sc) {
+		for _, spec := range scenario.Default().Specs() {
+			s := spec.MustInstantiate(sc)
 			res, err := s.Run(context.Background())
 			if err != nil {
 				t.Fatalf("%s under strategy %d: %v", s.Name, strat, err)

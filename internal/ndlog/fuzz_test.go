@@ -18,7 +18,7 @@ import (
 // %THRESH% placeholder filled in.
 func seedPrograms(t testing.TB) []string {
 	var files []string
-	for _, glob := range []string{"../scenarios/*.go", "../../examples/*/main.go"} {
+	for _, glob := range []string{"../../scenario/*.go", "../../examples/*/main.go"} {
 		m, err := filepath.Glob(glob)
 		if err != nil {
 			t.Fatal(err)

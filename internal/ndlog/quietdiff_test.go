@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/backtest"
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/trace"
 	"repro/scenario"
@@ -51,9 +50,10 @@ func TestQuietEngineMatchesListenedScenarios(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario-level differential is not a -short test")
 	}
-	sc := scenarios.Scale{Switches: 19, Flows: 300}
+	sc := scenario.Scale{Switches: 19, Flows: 300}
 	replaced := 0
-	for _, s := range scenarios.All(sc) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(sc)
 		sess, _, err := s.Diagnose()
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)

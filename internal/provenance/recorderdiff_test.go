@@ -12,9 +12,9 @@ import (
 
 	"repro/internal/ndlog"
 	"repro/internal/provenance"
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/trace"
+	"repro/scenario"
 )
 
 // mapRecorder is the former Recorder: one map per kind of fact, each keyed
@@ -220,7 +220,8 @@ func sameHistory(t *testing.T, label string, prog *ndlog.Program, now int64, got
 }
 
 func TestRecorderMatchesMapRecorderOnScenarios(t *testing.T) {
-	for _, s := range scenarios.All(scenarios.Scale{Switches: 19, Flows: 200}) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(scenario.Scale{Switches: 19, Flows: 200})
 		eng := ndlog.MustNewEngine(s.Prog)
 		got, want := provenance.NewRecorder(), newMapRecorder()
 		eng.Listen(got)

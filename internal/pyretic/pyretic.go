@@ -113,11 +113,10 @@ var fieldForPos = map[int]string{
 	1: "switch", 2: "inport", 3: "srcip", 4: "dstip", 5: "srcport", 6: "dstport",
 }
 
-// Program pairs the Pyretic view of a controller with its compiled NDlog
-// semantics; it implements the scenarios.LangProgram contract.
+// Program is the Pyretic view of a controller; it implements the
+// scenario.LangProgram contract.
 type Program struct {
 	Policy Policy
-	prog   *ndlog.Program
 	// eqSels records, per rule, which selection indices rendered as
 	// match() equalities (operator changes there are inexpressible).
 	eqSels map[string]map[int]bool
@@ -126,7 +125,7 @@ type Program struct {
 // Translate builds the Pyretic view of an NDlog controller. Each rule
 // becomes one parallel branch: nested match/if_ filters around a fwd.
 func Translate(prog *ndlog.Program) (*Program, error) {
-	p := &Program{prog: prog, eqSels: make(map[string]map[int]bool)}
+	p := &Program{eqSels: make(map[string]map[int]bool)}
 	var branches []Policy
 	for _, r := range prog.Rules {
 		br, eq, err := policyFromRule(r)
@@ -216,9 +215,6 @@ func policyFromRule(r *ndlog.Rule) (Policy, map[int]bool, error) {
 	}
 	return inner, eq, nil
 }
-
-// Controller returns the compiled NDlog semantics.
-func (p *Program) Controller() *ndlog.Program { return p.prog }
 
 // Source renders the policy as Pyretic source.
 func (p *Program) Source() string {

@@ -8,14 +8,13 @@ import (
 
 	"repro/internal/backtest"
 	"repro/internal/sdn"
-	"repro/internal/topo"
 	"repro/metarepair"
 	"repro/scenario"
 )
 
 // smallScale keeps unit-test runtimes reasonable while preserving the
 // workload proportions the KS filter depends on.
-func smallScale() Scale { return Scale{Switches: 19, Flows: 700} }
+func smallScale() scenario.Scale { return scenario.Scale{Switches: 19, Flows: 700} }
 
 // runScenario executes the full pipeline and applies the Table 1 shape
 // checks: candidates generated, a few accepted, the intuitive fix among
@@ -64,7 +63,7 @@ func runScenario(t *testing.T, s *scenario.Scenario) *scenario.Outcome {
 }
 
 func TestQ1EndToEnd(t *testing.T) {
-	out := runScenario(t, Q1(smallScale()))
+	out := runScenario(t, scenario.Q1Spec().MustInstantiate(smallScale()))
 	// Paper band: ~9-13 generated, 2-3 accepted.
 	if out.Generated < 5 {
 		t.Errorf("Q1 generated %d candidates, want >= 5", out.Generated)
@@ -75,11 +74,11 @@ func TestQ1EndToEnd(t *testing.T) {
 }
 
 func TestQ2EndToEnd(t *testing.T) {
-	runScenario(t, Q2(smallScale()))
+	runScenario(t, scenario.Q2Spec().MustInstantiate(smallScale()))
 }
 
 func TestQ3EndToEnd(t *testing.T) {
-	out := runScenario(t, Q3(smallScale()))
+	out := runScenario(t, scenario.Q3Spec().MustInstantiate(smallScale()))
 	// The firewall-bypass repair (deleting the white-list check) must be
 	// rejected: it admits the scanners.
 	for _, r := range out.Results {
@@ -96,7 +95,7 @@ func TestQ3EndToEnd(t *testing.T) {
 // any, and the shared run charges the loops as laps instead of walking
 // them to the hop limit.
 func TestQ3LoopEvidence(t *testing.T) {
-	s := Q3(Scale{Switches: 19, Flows: 600})
+	s := scenario.Q3Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 600})
 	ctx := context.Background()
 	sess, _, err := s.Diagnose(metarepair.WithPipelineMode(metarepair.PipelineBarrier))
 	if err != nil {
@@ -153,7 +152,7 @@ func TestQ3LoopEvidence(t *testing.T) {
 }
 
 func TestQ4EndToEnd(t *testing.T) {
-	out := runScenario(t, Q4(smallScale()))
+	out := runScenario(t, scenario.Q4Spec().MustInstantiate(smallScale()))
 	// Head-change repairs degenerate into per-packet forwarding and must
 	// be rejected on controller load.
 	for _, r := range out.Results {
@@ -164,13 +163,14 @@ func TestQ4EndToEnd(t *testing.T) {
 }
 
 func TestQ5EndToEnd(t *testing.T) {
-	runScenario(t, Q5(smallScale()))
+	runScenario(t, scenario.Q5Spec().MustInstantiate(smallScale()))
 }
 
 func TestAllScenariosDistinct(t *testing.T) {
 	sc := smallScale()
 	names := map[string]bool{}
-	for _, s := range All(sc) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(sc)
 		if names[s.Name] {
 			t.Fatalf("duplicate scenario %s", s.Name)
 		}
@@ -181,23 +181,18 @@ func TestAllScenariosDistinct(t *testing.T) {
 	}
 }
 
-// TestSpecsRegistered asserts importing this package registers the five
-// case studies in the default registry, lookups resolve them, and a typo
+// TestSpecsRegistered asserts that importing package scenario alone —
+// this package holds no code — registers the five case studies in the
+// default registry in paper order, lookups resolve them, and a typo
 // produces the descriptive menu error instead of a nil scenario.
 func TestSpecsRegistered(t *testing.T) {
 	names := scenario.Names()
-	for _, want := range []string{"Q1", "Q2", "Q3", "Q4", "Q5"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("%s not registered (registry: %v)", want, names)
-		}
-		if _, err := scenario.Lookup(want); err != nil {
-			t.Fatalf("Lookup(%s): %v", want, err)
+	if got, want := strings.Join(names, ","), "Q1,Q2,Q3,Q4,Q5"; got != want {
+		t.Fatalf("registry lists %s, want %s", got, want)
+	}
+	for _, name := range names {
+		if _, err := scenario.Lookup(name); err != nil {
+			t.Fatalf("Lookup(%s): %v", name, err)
 		}
 	}
 	_, err := scenario.Lookup("Q6")
@@ -211,20 +206,21 @@ func TestSpecsRegistered(t *testing.T) {
 	}
 }
 
-// TestSpecParity asserts the registry path and the direct constructors
-// instantiate identical scenarios: same program, goal, workload, and
-// zone wiring — the guarantee that migrating Q1–Q5 onto Specs changed
-// nothing about what runs.
+// TestSpecParity asserts the registry path (Instantiate by name) and the
+// exported specs (Q1Spec…Q5Spec) instantiate identical scenarios: same
+// program, goal, workload, and zone wiring.
 func TestSpecParity(t *testing.T) {
 	sc := smallScale()
-	direct := All(sc)
-	for _, want := range direct {
+	for _, spec := range []scenario.Spec{
+		scenario.Q1Spec(), scenario.Q2Spec(), scenario.Q3Spec(), scenario.Q4Spec(), scenario.Q5Spec(),
+	} {
+		want := spec.MustInstantiate(sc)
 		got, err := scenario.Instantiate(want.Name, sc)
 		if err != nil {
 			t.Fatalf("Instantiate(%s): %v", want.Name, err)
 		}
 		if got.Prog.String() != want.Prog.String() {
-			t.Fatalf("%s: registry program differs from direct constructor", want.Name)
+			t.Fatalf("%s: registry program differs from the exported spec's", want.Name)
 		}
 		if got.Goal.String() != want.Goal.String() {
 			t.Fatalf("%s: goal differs: %s vs %s", want.Name, got.Goal, want.Goal)
@@ -248,14 +244,13 @@ func TestSpecParity(t *testing.T) {
 	}
 }
 
-// TestSpecOutcomeParity runs one migrated spec end to end via the
-// registry and asserts the outcome matches the direct constructor's:
-// same generated and passed counts and the same accepted intuitive fix —
-// the seed behaviour, reproduced through the new API.
+// TestSpecOutcomeParity runs Q1 end to end via the registry and asserts
+// the outcome matches Q1Spec's: same generated and passed counts and the
+// same accepted intuitive fix.
 func TestSpecOutcomeParity(t *testing.T) {
 	sc := smallScale()
 	ctx := context.Background()
-	direct, err := Q1(sc).Run(ctx)
+	direct, err := scenario.Q1Spec().MustInstantiate(sc).Run(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,46 +273,5 @@ func TestSpecOutcomeParity(t *testing.T) {
 		if out.Results[i].Accepted != direct.Results[i].Accepted {
 			t.Fatalf("candidate %d verdict differs", i)
 		}
-	}
-}
-
-// TestBackgroundServicesSampling pins the satellite fix: the sample is
-// exact at small host counts (all hosts when count >= hosts) and evenly
-// spread with no duplicates otherwise.
-func TestBackgroundServicesSampling(t *testing.T) {
-	build := func(hosts int) *topo.Fabric {
-		return topo.Linear{}.Generate(topo.Size{Switches: 2, Hosts: hosts})
-	}
-	for _, tc := range []struct {
-		hosts, count, want int
-	}{
-		{hosts: 5, count: 12, want: 5},   // fewer hosts than services: take all
-		{hosts: 12, count: 12, want: 12}, // exact fit
-		{hosts: 13, count: 12, want: 12}, // the old step==0 path clustered here
-		{hosts: 259, count: 12, want: 12},
-	} {
-		svcs := backgroundServices(build(tc.hosts), tc.count)
-		if len(svcs) != tc.want {
-			t.Fatalf("hosts=%d count=%d: got %d services, want %d",
-				tc.hosts, tc.count, len(svcs), tc.want)
-		}
-		seen := map[int64]bool{}
-		for _, s := range svcs {
-			if seen[s.DstIP] {
-				t.Fatalf("hosts=%d count=%d: duplicate service host %d", tc.hosts, tc.count, s.DstIP)
-			}
-			seen[s.DstIP] = true
-		}
-	}
-	// Spread: with 2x hosts the sample must span the whole range, not
-	// cluster at its start.
-	svcs := backgroundServices(build(24), 12)
-	last := svcs[len(svcs)-1].DstIP
-	first := svcs[0].DstIP
-	if last-first < 20 {
-		t.Fatalf("sample clustered: spans [%d, %d] of 24 hosts", first, last)
-	}
-	if backgroundServices(build(4), 0) != nil {
-		t.Fatal("count<=0 must yield no services")
 	}
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"repro/internal/scenarios"
 	"repro/internal/sentinel"
 	"repro/internal/trace"
 	"repro/scenario"
@@ -20,19 +19,15 @@ import (
 // trace once and evaluates every window independently from recorded
 // timelines.
 func TestOnlineOfflineEquivalence(t *testing.T) {
-	specs := map[string]func(scenarios.Scale) *scenario.Scenario{
-		"Q1": scenarios.Q1, "Q2": scenarios.Q2, "Q3": scenarios.Q3,
-		"Q4": scenarios.Q4, "Q5": scenarios.Q5,
-	}
 	shapes := []sentinel.Config{
 		{Window: 64},
 		{Window: 256, Hop: 64},
 		{Window: 1024, Hop: 256},
 		{Window: 512, Hop: 512, Debounce: -1},
 	}
-	scale := scenarios.Scale{Switches: 19, Flows: 200}
-	for name, build := range specs {
-		s := build(scale)
+	scale := scenario.Scale{Switches: 19, Flows: 200}
+	for _, spec := range scenario.Default().Specs() {
+		name, s := spec.Name, spec.MustInstantiate(scale)
 		stream := timeSorted(s.Workload)
 		pred := sentinel.Predicate{Name: name, Goal: s.Goal}
 		anyFlag := false

@@ -230,11 +230,10 @@ func branchFromRule(r *ndlog.Rule) (Branch, error) {
 	return br, nil
 }
 
-// Program pairs the Trema view of a controller with its compiled NDlog
-// semantics; it implements the scenarios.LangProgram contract.
+// Program is the Trema view of a controller; it implements the
+// scenario.LangProgram contract.
 type Program struct {
 	Handler *Handler
-	prog    *ndlog.Program
 }
 
 // Translate builds the Trema view of an NDlog controller.
@@ -243,11 +242,8 @@ func Translate(prog *ndlog.Program) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Program{Handler: h, prog: prog}, nil
+	return &Program{Handler: h}, nil
 }
-
-// Controller returns the compiled NDlog semantics.
-func (p *Program) Controller() *ndlog.Program { return p.prog }
 
 // Source renders the Trema source.
 func (p *Program) Source() string { return p.Handler.Source() }

@@ -14,9 +14,8 @@ import (
 //	explore.done        Candidates, Steps, Elapsed
 //	candidates.filtered Filtered (removed by a candidate filter)
 //	candidates.dropped  Dropped (removed by the candidate cap)
-//	capture.start       Dir (live capture attached to a network)
-//	capture.done        Dir, Entries, Bytes, Segments
-//	replay.open         Dir, Entries, Bytes, Segments (store-backed workload)
+//	replay.open         Dir, Entries, Bytes, Segments, From, To
+//	                    (Backtest.Source is a trace-store view)
 //	backtest.start      Parallelism, Strategy (the producer: "streaming",
 //	                    "first-accepted" or "barrier") — plus Candidates
 //	                    and Batches when the candidate list was

@@ -6,7 +6,6 @@ import (
 	"repro/internal/backtest"
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
-	"repro/internal/tracestore"
 )
 
 // EvalMode selects how shared-run backtests evaluate the NDlog program:
@@ -146,10 +145,6 @@ type options struct {
 	sink              EventSink
 	filter            func(metaprov.Candidate) bool
 	maxPacketInFactor float64
-	store             *tracestore.Store
-	windowSet         bool
-	windowFrom        int64
-	windowTo          int64
 }
 
 func defaultOptions() options {
@@ -286,19 +281,3 @@ func WithCandidateFilter(keep func(metaprov.Candidate) bool) Option {
 // exceeds this multiple of the baseline (the Q4 side-effect metric,
 // Table 6(c)); zero disables the check.
 func WithMaxPacketInFactor(f float64) Option { return func(o *options) { o.maxPacketInFactor = f } }
-
-// WithTraceStore attaches a durable segmented trace store to the
-// session: Session.Capture records live traffic into it, and backtesting
-// streams the workload back out of it whenever the Backtest evidence
-// does not name a workload of its own — replay memory then stays
-// O(segment) no matter how long the capture ran. Progress surfaces as
-// capture.start/capture.done and replay.open events on the EventSink.
-func WithTraceStore(st *tracestore.Store) Option { return func(o *options) { o.store = st } }
-
-// WithReplayWindow restricts store-backed replay to records with
-// from <= Time <= to — the knob that backtests against a slice of
-// history (e.g. "the hour before the symptom") instead of the whole
-// log. It applies only to workloads sourced via WithTraceStore.
-func WithReplayWindow(from, to int64) Option {
-	return func(o *options) { o.windowSet, o.windowFrom, o.windowTo = true, from, to }
-}

@@ -10,8 +10,8 @@ import (
 	"time"
 
 	"repro/internal/backtest"
-	"repro/internal/scenarios"
 	"repro/metarepair"
+	"repro/scenario"
 )
 
 // TestStreamingPipelineEvents: the streaming composition must emit the
@@ -300,7 +300,7 @@ func TestStreamingPipelineMatchesBarrier(t *testing.T) {
 	ctx := context.Background()
 	runMode := func(mode metarepair.PipelineMode) *metarepair.Report {
 		t.Helper()
-		s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+		s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 		sess, _, err := s.Diagnose()
 		if err != nil {
 			t.Fatal(err)

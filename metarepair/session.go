@@ -23,7 +23,7 @@
 //	net.Ctrl = sess.Controller()     // record control-plane history
 //	...run traffic...
 //	sym := metarepair.Missing("FlowTable", metarepair.Pin(3), nil, nil, nil, metarepair.Pin(80), metarepair.Pin(2))
-//	report, _ := sess.Repair(ctx, sym, metarepair.Backtest{BuildNet: topology.Fork, Workload: wl, Effective: fixed})
+//	report, _ := sess.Repair(ctx, sym, metarepair.Backtest{BuildNet: topology.Fork, Source: trace.SliceSource(wl), Effective: fixed})
 //	for _, s := range report.Suggestions { fmt.Println(s) }
 //
 // For incremental consumption use Stream, which returns a Run whose
@@ -166,12 +166,10 @@ type Backtest struct {
 	BuildNet func() *sdn.Network
 	// State are controller tuples inserted before traffic (policy tables).
 	State []ndlog.Tuple
-	// Workload is the recorded packet trace to replay, as an in-memory
-	// slice (the compatibility path).
-	Workload []trace.Entry
-	// Source streams the recorded workload instead; replay memory is
-	// then independent of trace length. Precedence: Source, then the
-	// session's WithTraceStore store, then Workload.
+	// Source streams the recorded workload to replay: a trace.SliceSource
+	// over an in-memory slice, or a tracestore view (a window of it to
+	// replay a slice of history), in which case replay memory is
+	// independent of trace length. Nil replays no traffic.
 	Source trace.Source
 	// Effective decides whether the symptom is fixed for a tag in the
 	// replayed network.
@@ -618,8 +616,7 @@ func (s *Session) backtestJob(bt Backtest, o options) *backtest.Job {
 		Prog:              s.prog,
 		BuildNet:          bt.BuildNet,
 		State:             bt.State,
-		Workload:          bt.Workload,
-		Source:            s.workloadSource(bt, o),
+		Source:            workloadSource(bt, o),
 		Effective:         bt.Effective,
 		MaxPacketInFactor: o.maxPacketInFactor,
 		SkipCoalesce:      !o.coalesce,
@@ -662,66 +659,19 @@ func (o options) filterAndCap(cands []metaprov.Candidate, expl *Exploration) []m
 	return cands
 }
 
-// workloadSource resolves where backtesting streams its workload from:
-// an explicit Backtest.Source wins, then the session's trace store
-// (WithTraceStore, windowed by WithReplayWindow), then nil — leaving the
-// in-memory Workload slice to the backtest engine's adapter.
-func (s *Session) workloadSource(bt Backtest, o options) trace.Source {
-	src := bt.Source
-	if src == nil {
-		// The session store steps in only when the evidence names no
-		// workload of its own — an explicit Workload slice keeps winning
-		// over the store, as documented on WithTraceStore.
-		if o.store == nil || len(bt.Workload) > 0 {
-			return nil
-		}
-		view := o.store.Source()
-		if o.windowSet {
-			view = view.Window(o.windowFrom, o.windowTo)
-		}
-		src = view
-	}
-	// Store-backed replay is observable regardless of how the view
-	// reached the backtest (session option or explicit Backtest.Source).
-	// Entries/Bytes/Segments describe the whole log being drawn from;
-	// From/To record the window actually replayed.
-	if v, ok := src.(*tracestore.View); ok {
+// workloadSource returns the backtest's workload stream, emitting
+// replay.open when it is a trace-store view: Entries/Bytes/Segments
+// describe the whole log being drawn from, From/To the window actually
+// replayed.
+func workloadSource(bt Backtest, o options) trace.Source {
+	if v, ok := bt.Source.(*tracestore.View); ok {
 		stats := v.Store().Stats()
 		from, to := v.Bounds()
 		o.emit(Event{Kind: "replay.open", Dir: v.Store().Dir(),
 			Entries: stats.Entries, Bytes: stats.Bytes, Segments: stats.Segments,
 			From: from, To: to})
 	}
-	return src
-}
-
-// Capture attaches the session's trace store (WithTraceStore) to the
-// network as its packet-capture hook: from here until stop is called,
-// every injected packet is appended to the store as one §5.4 log record.
-// stop detaches the hook, makes the captured records durable, emits a
-// capture.done event, and returns how many packets were captured along
-// with the first capture error, if any.
-func (s *Session) Capture(net *sdn.Network, extra ...Option) (stop func() (int64, error), err error) {
-	o := s.opts.with(extra)
-	if o.err != nil {
-		return nil, o.err
-	}
-	if o.store == nil {
-		return nil, errors.New("metarepair: Capture needs WithTraceStore")
-	}
-	rec := tracestore.NewRecorder(o.store)
-	net.Capture = rec
-	o.emit(Event{Kind: "capture.start", Dir: o.store.Dir()})
-	return func() (int64, error) {
-		net.Capture = nil
-		if err := o.store.Sync(); err != nil {
-			return rec.Count(), err
-		}
-		stats := o.store.Stats()
-		o.emit(Event{Kind: "capture.done", Dir: o.store.Dir(),
-			Entries: stats.Entries, Bytes: stats.Bytes, Segments: stats.Segments})
-		return rec.Count(), rec.Err()
-	}, nil
+	return bt.Source
 }
 
 // ms converts a duration to fractional milliseconds for event logs.

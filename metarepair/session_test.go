@@ -74,7 +74,7 @@ func runDiagnostic(t *testing.T, opts ...metarepair.Option) (*metarepair.Session
 func miniBacktest(wl []trace.Entry) metarepair.Backtest {
 	return metarepair.Backtest{
 		BuildNet: miniNet,
-		Workload: wl,
+		Source:   trace.SliceSource(wl),
 		Effective: func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 			return n.Hosts["h2"].PortCountFor(sdn.PortHTTP, tag) > 0
 		},
@@ -141,7 +141,7 @@ func TestRepairPresentTuple(t *testing.T) {
 	}
 	report, err := sess.Repair(context.Background(), metarepair.Present(*bad), metarepair.Backtest{
 		BuildNet: miniNet,
-		Workload: wl,
+		Source:   trace.SliceSource(wl),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -361,7 +361,7 @@ func TestDroppedCandidatesAreReported(t *testing.T) {
 	}
 	var events []metarepair.Event
 	report, err := sess.Repair(context.Background(), metarepair.Present(*bad),
-		metarepair.Backtest{BuildNet: miniNet, Workload: wl},
+		metarepair.Backtest{BuildNet: miniNet, Source: trace.SliceSource(wl)},
 		metarepair.WithMaxCandidates(2),
 		metarepair.WithEventSink(metarepair.SinkFunc(func(e metarepair.Event) {
 			events = append(events, e)

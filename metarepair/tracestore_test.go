@@ -13,22 +13,22 @@ import (
 
 // captureMiniWorkload replays the mini workload through a capture-hooked
 // network so the store holds the live traffic — the §5.4 capture path.
-func captureMiniWorkload(t *testing.T, sess *metarepair.Session, st *tracestore.Store) {
+func captureMiniWorkload(t *testing.T, st *tracestore.Store) {
 	t.Helper()
 	net := miniNet()
-	stop, err := sess.Capture(net, metarepair.WithTraceStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
+	rec := tracestore.NewRecorder(st)
+	net.Capture = rec
 	wl := miniWorkload()
 	if n := trace.Replay(net, wl, 1); n != len(wl) {
 		t.Fatalf("replayed %d of %d entries", n, len(wl))
 	}
-	captured, err := stop()
-	if err != nil {
+	if err := rec.Err(); err != nil {
 		t.Fatal(err)
 	}
-	if captured != int64(len(wl)) {
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if captured := rec.Count(); captured != int64(len(wl)) {
 		t.Fatalf("captured %d of %d packets", captured, len(wl))
 	}
 }
@@ -61,7 +61,7 @@ func TestStoreBackedEvaluateMatchesSlice(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	captureMiniWorkload(t, sess, st)
+	captureMiniWorkload(t, st)
 
 	var mu sync.Mutex
 	kinds := map[string]int{}
@@ -70,9 +70,9 @@ func TestStoreBackedEvaluateMatchesSlice(t *testing.T) {
 		kinds[e.Kind]++
 		mu.Unlock()
 	})
-	bt := miniBacktest(nil) // no slice: the store is the workload
-	storeRun, err := sess.Evaluate(ctx, expl.Candidates, bt,
-		metarepair.WithTraceStore(st), metarepair.WithEventSink(sink))
+	bt := miniBacktest(nil)
+	bt.Source = st.Source()
+	storeRun, err := sess.Evaluate(ctx, expl.Candidates, bt, metarepair.WithEventSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,12 +112,12 @@ func TestReplayWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	captureMiniWorkload(t, sess, st)
+	captureMiniWorkload(t, st)
 
 	bt := miniBacktest(nil)
 	// A window covering the whole capture accepts repairs...
-	run, err := sess.Evaluate(ctx, expl.Candidates, bt,
-		metarepair.WithTraceStore(st), metarepair.WithReplayWindow(0, math.MaxInt64))
+	bt.Source = st.Source().Window(0, math.MaxInt64)
+	run, err := sess.Evaluate(ctx, expl.Candidates, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,8 +130,8 @@ func TestReplayWindow(t *testing.T) {
 	}
 	// ...while an empty window replays no traffic, so nothing can be
 	// shown effective.
-	run, err = sess.Evaluate(ctx, expl.Candidates, bt,
-		metarepair.WithTraceStore(st), metarepair.WithReplayWindow(-10, -1))
+	bt.Source = st.Source().Window(-10, -1)
+	run, err = sess.Evaluate(ctx, expl.Candidates, bt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +141,5 @@ func TestReplayWindow(t *testing.T) {
 	}
 	if empty.Accepted != 0 {
 		t.Fatalf("empty window accepted %d repairs", empty.Accepted)
-	}
-}
-
-// TestCaptureNeedsStore pins the option contract.
-func TestCaptureNeedsStore(t *testing.T) {
-	sess, _ := runDiagnostic(t)
-	if _, err := sess.Capture(miniNet()); err == nil {
-		t.Fatal("Capture without WithTraceStore succeeded")
 	}
 }

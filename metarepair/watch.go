@@ -86,8 +86,8 @@ type WatchConfig struct {
 	// Metrics records the sentinel_* families when set.
 	Metrics *WatchMetrics
 	// Options are session options for repair runs (search budget,
-	// workers); the watcher adds the store/window/first-accepted
-	// scoping itself.
+	// workers); the watcher adds the first-accepted stop and replays the
+	// flagged window itself.
 	Options []Option
 
 	// Launch starts one repair attempt. run blocks until the repair
@@ -324,11 +324,7 @@ func (w *Watcher) repair(ctx context.Context, d Detection) (*Report, error) {
 	w.emit(Event{Kind: "watch.repair.start", From: from, To: to})
 
 	opts := append([]Option(nil), w.cfg.Options...)
-	opts = append(opts,
-		WithTraceStore(w.cfg.Store),
-		WithReplayWindow(from, to),
-		WithPipelineMode(PipelineFirstAccepted),
-	)
+	opts = append(opts, WithPipelineMode(PipelineFirstAccepted))
 	if w.cfg.Sink != nil && w.cfg.Launch == nil {
 		// Inline repairs share the watch event stream; launched ones
 		// (daemon jobs) carry their own per-job logs.
@@ -353,6 +349,7 @@ func (w *Watcher) repair(ctx context.Context, d Detection) (*Report, error) {
 	return sess.Repair(ctx, w.cfg.Symptom, Backtest{
 		BuildNet:  w.cfg.BuildNet,
 		State:     w.cfg.State,
+		Source:    view,
 		Effective: w.cfg.Effective,
 	})
 }

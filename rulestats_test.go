@@ -10,7 +10,6 @@ import (
 	"repro/internal/backtest"
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/trace"
 	"repro/scenario"
@@ -63,7 +62,8 @@ func TestRuleStatsSumToEngineStats(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays every scenario's shared run twice")
 	}
-	for _, s := range scenarios.All(benchScale()) {
+	for _, spec := range scenario.Default().Specs() {
+		s := spec.MustInstantiate(benchScale())
 		out, err := s.Run(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name, err)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"repro/internal/ndlog"
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/topo"
 	"repro/metarepair"
@@ -62,7 +61,7 @@ func repairTranscript(t *testing.T, s *scenario.Scenario) string {
 func TestForkedBuildNetMatchesRebuild(t *testing.T) {
 	sc := scenario.Scale{Switches: 19, Flows: 300}
 	for _, spec := range []scenario.Spec{
-		scenarios.Q1Spec(), scenarios.Q2Spec(), scenarios.Q3Spec(), scenarios.Q4Spec(), scenarios.Q5Spec(),
+		scenario.Q1Spec(), scenario.Q2Spec(), scenario.Q3Spec(), scenario.Q4Spec(), scenario.Q5Spec(),
 	} {
 		forked := spec.MustInstantiate(sc)
 		rebuilt := spec.MustInstantiate(sc)
@@ -81,7 +80,7 @@ func TestForkedBuildNetMatchesRebuild(t *testing.T) {
 // later replay; Instantiate must report it as an invalid spec rather than
 // let it through or crash the caller.
 func TestInstantiateRejectsResolverMutatingFabric(t *testing.T) {
-	spec := scenarios.Q1Spec()
+	spec := scenario.Q1Spec()
 	oracle := spec.Oracle
 	spec.Oracle = func(f *topo.Fabric) scenario.Effectiveness {
 		f.Net.Switches[f.CoreIDs[0]].Install(sdn.FlowEntry{

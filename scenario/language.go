@@ -13,10 +13,9 @@ import (
 )
 
 // LangProgram is a controller program as seen through one of the three
-// language front-ends (§5.8): its compiled NDlog semantics, rendered
-// source, and the language's repair expressibility rules.
+// language front-ends (§5.8): its rendered source and the language's
+// repair expressibility rules.
 type LangProgram interface {
-	Controller() *ndlog.Program
 	Source() string
 	LineCount() int
 	AllowChange(meta.Change) bool
@@ -34,7 +33,6 @@ type Language struct {
 // ndlogProgram is the trivial adapter for the native dialect.
 type ndlogProgram struct{ prog *ndlog.Program }
 
-func (p ndlogProgram) Controller() *ndlog.Program    { return p.prog }
 func (p ndlogProgram) Source() string                { return p.prog.String() }
 func (p ndlogProgram) LineCount() int                { return p.prog.LineCount() }
 func (p ndlogProgram) AllowChange(meta.Change) bool  { return true }

@@ -1,4 +1,4 @@
-package scenarios
+package scenario
 
 import (
 	"fmt"
@@ -10,7 +10,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
-	"repro/scenario"
 )
 
 // Q1 addresses: the load-balanced web service, its two backends, the DNS
@@ -73,8 +72,8 @@ func q1Attach(f *topo.Fabric) {
 }
 
 // Q1Spec declares the copy-and-paste scenario of §2.3/§5.3.
-func Q1Spec() scenario.Spec {
-	return scenario.Spec{
+func Q1Spec() Spec {
+	return Spec{
 		Name:   "Q1",
 		Query:  "H2 is not receiving HTTP requests (copy-and-paste error)",
 		Attach: q1Attach,
@@ -115,7 +114,7 @@ func Q1Spec() scenario.Spec {
 			v3, v80, v2, vip := ndlog.Int(3), ndlog.Int(80), ndlog.Int(2), ndlog.Int(q1VIP)
 			return metaprov.PinnedGoal("FlowTable", &v3, nil, &vip, nil, &v80, &v2)
 		},
-		Oracle: func(*topo.Fabric) scenario.Effectiveness {
+		Oracle: func(*topo.Fabric) Effectiveness {
 			return func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 				return n.Hosts["q1h2"].PortCountFor(sdn.PortHTTP, tag) > 0
 			}

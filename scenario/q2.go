@@ -1,4 +1,4 @@
-package scenarios
+package scenario
 
 import (
 	"repro/internal/metaprov"
@@ -7,7 +7,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
-	"repro/scenario"
 )
 
 // Q2 addresses.
@@ -53,8 +52,8 @@ func q2Attach(f *topo.Fabric) {
 // Q2Spec declares the forwarding-error scenario. The authorized client
 // range is the first seven fabric hosts; the boundary host (the seventh)
 // is cut off by the off-by-one range check.
-func Q2Spec() scenario.Spec {
-	return scenario.Spec{
+func Q2Spec() Spec {
+	return Spec{
 		Name:   "Q2",
 		Query:  "H17 is not receiving DNS queries from H1 (forwarding error)",
 		Attach: q2Attach,
@@ -92,7 +91,7 @@ func Q2Spec() scenario.Spec {
 			v1, vb, vdns, v53, v2 := ndlog.Int(1), ndlog.Int(q2Blocked(f)), ndlog.Int(q2DNS), ndlog.Int(53), ndlog.Int(2)
 			return metaprov.PinnedGoal("FlowTable", &v1, &vb, &vdns, nil, &v53, &v2)
 		},
-		Oracle: func(f *topo.Fabric) scenario.Effectiveness {
+		Oracle: func(f *topo.Fabric) Effectiveness {
 			blocked := q2Blocked(f)
 			return func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 				return n.Hosts["q2dns"].SrcCountFor(blocked, tag) > 0

@@ -1,4 +1,4 @@
-package scenarios
+package scenario
 
 import (
 	"repro/internal/metaprov"
@@ -7,7 +7,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
-	"repro/scenario"
 )
 
 // Q3 addresses.
@@ -55,8 +54,8 @@ func q3Attach(f *topo.Fabric) {
 // correctly blocks the remaining 3, which are heavy scanners whose
 // traffic must stay blocked — repairs that open the firewall for everyone
 // are rejected.
-func Q3Spec() scenario.Spec {
-	return scenario.Spec{
+func Q3Spec() Spec {
+	return Spec{
 		Name:   "Q3",
 		Query:  "H20 is not receiving HTTP requests from H1 (uncoordinated policy update)",
 		Attach: q3Attach,
@@ -118,7 +117,7 @@ func Q3Spec() scenario.Spec {
 			v3, vf, vsrv, v80, vp3 := ndlog.Int(3), ndlog.Int(forgotten), ndlog.Int(q3Server), ndlog.Int(80), ndlog.Int(3)
 			return metaprov.PinnedGoal("FlowTable", &v3, &vf, &vsrv, nil, &v80, &vp3)
 		},
-		Oracle: func(f *topo.Fabric) scenario.Effectiveness {
+		Oracle: func(f *topo.Fabric) Effectiveness {
 			forgotten := q3Thresh(f) + 5
 			return func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 				return n.Hosts["q3srv"].SrcCountFor(forgotten, tag) > 0

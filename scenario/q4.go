@@ -1,4 +1,4 @@
-package scenarios
+package scenario
 
 import (
 	"repro/internal/metaprov"
@@ -7,7 +7,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
-	"repro/scenario"
 )
 
 // Q4 addresses.
@@ -45,8 +44,8 @@ func q4Probe(f *topo.Fabric) int64 {
 // Q4Spec declares the forgotten-packets scenario. A probe client sends
 // single-packet flows; with the bug every one of them dies as a buffered
 // first packet, so the server never hears from the probe at all.
-func Q4Spec() scenario.Spec {
-	return scenario.Spec{
+func Q4Spec() Spec {
+	return Spec{
 		Name:   "Q4",
 		Query:  "First HTTP packet from H2 to H20 is not received (forgotten packets)",
 		Attach: q4Attach,
@@ -87,7 +86,7 @@ func Q4Spec() scenario.Spec {
 			v1, vp, va, v80, vprt := ndlog.Int(1), ndlog.Int(q4Probe(f)), ndlog.Int(q4SrvA), ndlog.Int(80), ndlog.Int(1)
 			return metaprov.PinnedGoal("PacketOut", &v1, &vp, &va, nil, &v80, &vprt)
 		},
-		Oracle: func(f *topo.Fabric) scenario.Effectiveness {
+		Oracle: func(f *topo.Fabric) Effectiveness {
 			probe := q4Probe(f)
 			return func(n *sdn.Network, _ *sdn.NDlogController, tag int) bool {
 				return n.Hosts["q4srva"].SrcCountFor(probe, tag) > 0

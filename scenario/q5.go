@@ -1,4 +1,4 @@
-package scenarios
+package scenario
 
 import (
 	"fmt"
@@ -9,7 +9,6 @@ import (
 	"repro/internal/topo"
 	"repro/internal/trace"
 	"repro/metarepair"
-	"repro/scenario"
 )
 
 // Q5 addresses: six peer hosts behind the learning switch.
@@ -43,8 +42,8 @@ func q5Attach(f *topo.Fabric) {
 // first announce themselves (hello packets teach the controller their
 // location), then exchange peer-to-peer flows, none of which are
 // deliverable while the learning table holds only wildcard entries.
-func Q5Spec() scenario.Spec {
-	return scenario.Spec{
+func Q5Spec() Spec {
+	return Spec{
 		Name:   "Q5",
 		Query:  "H2's address is not learned by the controller (incorrect MAC learning)",
 		Attach: q5Attach,
@@ -101,7 +100,7 @@ func Q5Spec() scenario.Spec {
 			v241, v1 := ndlog.Int(q5Base), ndlog.Int(1)
 			return metaprov.PinnedGoal("Learned", nil, &v241, &v1, nil)
 		},
-		Oracle: func(*topo.Fabric) scenario.Effectiveness {
+		Oracle: func(*topo.Fabric) Effectiveness {
 			return func(_ *sdn.Network, ctl *sdn.NDlogController, tag int) bool {
 				for _, row := range ctl.Engine.Rows("Learned") {
 					if len(row.Args) == 4 && row.Args[1].Equal(ndlog.Int(q5Base)) &&

@@ -9,8 +9,8 @@ import (
 
 // Registry maps scenario names to specs. It is safe for concurrent use;
 // the zero value is not ready — use NewRegistry. Most callers use the
-// package-level default registry, which the built-in case studies
-// (internal/scenarios) populate on import.
+// package-level default registry, which holds the built-in case studies
+// Q1–Q5 from package initialization on.
 type Registry struct {
 	mu    sync.RWMutex
 	specs map[string]Spec

@@ -3,7 +3,7 @@
 // program, a topology generator, a workload generator, a symptom goal,
 // and an effectiveness oracle — and a Registry makes specs addressable by
 // name, so third-party packages define scenarios exactly the way the
-// built-in §5.3 case studies (Q1–Q5, package internal/scenarios) do.
+// built-in §5.3 case studies (Q1–Q5, registered on import) do.
 //
 // A Spec is instantiated at a Scale into a runnable Scenario, which
 // executes the full diagnose → generate → backtest pipeline through the
@@ -192,7 +192,6 @@ func (s *Scenario) Backtest() metarepair.Backtest {
 	return metarepair.Backtest{
 		BuildNet:  s.BuildNet,
 		State:     s.State,
-		Workload:  s.Workload,
 		Source:    s.workloadSource(),
 		Effective: s.Effective,
 	}

@@ -5,11 +5,10 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/scenarios"
 	"repro/internal/sdn"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
-	"repro/metarepair"
+	"repro/scenario"
 )
 
 // TestCaptureListReplayScenario is the end-to-end acceptance path: a
@@ -19,7 +18,7 @@ import (
 // slice path.
 func TestCaptureListReplayScenario(t *testing.T) {
 	ctx := context.Background()
-	s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 	sess, _, err := s.Diagnose()
 	if err != nil {
 		t.Fatal(err)
@@ -77,7 +76,6 @@ func TestCaptureListReplayScenario(t *testing.T) {
 		t.Fatal(err)
 	}
 	storeBt := bt
-	storeBt.Workload = nil
 	storeBt.Source = st.Source()
 	storeRun, err := sess.Evaluate(ctx, expl.Candidates, storeBt)
 	if err != nil {
@@ -169,36 +167,5 @@ func TestMillionEntryStreamingReplay(t *testing.T) {
 	if growth > sliceBytes/4 {
 		t.Fatalf("replay retained %d bytes of heap — not streaming (full slice would be %d)",
 			growth, sliceBytes)
-	}
-}
-
-// TestWithTraceStoreSessionOption pins the session-level wiring: a
-// session whose store option is set backtests without any workload in
-// the Backtest evidence at all.
-func TestWithTraceStoreSessionOption(t *testing.T) {
-	ctx := context.Background()
-	s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
-	st, err := tracestore.Open(t.TempDir(), tracestore.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if err := st.Append(s.Workload...); err != nil {
-		t.Fatal(err)
-	}
-	sess, _, err := s.Diagnose(metarepair.WithTraceStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep, err := sess.Repair(ctx, s.Symptom(), metarepair.Backtest{
-		BuildNet:  s.BuildNet,
-		State:     s.State,
-		Effective: s.Effective,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.Accepted == 0 {
-		t.Fatal("session-store backtest accepted nothing")
 	}
 }

@@ -7,11 +7,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/scenarios"
 	"repro/internal/sentinel"
 	"repro/internal/trace"
 	"repro/internal/tracestore"
 	"repro/metarepair"
+	"repro/scenario"
 )
 
 // TestWatchSelfHealsLiveStream is the self-healing acceptance path: a
@@ -24,7 +24,7 @@ import (
 func TestWatchSelfHealsLiveStream(t *testing.T) {
 	const window = 64
 
-	s := scenarios.Q1(scenarios.Scale{Switches: 19, Flows: 300})
+	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
 	trigger := sentinel.TriggerFromGoal(s.Goal)
 	if trigger == nil {
 		t.Fatal("Q1 goal does not derive a trigger")
