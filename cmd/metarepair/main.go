@@ -817,6 +817,7 @@ func runPipeline(cmd string, args []string) {
 
 	if met != nil {
 		met.engine.Record(out.Session.EngineStats(), out.Report.Engine)
+		met.search.Record(out.Report)
 		if err := met.dump(*metricsDest); err != nil {
 			fail(fmt.Errorf("writing -metrics: %w", err))
 		}
@@ -834,13 +835,14 @@ func (m multiSink) Emit(e metarepair.Event) {
 }
 
 // runMetrics aggregates one-shot run telemetry: the session families via
-// the event stream plus the NDlog engine counters sampled when the run
-// finishes — the same catalogue metarepaird exposes at /metrics, minus
-// the daemon-only (jobs_*, http_*, tracestore_*) families.
+// the event stream plus the NDlog engine and search counters sampled when
+// the run finishes — the same catalogue metarepaird exposes at /metrics,
+// minus the daemon-only (jobs_*, http_*, tracestore_*) families.
 type runMetrics struct {
 	reg      *obsv.Registry
 	sessions *metarepair.MetricsSink
 	engine   *metarepair.EngineMetrics
+	search   *metarepair.SearchMetrics
 }
 
 func newRunMetrics() *runMetrics {
@@ -849,6 +851,7 @@ func newRunMetrics() *runMetrics {
 		reg:      reg,
 		sessions: metarepair.NewMetricsSink(reg),
 		engine:   metarepair.NewEngineMetrics(reg),
+		search:   metarepair.NewSearchMetrics(reg),
 	}
 }
 

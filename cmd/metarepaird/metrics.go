@@ -34,6 +34,9 @@ type daemonMetrics struct {
 	// engine carries the ndlog_* families: each finished job's session
 	// engine counters and its shared backtest runs' delta-evaluation work.
 	engine *metarepair.EngineMetrics
+	// search carries metaprov_search_total: each finished job's exact
+	// repair-search counts.
+	search *metarepair.SearchMetrics
 
 	storeEntries   *obsv.GaugeVec // tracestore_entries{tenant,trace}
 	storeBytes     *obsv.GaugeVec
@@ -53,6 +56,7 @@ func newDaemonMetrics() *daemonMetrics {
 		httpDuration: reg.HistogramVec("http_request_duration_seconds",
 			"HTTP request latency, by route pattern.", nil, "route"),
 		engine: metarepair.NewEngineMetrics(reg),
+		search: metarepair.NewSearchMetrics(reg),
 		storeEntries: reg.GaugeVec("tracestore_entries",
 			"Records in a tenant's trace store.", "tenant", "trace"),
 		storeBytes: reg.GaugeVec("tracestore_bytes",

@@ -88,6 +88,7 @@ func TestMetricsReconcile(t *testing.T) {
 		"session_suggestions_total":     "counter",
 		"ndlog_engine_ops_total":        "counter",
 		"ndlog_delta_group_joins_total": "counter",
+		"metaprov_search_total":         "counter",
 		"tracestore_entries":            "gauge",
 		"tracestore_bytes":              "gauge",
 		"tracestore_segments":           "gauge",
@@ -172,6 +173,18 @@ func TestMetricsReconcile(t *testing.T) {
 	if got, _ := sc.Value("ndlog_delta_group_joins_total", nil); got <= 0 {
 		t.Errorf("ndlog_delta_group_joins_total = %v, want > 0", got)
 	}
+	// Every job ran a search: it committed expansions and extracted
+	// repairs, and its duplicates and capped ones are among the extracted.
+	search := func(outcome string) float64 {
+		got, _ := sc.Value("metaprov_search_total", map[string]string{"outcome": outcome})
+		return got
+	}
+	if search("steps") <= 0 || search("extracted") <= 0 {
+		t.Errorf("metaprov_search_total: %v steps, %v extracted, want both > 0", search("steps"), search("extracted"))
+	}
+	if d, c, e := search("duplicate"), search("capped"), search("extracted"); d+c > e {
+		t.Errorf("metaprov_search_total: %v duplicate + %v capped > %v extracted", d, c, e)
+	}
 	if got := sc.Sum("session_suggestions_total", nil); got <= 0 {
 		t.Errorf("session_suggestions_total sums to %v, want > 0", got)
 	}
@@ -225,9 +238,10 @@ func TestMetricsStoreFamilies(t *testing.T) {
 }
 
 // TestCLIMetricsCatalogueMatchesDaemon: the one-shot CLI's -metrics dump
-// and the daemon's /metrics share one definition of the session_* and
-// ndlog_* families (metarepair.NewMetricsSink / NewEngineMetrics), so both
-// must expose exactly the same family names with the same types.
+// and the daemon's /metrics share one definition of the session_*, ndlog_*
+// and metaprov_* families (metarepair.NewMetricsSink / NewEngineMetrics /
+// NewSearchMetrics), so both must expose exactly the same family names
+// with the same types.
 func TestCLIMetricsCatalogueMatchesDaemon(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the metarepair CLI")

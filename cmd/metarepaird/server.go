@@ -305,9 +305,10 @@ func (s *server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 		}
 		// Sample the job's NDlog engine work — the session engine's
 		// counters plus the shared backtest runs' delta-evaluation work —
-		// and, when it replayed from a stored trace, the store's current
-		// shape into the registry.
+		// its search counts and, when it replayed from a stored trace, the
+		// store's current shape into the registry.
 		s.metrics.engine.Record(out.Session.EngineStats(), out.Report.Engine)
+		s.metrics.search.Record(out.Report)
 		if store != nil {
 			s.metrics.recordStore(tenant, req.Trace, store.Stats())
 		}

@@ -1,6 +1,7 @@
 package metaprov_test
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/meta"
@@ -40,12 +41,13 @@ func explorer(s *scenario.Scenario, rec *provenance.Recorder) *metaprov.Explorer
 	return ex
 }
 
-// TestPruneDecisionsMatchReference runs the Q1–Q5 searches with every pool
-// a pruning verdict is taken on — the pools the pre-fork check skips
-// included — handed to the from-scratch reference solver under the same
-// bound, and requires the same decision on each. The audited search must
-// also find exactly what the unaudited one finds, so the pre-fork check
-// never decided differently from the full one.
+// TestPruneDecisionsMatchReference runs the Q1–Q5 searches with every
+// pruning verdict — those the pre-fork check skips included — taken two
+// more ways under the same bound: on a built fork (clone the pool, add the
+// fork's constraints, Sat) and by the from-scratch reference solver. All
+// three must agree, and a trial must leave the pool it is taken on as it
+// was. The audited search must also find exactly what the unaudited one
+// finds, so the pre-fork check never decided differently from the full one.
 func TestPruneDecisionsMatchReference(t *testing.T) {
 	for _, spec := range scenario.Default().Specs() {
 		s := spec.MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
@@ -56,13 +58,26 @@ func TestPruneDecisionsMatchReference(t *testing.T) {
 
 			audited := explorer(s, rec)
 			pools, pruned := 0, 0
-			audited.Audit(func(p *solver.Pool, sat bool) {
+			pruner := solver.Solver{MaxBacktracks: 1500}
+			audited.Audit(func(p *solver.Pool, added []solver.Constraint, sat bool) {
 				pools++
 				if !sat {
 					pruned++
 				}
-				if _, ref := reference.Solve(p.Constraints(), 1500); ref != sat {
-					t.Errorf("incremental verdict %v, reference %v on\n%s", sat, ref, p)
+				before := stateOf(p)
+				if again := pruner.SatWith(p, added...); again != sat {
+					t.Errorf("trial verdict %v, then %v on the same pool", sat, again)
+				}
+				if after := stateOf(p); !reflect.DeepEqual(after, before) {
+					t.Errorf("trial verdict changed its pool from\n%+v\nto\n%+v", before, after)
+				}
+				q := p.Clone()
+				q.Add(added...)
+				if built := pruner.Sat(q); built != sat {
+					t.Errorf("trial verdict %v, built fork %v on\n%s", sat, built, q)
+				}
+				if _, ref := reference.Solve(q.Constraints(), 1500); ref != sat {
+					t.Errorf("trial verdict %v, reference %v on\n%s", sat, ref, q)
 				}
 			})
 			got := audited.ExploreSequential(s.Goal)
@@ -82,4 +97,21 @@ func TestPruneDecisionsMatchReference(t *testing.T) {
 			t.Logf("%d pools checked, %d pruned", pools, pruned)
 		})
 	}
+}
+
+// poolState is what a pool shows its readers: its constraints and the
+// value propagation bound each variable to.
+type poolState struct {
+	constraints []solver.Constraint
+	bound       map[string]ndlog.Value
+}
+
+func stateOf(p *solver.Pool) poolState {
+	st := poolState{constraints: p.Constraints(), bound: map[string]ndlog.Value{}}
+	for _, name := range p.Vars() {
+		if v, ok := p.Value(name); ok {
+			st.bound[name] = v
+		}
+	}
+	return st
 }

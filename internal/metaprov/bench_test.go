@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/metaprov"
+	"repro/internal/ndlog"
 	"repro/internal/solver"
 	"repro/internal/solver/reference"
 	"repro/scenario"
@@ -19,17 +20,17 @@ type verdictCase struct {
 
 // captureQ1 walks the Q1 forest breadth-first and returns the partial
 // trees it expanded and every pruning verdict taken while doing so.
-func captureQ1(b *testing.B) ([]*metaprov.Tree, []verdictCase) {
-	b.Helper()
+func captureQ1(tb testing.TB) ([]*metaprov.Tree, []verdictCase) {
+	tb.Helper()
 	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
-	ex := explorer(s, history(b, s))
+	ex := explorer(s, history(tb, s))
 	var (
 		trees []*metaprov.Tree
 		cases []verdictCase
 		cur   *metaprov.Tree
 	)
-	ex.Audit(func(p *solver.Pool, sat bool) {
-		cases = append(cases, verdictCase{parent: cur.Pool, added: p.Constraints()[cur.Pool.Len():], sat: sat})
+	ex.Audit(func(p *solver.Pool, added []solver.Constraint, sat bool) {
+		cases = append(cases, verdictCase{parent: p, added: added, sat: sat})
 	})
 	frontier := []*metaprov.Tree{ex.RootTree(s.Goal)}
 	for len(frontier) > 0 && len(trees) < 400 {
@@ -41,7 +42,7 @@ func captureQ1(b *testing.B) ([]*metaprov.Tree, []verdictCase) {
 		frontier = append(frontier, ex.ExpandStep(cur)...)
 	}
 	if len(trees) == 0 || len(cases) == 0 {
-		b.Fatalf("captured %d trees and %d verdicts", len(trees), len(cases))
+		tb.Fatalf("captured %d trees and %d verdicts", len(trees), len(cases))
 	}
 	return trees, cases
 }
@@ -52,12 +53,24 @@ var (
 )
 
 // BenchmarkQuickSat measures one pruning verdict; the cases cycle through
-// a real Q1 search. "incremental" takes it the way the search does: clone
-// the forked tree's pool, add the fork's constraints, read the verdict.
-// "reference" is what that cost before pools were solved as they grow:
-// copy the parent's constraints, append, solve the lot from scratch.
+// a real Q1 search. "trial" takes it the way the search does: SatWith on
+// the forked tree's pool and the fork's constraints, building nothing.
+// "incremental" is what that cost before verdicts were trials: clone the
+// pool, add the constraints, read the verdict off the clone. "reference"
+// is what it cost before pools were solved as they grow: copy the parent's
+// constraints, append, solve the lot from scratch.
 func BenchmarkQuickSat(b *testing.B) {
 	_, cases := captureQ1(b)
+	b.Run("trial", func(b *testing.B) {
+		pruner := solver.Solver{MaxBacktracks: 1500}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			c := cases[i%len(cases)]
+			if sinkSat = pruner.SatWith(c.parent, c.added...); sinkSat != c.sat {
+				b.Fatalf("verdict %v, the search's was %v", sinkSat, c.sat)
+			}
+		}
+	})
 	b.Run("incremental", func(b *testing.B) {
 		pruner := solver.Solver{MaxBacktracks: 1500}
 		b.ReportAllocs()
@@ -95,4 +108,47 @@ func BenchmarkTreeFork(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		sinkTree = trees[i%len(trees)].Fork()
 	}
+}
+
+// TestVerdictsAllocateNothing is the allocation ratchet on the pruning
+// verdict: over every verdict of a real Q1 search, SatWith allocates
+// nothing, and neither does Sat on a built pool the candidate search has
+// to decide. Under the race detector sync.Pool drops a share of what it is
+// given, so the counts there are not the solver's.
+func TestVerdictsAllocateNothing(t *testing.T) {
+	if raceBuild {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	_, cases := captureQ1(t)
+	pruner := solver.Solver{MaxBacktracks: 1500}
+	searched := 0
+	for i, c := range cases {
+		if n := testing.AllocsPerRun(20, func() { sinkSat = pruner.SatWith(c.parent, c.added...) }); n != 0 {
+			t.Fatalf("case %d: SatWith allocates %.1f times per verdict", i, n)
+		}
+		q := c.parent.Clone()
+		q.Add(c.added...)
+		if !mixed(q.Constraints()) {
+			continue
+		}
+		searched++
+		if n := testing.AllocsPerRun(20, func() { sinkSat = pruner.Sat(q) }); n != 0 {
+			t.Fatalf("case %d: Sat on a mixed pool allocates %.1f times per verdict", i, n)
+		}
+	}
+	if searched == 0 {
+		t.Fatalf("none of %d verdicts was on a mixed pool", len(cases))
+	}
+	t.Logf("%d verdicts, %d on mixed pools", len(cases), searched)
+}
+
+// mixed reports whether a pool of these constraints holds anything but
+// plain equalities, so that a verdict on it may need the candidate search.
+func mixed(cs []solver.Constraint) bool {
+	for _, c := range cs {
+		if c.Op != ndlog.OpEq || len(c.Cond) > 0 || c.L.Off != 0 || c.R.Off != 0 {
+			return true
+		}
+	}
+	return false
 }

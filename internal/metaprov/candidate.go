@@ -114,10 +114,12 @@ func (c Candidate) Apply(prog *ndlog.Program) (*meta.Patch, error) {
 }
 
 // extract turns a completed tree into a candidate (the missing-tuple
-// branch of Fig. 5): solve the constraint pool, fill pending constant
-// changes and tuple insertions from the satisfying assignment, and check
-// syntactic validity of the patched program. The solve starts from the
-// bindings the pool propagated while the tree grew.
+// branch of Fig. 5): solve the constraint pool and fill pending constant
+// changes and tuple insertions from the satisfying assignment. The solve
+// starts from the bindings the pool propagated while the tree grew. It
+// stops at the candidate's signature: the validity guard and the vertex
+// tree wait for the commit loop (emitter.admit), which skips both for a
+// duplicate.
 func (ex *Explorer) extract(t *Tree) (Candidate, bool) {
 	start := time.Now()
 	asg, ok := ex.Solver.Solve(t.Pool)
@@ -155,11 +157,7 @@ func (ex *Explorer) extract(t *Tree) (Candidate, bool) {
 	if len(changes) == 0 {
 		return Candidate{}, false // no repair needed: symptom not reproduced
 	}
-	// Syntactic validity guard (§4.2): the patched program must be valid.
-	if _, err := ex.Model.Apply(changes); err != nil {
-		return Candidate{}, false
-	}
-	return Candidate{Changes: changes, Cost: t.Cost, Tree: t.Root()}.cached(), true
+	return Candidate{Changes: changes, Cost: t.Cost}.cached(), true
 }
 
 // checkDeferred grounds untranslatable guards with the assignment and

@@ -2,6 +2,7 @@ package metaprov
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -70,22 +71,24 @@ type Explorer struct {
 	// Workers sizes the ExploreStream worker pool (0 = GOMAXPROCS).
 	Workers int
 
-	// steps counts vertex expansions and solveNanos accumulates wall time
-	// spent in the constraint back-end (the Figure 9a breakdown): pre-fork
-	// checks against a pool's bindings, propagation as constraints are
-	// added, pruning verdicts and extraction solves. Both are atomics —
-	// stream workers solve concurrently — read via Stats(). The emitter
-	// counts what it was offered and why it turned candidates away.
+	// steps counts committed vertex expansions and pruned the forks their
+	// pruning verdicts removed; solveNanos accumulates wall time spent in
+	// the constraint back-end (the Figure 9a breakdown): pre-fork checks
+	// against a pool's bindings, pruning verdicts, propagation as a
+	// survivor's constraints are added and extraction solves. All are
+	// atomics — stream workers solve concurrently — read via Stats(). The
+	// emitter counts what it was offered and why it turned candidates away.
 	steps      atomic.Int64
+	pruned     atomic.Int64
 	solveNanos atomic.Int64
 	extracted  atomic.Int64
 	duplicates atomic.Int64
 	capped     atomic.Int64
 
-	// audit, when set by a test, sees every pool a pruning verdict is
-	// taken on, together with that verdict — including the pools of
-	// citations the pre-fork check would have skipped.
-	audit func(p *solver.Pool, sat bool)
+	// audit, when set by a test, sees every pruning verdict: the pool it
+	// is taken on, the constraints the fork would add, and the verdict —
+	// including the citations the pre-fork check would have skipped.
+	audit func(p *solver.Pool, added []solver.Constraint, sat bool)
 }
 
 // pruner bounds the search a pruning verdict may spend on a pool that
@@ -94,8 +97,10 @@ var pruner = solver.Solver{MaxBacktracks: 1500}
 
 // Stats is a consistent snapshot of the explorer's search counters.
 type Stats struct {
-	// Steps counts committed vertex expansions, the Figure 9 metric.
-	Steps int
+	// Steps counts committed vertex expansions, the Figure 9 metric, and
+	// Pruned the forks those expansions did not build because the pruning
+	// verdict found their constraints unsatisfiable.
+	Steps, Pruned int
 	// SolveTime is the accumulated constraint-solving wall time. Under
 	// ExploreStream it sums over all workers, including speculative
 	// expansions the committed search never used, so it can exceed the
@@ -104,8 +109,8 @@ type Stats struct {
 	// Extracted counts the complete trees committed with a valid repair;
 	// DuplicateSignatures of them repeated an earlier candidate's changes
 	// and CappedStructures exceeded MaxPerStructure. The rest were emitted.
-	// Like Steps, all three are exact: any worker count commits the
-	// counts of the sequential heap search.
+	// Like Steps and Pruned, all three are exact: any worker count commits
+	// the counts of the sequential heap search.
 	Extracted, DuplicateSignatures, CappedStructures int
 }
 
@@ -114,6 +119,7 @@ type Stats struct {
 func (ex *Explorer) Stats() Stats {
 	return Stats{
 		Steps:     int(ex.steps.Load()),
+		Pruned:    int(ex.pruned.Load()),
 		SolveTime: time.Duration(ex.solveNanos.Load()),
 
 		Extracted:           int(ex.extracted.Load()),
@@ -148,15 +154,16 @@ func (ex *Explorer) rootTree(goal Goal) *Tree {
 // expandStep performs one QUERY(v) expansion of the tree's head obligation
 // and returns the surviving forks. Every fork is charged the step cost
 // plus the cost of the change it makes; one that would pass the cutoff, or
-// whose constraints contradict the pool, is dropped where it would have
-// been built. The expansion depends only on the tree and the explorer's
-// read-only model/history, so stream workers run it speculatively on trees
-// the committed search may never reach.
-func (ex *Explorer) expandStep(cur *Tree) []*Tree {
-	if !ex.affords(cur, 0) {
-		return nil
+// whose constraints contradict the pool, is dropped before it is built.
+// The expansion depends only on the tree and the explorer's read-only
+// model/history, so stream workers run it speculatively on trees the
+// committed search may never reach.
+func (ex *Explorer) expandStep(cur *Tree) expansion {
+	var x expansion
+	if ex.affords(cur, 0) {
+		ex.expand(&x, cur, cur.todos[0])
 	}
-	return ex.expand(cur, cur.todos[0])
+	return x
 }
 
 // affords reports whether a fork of t that makes a change of cost c stays
@@ -165,8 +172,9 @@ func (ex *Explorer) affords(t *Tree, c float64) bool {
 	return t.Cost+c+cost.ExpandStep <= ex.Cutoff
 }
 
-// fork forks t for a change of the given kind, or returns nil when the
-// change would take the fork past the cutoff — so it is never built.
+// fork forks t for a change of the given kind that adds no constraint, or
+// returns nil when the change would take the fork past the cutoff — so it
+// is never built.
 func (ex *Explorer) fork(t *Tree, change cost.Kind) *Tree {
 	if c := cost.Of(change); ex.affords(t, c) {
 		return t.forkFor(c)
@@ -174,23 +182,30 @@ func (ex *Explorer) fork(t *Tree, change cost.Kind) *Tree {
 	return nil
 }
 
-// constrain adds constraints to a fork's pool and reports whether the pool
-// can still be satisfied. A fork that adds nothing needs no verdict: its
-// parent's holds.
-func (ex *Explorer) constrain(n *Tree, cs ...solver.Constraint) bool {
+// forkWith forks t for a change of cost c, which t must afford, that adds
+// cs to the pool. The pruning verdict comes first and is a trial on
+// scratch storage: a fork whose constraints contradict the pool is counted
+// in x.pruned and never built, and only a survivor gets a cloned pool.
+func (ex *Explorer) forkWith(x *expansion, t *Tree, c float64, cs ...solver.Constraint) *Tree {
+	if !ex.verdict(t, cs) {
+		x.pruned++
+		return nil
+	}
+	n := t.forkFor(c)
 	start := time.Now()
 	n.Pool.Add(cs...)
-	return ex.verdict(n, start)
+	ex.solveNanos.Add(int64(time.Since(start)))
+	return n
 }
 
-// verdict takes the pruning verdict on a fork's pool and charges the time
-// since start — the propagation that preceded it included — to constraint
-// solving.
-func (ex *Explorer) verdict(n *Tree, start time.Time) bool {
-	ok := pruner.Sat(n.Pool)
+// verdict reports whether t's pool stays satisfiable with cs added, and
+// charges the time to constraint solving. t's pool is not written.
+func (ex *Explorer) verdict(t *Tree, cs []solver.Constraint) bool {
+	start := time.Now()
+	ok := pruner.SatWith(t.Pool, cs...)
 	ex.solveNanos.Add(int64(time.Since(start)))
 	if ex.audit != nil {
-		ex.audit(n.Pool, ok)
+		ex.audit(t.Pool, slices.Clone(cs), ok)
 	}
 	return ok
 }
@@ -236,16 +251,24 @@ func (em *emitter) searching(emitted int) bool {
 		(em.ex.MaxCandidates <= 0 || emitted < em.ex.MaxCandidates)
 }
 
-// admit applies the §3.5 emission rules to an extracted candidate:
-// signature dedup first (duplicates burn their signature either way), then
-// the per-structure cap.
-func (em *emitter) admit(c Candidate) bool {
-	em.ex.extracted.Add(1)
+// admit applies the §3.5 emission rules to the candidate extracted from
+// the complete tree t: signature dedup first (duplicates burn their
+// signature either way), then the syntactic validity guard, then the
+// per-structure cap. A duplicate is never validated: equal signatures are
+// equal changes, and only a valid candidate's signature is on record. Only
+// an admitted candidate gets its tree materialised.
+func (em *emitter) admit(t *Tree, c *Candidate) bool {
 	sig := c.Signature()
 	if em.seen[sig] {
+		em.ex.extracted.Add(1)
 		em.ex.duplicates.Add(1)
 		return false
 	}
+	// Syntactic validity guard (§4.2): the patched program must be valid.
+	if _, err := em.ex.Model.Apply(c.Changes); err != nil {
+		return false
+	}
+	em.ex.extracted.Add(1)
 	em.seen[sig] = true
 	st := c.Structure()
 	if em.structs[st] >= em.perStruct {
@@ -253,33 +276,32 @@ func (em *emitter) admit(c Candidate) bool {
 		return false
 	}
 	em.structs[st]++
+	c.Tree = t.Root()
 	return true
 }
 
-// expand implements QUERY(v) (§3.5): it returns one forked tree per
+// expand implements QUERY(v) (§3.5): it adds to x one forked tree per
 // individually-sufficient choice for the obligation.
-func (ex *Explorer) expand(t *Tree, ob *obligation) []*Tree {
+func (ex *Explorer) expand(x *expansion, t *Tree, ob *obligation) {
 	switch ob.kind {
 	case obGoal:
-		return ex.expandGoal(t, ob)
+		ex.expandGoal(x, t, ob)
 	case obRule:
-		return ex.expandRule(t, ob)
+		ex.expandRule(x, t, ob)
 	case obPred:
-		return ex.expandPred(t, ob)
+		ex.expandPred(x, t, ob)
 	case obSel:
-		return ex.expandSel(t, ob)
+		ex.expandSel(x, t, ob)
 	case obAssign:
-		return ex.expandAssign(t, ob)
+		ex.expandAssign(x, t, ob)
 	}
-	return nil
 }
 
 // expandGoal forks one tree per rule that could derive the goal's table
 // (§3.3), plus repairs that create such a rule when none exists (changing
 // another rule's head, or copying a rule with a replaced head — the Q4
 // repair class of Table 6(c)), plus a manual base-tuple insertion.
-func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
-	var out []*Tree
+func (ex *Explorer) expandGoal(x *expansion, t *Tree, ob *obligation) {
 	for _, r := range ex.Model.RulesDeriving(ob.goal.Table) {
 		if len(r.Head.Args) != len(ob.goal.Args) {
 			continue
@@ -289,7 +311,7 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 		n.todos = append(n.todos, &obligation{
 			kind: obRule, vertex: v, goal: ob.goal, rule: r, depth: ob.depth,
 		})
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
 	// No rule derives the goal's table (e.g. the controller never sends
 	// PacketOut): repurpose rules deriving other tables, either by
@@ -311,7 +333,7 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 				n.todos = append(n.todos, &obligation{
 					kind: obRule, vertex: v, goal: ob.goal, rule: mod, depth: ob.depth, frozen: true,
 				})
-				out = append(out, n)
+				x.kids = append(x.kids, n)
 			}
 
 			// (b) Copy the rule with the head table replaced.
@@ -324,49 +346,51 @@ func (ex *Explorer) expandGoal(t *Tree, ob *obligation) []*Tree {
 				n.todos = append(n.todos, &obligation{
 					kind: obRule, vertex: v, goal: ob.goal, rule: cp, depth: ob.depth, frozen: true,
 				})
-				out = append(out, n)
+				x.kids = append(x.kids, n)
 			}
 		}
 	}
 	// Manual insertion of the missing tuple itself. Goal columns that are
 	// completely unconstrained become wildcards in the inserted tuple
 	// (e.g. a flow entry matching any source).
-	n := ex.fork(t, cost.InsertBaseTuple)
-	if n == nil {
-		return out
+	c := cost.Of(cost.InsertBaseTuple)
+	if !ex.affords(t, c) {
+		return
 	}
 	vars := make([]string, len(ob.goal.Args))
 	fixed := make([]*ndlog.Value, len(ob.goal.Args))
 	var cs []solver.Constraint
 	for i, g := range ob.goal.Args {
-		if g.Var != "" && !n.Pool.Mentions(g.Var) {
+		if g.Var != "" && !t.Pool.Mentions(g.Var) {
 			w := ndlog.Wild()
 			fixed[i] = &w
 			continue
 		}
-		vars[i] = n.freshVar(fmt.Sprintf("ins.%s.%d", ob.goal.Table, i))
+		vars[i] = t.varName(fmt.Sprintf("ins.%s.%d", ob.goal.Table, i), len(cs)+1)
 		cs = append(cs, solver.Eq(solver.V(vars[i]), g))
 	}
-	if ex.constrain(n, cs...) {
+	if n := ex.forkWith(x, t, c, cs...); n != nil {
+		n.varSeq += len(cs)
 		n.pInserts = append(n.pInserts, pendingInsert{Table: ob.goal.Table, Vars: vars, Fixed: fixed})
 		n.attach(ob.vertex, VInsertBase, fmt.Sprintf("insert %s", ob.goal))
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
-	return out
 }
 
 // expandRule instantiates a rule against the goal: it unifies the head,
 // then queues obligations for every body predicate, selection, and
 // assignment — the joint, cross-precondition treatment of §3.4.
-func (ex *Explorer) expandRule(t *Tree, ob *obligation) []*Tree {
-	n := t.forkFor(0)
+func (ex *Explorer) expandRule(x *expansion, t *Tree, ob *obligation) {
 	v := ob.vertex
 	r := ob.rule
-	inst := n.nextInst(r.ID)
+	inst := t.instName(r.ID)
 	env := instantiate(r, inst)
 
 	// Unify head arguments with the goal terms.
-	var cs []solver.Constraint
+	var (
+		cs       []solver.Constraint
+		deferred []deferredCheck
+	)
 	for i, ha := range r.Head.Args {
 		gt := ob.goal.Args[i]
 		switch a := ha.(type) {
@@ -375,19 +399,22 @@ func (ex *Explorer) expandRule(t *Tree, ob *obligation) []*Tree {
 		case *ndlog.ConstExpr:
 			cs = append(cs, solver.Eq(solver.C(a.Val), gt))
 		case *ndlog.Agg:
-			return nil // cannot target aggregate heads
+			return // cannot target aggregate heads
 		default:
 			// Computed head argument: defer until grounded.
-			n.deferred = append(n.deferred, deferredCheck{
+			deferred = append(deferred, deferredCheck{
 				rule: r,
 				sel:  &ndlog.Selection{Left: ha, Op: ndlog.OpEq, Right: termExpr(gt)},
 				env:  env,
 			})
 		}
 	}
-	if !ex.constrain(n, cs...) {
-		return nil
+	n := ex.forkWith(x, t, 0, cs...)
+	if n == nil {
+		return
 	}
+	n.instSeq++
+	n.deferred = append(n.deferred, deferred...)
 	for i, b := range r.Body {
 		pv := n.attach(v, VNExist, b.String())
 		n.todos = append(n.todos, &obligation{
@@ -409,13 +436,12 @@ func (ex *Explorer) expandRule(t *Tree, ob *obligation) []*Tree {
 			env: env, depth: ob.depth, frozen: ob.frozen,
 		})
 	}
-	return []*Tree{n}
+	x.kids = append(x.kids, n)
 }
 
 // expandPred satisfies one body predicate: by citing a historical tuple,
 // by recursively deriving it, or by inserting a base tuple.
-func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
-	var out []*Tree
+func (ex *Explorer) expandPred(x *expansion, t *Tree, ob *obligation) {
 	f := ob.pred
 	hist := ex.Hist.TuplesOf(f.Table)
 	limit := ex.MaxHistTuples
@@ -424,20 +450,22 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 	}
 	// Only satisfiable citations count toward the limit; this keeps the
 	// fan-out focused on tuples consistent with the goal. A tuple is tested
-	// against the tree's bindings before anything is forked for it: most
-	// of the history contradicts a value the pool has already fixed.
+	// against the tree's bindings before its verdict is taken: most of the
+	// history contradicts a value the pool has already fixed.
 	kept := 0
+	var cs []solver.Constraint
 	for i := 0; kept < limit; i++ {
 		if i = ex.nextCitable(t, ob, hist, i); i == len(hist) {
 			break
 		}
-		n := t.forkFor(0)
-		if !ex.cite(n, ob, hist[i]) {
+		cs = citation(cs[:0], ob, hist[i])
+		n := ex.forkWith(x, t, 0, cs...)
+		if n == nil {
 			continue
 		}
 		kept++
 		n.attach(ob.vertex, VExist, hist[i].String())
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
 	if ex.Model.IsDerived(f.Table) {
 		// Recursive sub-goal (bounded).
@@ -456,7 +484,7 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 				n := t.forkFor(0)
 				gv := n.attach(ob.vertex, VNExist, sub.String())
 				n.todos = append(n.todos, &obligation{kind: obGoal, vertex: gv, goal: sub, depth: ob.depth + 1})
-				out = append(out, n)
+				x.kids = append(x.kids, n)
 			}
 		}
 	} else if kept == 0 {
@@ -467,26 +495,26 @@ func (ex *Explorer) expandPred(t *Tree, ob *obligation) []*Tree {
 		for i, a := range f.Args {
 			var ok bool
 			if terms[i], ok = argTerm(ob.env, a); !ok {
-				return out
+				return
 			}
 		}
-		n := ex.fork(t, cost.InsertBaseTuple)
-		if n == nil {
-			return out
+		c := cost.Of(cost.InsertBaseTuple)
+		if !ex.affords(t, c) {
+			return
 		}
 		vars := make([]string, len(terms))
 		cs := make([]solver.Constraint, len(terms))
 		for i, term := range terms {
-			vars[i] = n.freshVar(fmt.Sprintf("ins.%s.%d", f.Table, i))
+			vars[i] = t.varName(fmt.Sprintf("ins.%s.%d", f.Table, i), i+1)
 			cs[i] = solver.Eq(solver.V(vars[i]), term)
 		}
-		if ex.constrain(n, cs...) {
+		if n := ex.forkWith(x, t, c, cs...); n != nil {
+			n.varSeq += len(vars)
 			n.pInserts = append(n.pInserts, pendingInsert{Table: f.Table, Vars: vars})
 			n.attach(ob.vertex, VInsertBase, "insert "+f.String())
-			out = append(out, n)
+			x.kids = append(x.kids, n)
 		}
 	}
-	return out
 }
 
 // nextCitable returns the index of the first tuple at or after i that the
@@ -524,8 +552,8 @@ func (ex *Explorer) citable(t *Tree, ob *obligation, h ndlog.Tuple) bool {
 			continue
 		}
 		if val, bound := t.Pool.Value(ob.env[v.Name]); bound && !val.Equal(h.Args[i]) {
-			// Under audit, fork anyway so the skipped pool is seen too.
-			if ex.audit != nil && ex.cite(t.forkFor(0), ob, h) {
+			// Under audit, take the verdict anyway so the skipped pool is seen too.
+			if ex.audit != nil && ex.verdict(t, citation(nil, ob, h)) {
 				panic("metaprov: pre-fork check rejected a satisfiable citation of " + h.String())
 			}
 			return false
@@ -534,180 +562,182 @@ func (ex *Explorer) citable(t *Tree, ob *obligation, h ndlog.Tuple) bool {
 	return true
 }
 
-// cite binds the variables of the obligation's predicate to a citable
-// tuple's values in the fork's pool and reports whether the pool can still
-// be satisfied.
-func (ex *Explorer) cite(n *Tree, ob *obligation, h ndlog.Tuple) bool {
-	start := time.Now()
+// citation appends to cs the constraints citing a tuple adds: every
+// variable of the obligation's predicate equals the tuple's value in its
+// column.
+func citation(cs []solver.Constraint, ob *obligation, h ndlog.Tuple) []solver.Constraint {
 	for i, a := range ob.pred.Args {
 		if v, isVar := a.(*ndlog.Var); isVar && v.Name != "_" {
-			n.Pool.Add(solver.Eq(solver.V(ob.env[v.Name]), solver.C(h.Args[i])))
+			cs = append(cs, solver.Eq(solver.V(ob.env[v.Name]), solver.C(h.Args[i])))
 		}
 	}
-	return ex.verdict(n, start)
+	return cs
 }
 
 // expandSel forks the selection's alternatives: keep it (thread the
 // constraint), change a constant, change the operator, or delete it —
 // each a meta-tuple change with its §3.5 cost.
-func (ex *Explorer) expandSel(t *Tree, ob *obligation) []*Tree {
+func (ex *Explorer) expandSel(x *expansion, t *Tree, ob *obligation) {
 	r := ob.rule
 	s := r.Sels[ob.selIx]
-	var out []*Tree
 
 	// (a) Keep the selection: add it to the pool (or defer).
 	lt, lok := argTerm(ob.env, s.Left)
 	rt, rok := argTerm(ob.env, s.Right)
 	translated := lok && rok
-	n := t.forkFor(0)
-	if !translated {
+	var n *Tree
+	if translated {
+		n = ex.forkWith(x, t, 0, solver.Cmp(lt, s.Op, rt))
+	} else {
+		n = t.forkFor(0)
 		n.deferred = append(n.deferred, deferredCheck{rule: r, sel: s, env: ob.env})
 	}
-	if !translated || ex.constrain(n, solver.Cmp(lt, s.Op, rt)) {
+	if n != nil {
 		n.attach(ob.vertex, VMetaExist, "holds: "+s.String())
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
 
 	if ob.frozen || !translated {
-		return out // frozen or untranslatable: no symbolic repairs here
+		return // frozen or untranslatable: no symbolic repairs here
 	}
 
 	// (b) Change a constant on either side.
-	for _, side := range [2]struct {
-		e    ndlog.Expr
-		path string
-		oth  solver.Term
-	}{
-		{s.Left, fmt.Sprintf("sel/%d/L", ob.selIx), rt},
-		{s.Right, fmt.Sprintf("sel/%d/R", ob.selIx), lt},
-	} {
-		c, isConst := side.e.(*ndlog.ConstExpr)
-		if !isConst {
-			continue
+	if cc := cost.Of(cost.ChangeConstant); ex.affords(t, cc) {
+		for _, side := range [2]struct {
+			e    ndlog.Expr
+			path string
+			oth  solver.Term
+		}{
+			{s.Left, fmt.Sprintf("sel/%d/L", ob.selIx), rt},
+			{s.Right, fmt.Sprintf("sel/%d/R", ob.selIx), lt},
+		} {
+			c, isConst := side.e.(*ndlog.ConstExpr)
+			if !isConst {
+				continue
+			}
+			cv := t.varName("const."+ob.inst, 1)
+			var l, rr solver.Term
+			if side.path[len(side.path)-1] == 'L' {
+				l, rr = solver.V(cv), side.oth
+			} else {
+				l, rr = side.oth, solver.V(cv)
+			}
+			n := ex.forkWith(x, t, cc, solver.Cmp(l, s.Op, rr), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val)))
+			if n == nil {
+				continue
+			}
+			n.varSeq++
+			n.pConsts = append(n.pConsts, pendingConst{RuleID: r.ID, Path: side.path, Old: c.Val, Var: cv})
+			n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Const(%s,%s) changed", r.ID, side.path))
+			x.kids = append(x.kids, n)
 		}
-		n := ex.fork(t, cost.ChangeConstant)
-		if n == nil {
-			continue
-		}
-		cv := n.freshVar("const." + ob.inst)
-		var l, rr solver.Term
-		if side.path[len(side.path)-1] == 'L' {
-			l, rr = solver.V(cv), side.oth
-		} else {
-			l, rr = side.oth, solver.V(cv)
-		}
-		if !ex.constrain(n, solver.Cmp(l, s.Op, rr), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val))) {
-			continue
-		}
-		n.pConsts = append(n.pConsts, pendingConst{RuleID: r.ID, Path: side.path, Old: c.Val, Var: cv})
-		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Const(%s,%s) changed", r.ID, side.path))
-		out = append(out, n)
 	}
 
 	// (c) Change the operator.
-	for _, op := range []ndlog.BinOp{ndlog.OpEq, ndlog.OpNe, ndlog.OpLt, ndlog.OpGt, ndlog.OpLe, ndlog.OpGe} {
-		if op == s.Op {
-			continue
+	if oc := cost.Of(cost.ChangeOperator); ex.affords(t, oc) {
+		for _, op := range []ndlog.BinOp{ndlog.OpEq, ndlog.OpNe, ndlog.OpLt, ndlog.OpGt, ndlog.OpLe, ndlog.OpGe} {
+			if op == s.Op {
+				continue
+			}
+			n := ex.forkWith(x, t, oc, solver.Cmp(lt, op, rt))
+			if n == nil {
+				continue
+			}
+			n.changes = append(n.changes, meta.SetOper{RuleID: r.ID, SelIdx: ob.selIx, Old: s.Op, New: op, Sel: s.String()})
+			n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Oper(%s,%d)=%s", r.ID, ob.selIx, op))
+			x.kids = append(x.kids, n)
 		}
-		n := ex.fork(t, cost.ChangeOperator)
-		if n == nil || !ex.constrain(n, solver.Cmp(lt, op, rt)) {
-			continue
-		}
-		n.changes = append(n.changes, meta.SetOper{RuleID: r.ID, SelIdx: ob.selIx, Old: s.Op, New: op, Sel: s.String()})
-		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Oper(%s,%d)=%s", r.ID, ob.selIx, op))
-		out = append(out, n)
 	}
 
 	// (d) Delete the selection.
 	if n := ex.fork(t, cost.DeleteSelection); n != nil {
 		n.changes = append(n.changes, meta.DropSel{RuleID: r.ID, SelIdx: ob.selIx, Sel: s.String()})
 		n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Sel(%s,%d) deleted", r.ID, ob.selIx))
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
-	return out
 }
 
 // expandAssign threads an assignment into the pool, with change
 // alternatives for constant right-hand sides (e.g. Prt:=1 → Prt:=2) and
 // variable substitutions (e.g. Sip':=* → Sip':=Sip).
-func (ex *Explorer) expandAssign(t *Tree, ob *obligation) []*Tree {
+func (ex *Explorer) expandAssign(x *expansion, t *Tree, ob *obligation) {
 	r := ob.rule
 	a := r.Assigns[ob.asgIx]
-	var out []*Tree
 
 	// (a) Keep.
 	target := solver.V(ob.env[a.Var])
 	rhs, ok := argTerm(ob.env, a.Expr)
-	n := t.forkFor(0)
-	if !ok {
+	var n *Tree
+	if ok {
+		n = ex.forkWith(x, t, 0, solver.Eq(target, rhs))
+	} else {
+		n = t.forkFor(0)
 		n.deferred = append(n.deferred, deferredCheck{
 			rule: r,
 			sel:  &ndlog.Selection{Left: &ndlog.Var{Name: a.Var}, Op: ndlog.OpEq, Right: a.Expr},
 			env:  ob.env,
 		})
 	}
-	if !ok || ex.constrain(n, solver.Eq(target, rhs)) {
+	if n != nil {
 		n.attach(ob.vertex, VMetaExist, "holds: "+a.String())
-		out = append(out, n)
+		x.kids = append(x.kids, n)
 	}
 
 	if ob.frozen {
-		return out
+		return
 	}
 
 	// (b) Constant RHS: change the constant.
 	if c, isConst := a.Expr.(*ndlog.ConstExpr); isConst {
-		if n := ex.fork(t, cost.ChangeConstant); n != nil {
-			cv := n.freshVar("aconst." + ob.inst)
-			if ex.constrain(n, solver.Eq(target, solver.V(cv)), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val))) {
+		if cc := cost.Of(cost.ChangeConstant); ex.affords(t, cc) {
+			cv := t.varName("aconst."+ob.inst, 1)
+			if n := ex.forkWith(x, t, cc, solver.Eq(target, solver.V(cv)), solver.Cmp(solver.V(cv), ndlog.OpNe, solver.C(c.Val))); n != nil {
+				n.varSeq++
 				n.pConsts = append(n.pConsts, pendingConst{
 					RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx), Old: c.Val, Var: cv,
 				})
 				n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Const(%s,assign/%d) changed", r.ID, ob.asgIx))
-				out = append(out, n)
+				x.kids = append(x.kids, n)
 			}
 		}
 
 		// (c) Substitute a body variable for the constant (Q5's fix).
 		for _, bv := range bodyVars(r) {
-			if bv == a.Var {
-				continue
-			}
-			if n := ex.substitute(t, ob, bv); n != nil {
-				out = append(out, n)
+			if bv != a.Var {
+				ex.substitute(x, t, ob, bv)
 			}
 		}
 	}
 	// (d) Variable RHS: substitute a different body variable.
 	if vexpr, isVar := a.Expr.(*ndlog.Var); isVar {
 		for _, bv := range bodyVars(r) {
-			if bv == a.Var || bv == vexpr.Name {
-				continue
-			}
-			if n := ex.substitute(t, ob, bv); n != nil {
-				out = append(out, n)
+			if bv != a.Var && bv != vexpr.Name {
+				ex.substitute(x, t, ob, bv)
 			}
 		}
 	}
-	return out
 }
 
 // substitute forks the tree with the obligation's assignment reading body
-// variable bv instead of its right-hand side, or returns nil when that
-// passes the cutoff or contradicts the pool.
-func (ex *Explorer) substitute(t *Tree, ob *obligation, bv string) *Tree {
+// variable bv instead of its right-hand side, unless that passes the
+// cutoff or contradicts the pool.
+func (ex *Explorer) substitute(x *expansion, t *Tree, ob *obligation, bv string) {
 	r := ob.rule
 	a := r.Assigns[ob.asgIx]
-	n := ex.fork(t, cost.ChangeVariable)
-	if n == nil || !ex.constrain(n, solver.Eq(solver.V(ob.env[a.Var]), solver.V(ob.env[bv]))) {
-		return nil
+	c := cost.Of(cost.ChangeVariable)
+	if !ex.affords(t, c) {
+		return
+	}
+	n := ex.forkWith(x, t, c, solver.Eq(solver.V(ob.env[a.Var]), solver.V(ob.env[bv])))
+	if n == nil {
+		return
 	}
 	n.changes = append(n.changes, meta.SetExpr{
 		RuleID: r.ID, Path: fmt.Sprintf("assign/%d", ob.asgIx),
 		Old: a.Expr.String(), New: &ndlog.Var{Name: bv},
 	})
 	n.attach(ob.vertex, VNMetaExist, fmt.Sprintf("Assign(%s,%d) := %s", r.ID, ob.asgIx, bv))
-	return n
+	x.kids = append(x.kids, n)
 }
 
 // hasAggHead reports whether a rule's head contains an aggregate.

@@ -146,7 +146,10 @@ type deferredCheck struct {
 // grown so far, the constraint pool, accumulated changes, and the pending
 // obligations that still need expansion.
 //
-// Forking happens thousands of times per search, so everything a fork
+// A fork that adds constraints is built only after its pruning verdict,
+// a trial on scratch storage, has found them satisfiable: most forks of a
+// search would be pruned, and those are never built. Forking a survivor
+// still happens thousands of times per search, so everything a fork
 // inherits is shared rather than copied: the vertices are a linked log the
 // fork appends to, obligations are immutable, the pool shares its
 // constraint list, and the small slices are clipped so an append in the
@@ -212,6 +215,8 @@ func (t *Tree) Root() *Vertex {
 // forkFor returns a copy of the tree with its head obligation popped,
 // charged one expansion step plus the cost c of the change the fork makes,
 // and ready to grow independently of the tree and of its other forks.
+// Callers that add constraints take the fork's verdict first
+// (Explorer.forkWith), so the copy is made only for a survivor.
 func (t *Tree) forkFor(c float64) *Tree {
 	n := *t
 	n.Cost = t.Cost + c + cost.ExpandStep
@@ -224,16 +229,18 @@ func (t *Tree) forkFor(c float64) *Tree {
 	return &n
 }
 
-// freshVar allocates a new solver variable name.
-func (t *Tree) freshVar(hint string) string {
-	t.varSeq++
-	return hint + "~" + strconv.Itoa(t.varSeq)
+// varName names the k-th fresh solver variable (k from 1) of a fork of t;
+// the fork takes the first k names with varSeq += k. A fork's constraints
+// are written, and their verdict taken, before the fork exists, so the
+// names come from the tree it is forked from.
+func (t *Tree) varName(hint string, k int) string {
+	return hint + "~" + strconv.Itoa(t.varSeq+k)
 }
 
-// nextInst allocates a rule-instantiation ID.
-func (t *Tree) nextInst(rule string) string {
-	t.instSeq++
-	return rule + "#" + strconv.Itoa(t.instSeq)
+// instName names the next rule instantiation of a fork of t; the fork
+// takes it with instSeq++.
+func (t *Tree) instName(rule string) string {
+	return rule + "#" + strconv.Itoa(t.instSeq+1)
 }
 
 // treeHeap orders trees by (cost, unexpanded-vertex count, admission

@@ -18,13 +18,15 @@ func (ex *Explorer) exploreSequential(goal Goal) []Candidate {
 			break // heap is cost-ordered: everything else is too expensive
 		}
 		if cur.Complete() {
-			if c, ok := ex.extract(cur); ok && em.admit(c) {
+			if c, ok := ex.extract(cur); ok && em.admit(cur, &c) {
 				out = append(out, c)
 			}
 			continue
 		}
 		ex.steps.Add(1)
-		for _, next := range ex.expandStep(cur) {
+		exp := ex.expandStep(cur)
+		ex.pruned.Add(int64(exp.pruned))
+		for _, next := range exp.kids {
 			h.push(em.stamp(next))
 		}
 	}

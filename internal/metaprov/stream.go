@@ -26,8 +26,9 @@ import (
 //     the sequential loop pops its heap. A candidate is released only when
 //     its tree is the cheapest uncommitted tree anywhere in the forest
 //     (the cost-epoch guarantee), and all order-sensitive state — step
-//     accounting, dedup, the per-structure cap, the MaxSteps /
-//     MaxCandidates / cutoff bounds — advances only at commit time.
+//     and prune accounting, dedup, the per-structure cap, the MaxSteps /
+//     MaxCandidates / cutoff bounds — advances only at commit time. So
+//     does the validity guard, which only a first-seen signature needs.
 //
 // Work the sequential search would never have reached (beyond a bound or
 // after the cutoff) may be expanded speculatively, but it is never
@@ -94,7 +95,7 @@ func (ex *Explorer) commitLoop(ctx context.Context, f *frontier, em *emitter, ou
 			return err
 		}
 		if head.Complete() {
-			if exp.ok && em.admit(exp.cand) {
+			if exp.ok && em.admit(head, &exp.cand) {
 				select {
 				case out <- exp.cand:
 					emitted++
@@ -105,6 +106,7 @@ func (ex *Explorer) commitLoop(ctx context.Context, f *frontier, em *emitter, ou
 			continue
 		}
 		ex.steps.Add(1)
+		ex.pruned.Add(int64(exp.pruned))
 		f.admitKids(em, exp.kids)
 	}
 }
@@ -121,7 +123,7 @@ func (ex *Explorer) streamWorker(f *frontier) {
 		if t.Complete() {
 			exp.cand, exp.ok = ex.extract(t)
 		} else {
-			exp.kids = ex.expandStep(t)
+			exp = ex.expandStep(t)
 		}
 		f.post(t, exp)
 	}
@@ -129,9 +131,10 @@ func (ex *Explorer) streamWorker(f *frontier) {
 
 // expansion is one worker's speculative result for a claimed tree.
 type expansion struct {
-	kids []*Tree   // surviving forks (partial trees)
-	cand Candidate // extraction result (complete trees)
-	ok   bool
+	kids   []*Tree   // surviving forks (partial trees)
+	pruned int       // forks the pruning verdict removed (partial trees)
+	cand   Candidate // extraction result (complete trees)
+	ok     bool
 }
 
 // frontier is the shared concurrent search frontier. canon holds every

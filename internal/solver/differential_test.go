@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -55,6 +56,9 @@ type shadowed struct {
 // and the from-scratch reference agree on the pruning verdict, on the
 // extraction verdict and assignment, and on the negation step — under a
 // bound small enough that running out of budget is part of what must match.
+// Before every Add the same constraints are tried first: SatWith must give
+// the reference's verdict on the pool plus them and leave the pool, and a
+// clone sharing its arrays, reading back exactly as before.
 func TestIncrementalMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		r := rand.New(rand.NewSource(seed))
@@ -65,13 +69,18 @@ func TestIncrementalMatchesReference(t *testing.T) {
 				live = append(live, &shadowed{pool: sp.pool.Clone(), flat: append([]solver.Constraint(nil), sp.flat...)})
 				continue
 			}
+			var added []solver.Constraint
 			for n := 1 + r.Intn(3); n > 0; n-- {
-				c := randConstraint(r)
-				sp.pool.Add(c)
-				sp.flat = append(sp.flat, c)
+				added = append(added, randConstraint(r))
 			}
 			bound := []int{40, 1500}[r.Intn(2)]
-			compareWithReference(t, fmt.Sprintf("seed %d step %d bound %d", seed, step, bound), sp, bound)
+			where := fmt.Sprintf("seed %d step %d bound %d", seed, step, bound)
+			trialMatchesReference(t, where, sp, added, bound)
+			for _, c := range added {
+				sp.pool.Add(c)
+			}
+			sp.flat = append(sp.flat, added...)
+			compareWithReference(t, where, sp, bound)
 		}
 		// Adds on one pool must not have leaked into its relatives.
 		for i, sp := range live {
@@ -101,15 +110,35 @@ func compareWithReference(t *testing.T, where string, sp *shadowed, bound int) {
 	}
 }
 
+// trialMatchesReference takes the verdict on sp's pool plus added as a
+// trial and requires the reference's verdict on the same constraints under
+// the same bound, with the pool — and a clone that shares its arrays —
+// unchanged by it.
+func trialMatchesReference(t *testing.T, where string, sp *shadowed, added []solver.Constraint, bound int) {
+	t.Helper()
+	before := snap(sp.pool)
+	clone := sp.pool.Clone()
+	_, want := reference.Solve(append(slices.Clip(sp.flat), added...), bound)
+	if got := (&solver.Solver{MaxBacktracks: bound}).SatWith(sp.pool, added...); got != want {
+		t.Fatalf("%s: SatWith = %v, reference %v on\n%sadding %v", where, got, want, sp.pool, added)
+	}
+	for name, p := range map[string]*solver.Pool{"pool": sp.pool, "clone": clone} {
+		if got := snap(p); !reflect.DeepEqual(got, before) {
+			t.Fatalf("%s: SatWith changed the %s from %+v to %+v", where, name, before, got)
+		}
+	}
+}
+
 // snapshot is everything observable about a pool's state.
 type snapshot struct {
+	n           int
 	constraints []solver.Constraint
 	bindings    map[string]ndlog.Value
 	sat         bool
 }
 
 func snap(p *solver.Pool) snapshot {
-	s := snapshot{constraints: p.Constraints(), bindings: map[string]ndlog.Value{}}
+	s := snapshot{n: p.Len(), constraints: p.Constraints(), bindings: map[string]ndlog.Value{}}
 	for _, name := range p.Vars() {
 		if v, ok := p.Value(name); ok {
 			s.bindings[name] = v
@@ -122,7 +151,8 @@ func snap(p *solver.Pool) snapshot {
 // TestCloneAliasing adds to a parent and to two of its clones, in every
 // order and then concurrently, and requires each pool to end up exactly as
 // if it had been built alone: sharing the constraint list must never let
-// one pool's Add show in another's constraints or bindings.
+// one pool's Add show in another's constraints or bindings, nor a trial
+// verdict's.
 func TestCloneAliasing(t *testing.T) {
 	base := []solver.Constraint{
 		solver.Eq(solver.V("a"), solver.V("b")),
@@ -175,5 +205,31 @@ func TestCloneAliasing(t *testing.T) {
 		}
 		wg.Wait()
 		check("concurrent", pools)
+	}
+	// Trial verdicts on one shared pool, from several goroutines at once
+	// and beside Adds to the clones that share its arrays, each on the
+	// goroutine's own scratch: every verdict is the alone pool's, and the
+	// shared pool reads back as built.
+	parent := family()[0]
+	clones := [3]*solver.Pool{parent.Clone(), parent.Clone(), parent.Clone()}
+	var wg sync.WaitGroup
+	for i := range clones {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for round := 0; round < 50; round++ {
+				if got := (&solver.Solver{}).SatWith(parent, extra[i]...); got != want[i].sat {
+					t.Errorf("SatWith(parent, extra %d) = %v, want %v", i, got, want[i].sat)
+				}
+			}
+			clones[i].Add(extra[i]...)
+		}(i)
+	}
+	wg.Wait()
+	check("trials beside clones", clones)
+	alone := solver.NewPool()
+	alone.Add(base...)
+	if got, want := snap(parent), snap(alone); !reflect.DeepEqual(got, want) {
+		t.Fatalf("trials changed the shared pool: %+v, want %+v", got, want)
 	}
 }

@@ -8,13 +8,22 @@
 // shares the constraint list with its parent, and the forest search reads
 // satisfiability off the propagated state. Only the variables propagation
 // leaves free go to a bounded backtracking search over candidate values.
+//
+// The forest search asks far more often whether a fork would survive than
+// it builds one, so a verdict is a trial: SatWith decides "p plus cs" on a
+// pool made of scratch buffers, leaving p untouched, and the search behind
+// every verdict runs on scratch too. Those buffers are reused across calls
+// and goroutines, so a verdict allocates nothing; only Solve and
+// SolveNegation build an Assignment.
 package solver
 
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/ndlog"
 )
@@ -212,25 +221,36 @@ func NewPool() *Pool { return &Pool{} }
 // unconditional equality grounds are bound, every constraint the bindings
 // decide is checked, and the first one decided false latches a conflict.
 func (p *Pool) Add(cs ...Constraint) {
+	if len(cs) == 0 {
+		return
+	}
+	nodes := make([]node, len(cs))
 	for i := range cs {
-		nd := &node{prev: p.last, c: cs[i]}
-		p.last = nd
-		p.n++
-		c := &nd.c
-		p.mention(c)
-		if c.Op != ndlog.OpEq || len(c.Cond) > 0 || c.L.Off != 0 || c.R.Off != 0 {
-			p.mixed = true
-		}
-		if p.conflict {
-			continue
-		}
-		switch p.settle(c) {
-		case undecided:
-			p.own()
-			p.open = append(p.open, c)
-		case bound:
-			p.propagate()
-		}
+		nodes[i].c = cs[i]
+		p.link(&nodes[i])
+	}
+}
+
+// link appends one node to the constraint list and propagates its
+// constraint.
+func (p *Pool) link(nd *node) {
+	nd.prev = p.last
+	p.last = nd
+	p.n++
+	c := &nd.c
+	p.mention(c)
+	if c.Op != ndlog.OpEq || len(c.Cond) > 0 || c.L.Off != 0 || c.R.Off != 0 {
+		p.mixed = true
+	}
+	if p.conflict {
+		return
+	}
+	switch p.settle(c) {
+	case undecided:
+		p.own()
+		p.open = append(p.open, c)
+	case bound:
+		p.propagate()
 	}
 }
 
@@ -418,8 +438,27 @@ func (s *Solver) Sat(p *Pool) bool {
 	if !p.mixed || len(p.open) == 0 {
 		return true
 	}
-	_, ok := s.search(p)
-	return ok
+	sc := getScratch()
+	defer sc.put()
+	return s.search(p, sc)
+}
+
+// SatWith reports whether the pool would be satisfiable within the search
+// bound with cs added — the verdict Sat would give on a clone of p after
+// Add(cs...) — without building that clone. The trial pool's binding
+// table, open list and constraint nodes are scratch buffers, and p is not
+// written: not even its clones' copy-on-write state.
+func (s *Solver) SatWith(p *Pool, cs ...Constraint) bool {
+	if p.conflict {
+		return false
+	}
+	if len(cs) == 0 {
+		return s.Sat(p)
+	}
+	sc := getScratch()
+	defer sc.put()
+	q := sc.trial(p, cs)
+	return !q.conflict && (!q.mixed || len(q.open) == 0 || s.search(&q, sc))
 }
 
 // Solve finds a satisfying assignment for the conjunction of all
@@ -431,14 +470,15 @@ func (s *Solver) Solve(p *Pool) (Assignment, bool) {
 	if p.conflict {
 		return nil, false
 	}
-	if p.mixed {
-		return s.search(p)
+	if !p.mixed {
+		return p.vars.assignment(), true // the zero Value is the integer 0
 	}
-	asg := make(Assignment, len(p.vars))
-	for _, sl := range p.vars {
-		asg[sl.name] = sl.val // the zero Value is the integer 0
+	sc := getScratch()
+	defer sc.put()
+	if !s.search(p, sc) {
+		return nil, false
 	}
-	return asg, true
+	return sc.tb.assignment(), true
 }
 
 // SolveNegation finds an assignment that satisfies every hard constraint
@@ -453,144 +493,205 @@ func (s *Solver) SolveNegation(p *Pool) (Assignment, bool) {
 			hard.Add(c)
 		}
 	}
+	sc := getScratch()
+	defer sc.put()
 	for _, c := range cs {
 		if c.Hard {
 			continue
 		}
-		q := hard.Clone()
-		q.Add(c.Negate())
-		if q.conflict {
-			continue
-		}
-		if asg, ok := s.search(q); ok {
-			return asg, true
+		q := sc.trial(hard, []Constraint{c.Negate()})
+		if !q.conflict && s.search(&q, sc) {
+			return sc.tb.assignment(), true
 		}
 	}
 	return nil, false
 }
 
-// search backtracks over candidate values for the variables propagation
-// left free, in name order. Candidates for each variable are the constants
-// appearing in the pool and the bound values, plus off-by-one neighbours —
-// the paper's observation that real bugs are small edits (§3.5) makes
-// these the natural repair values. Only the open constraints need
-// checking: the rest hold under the bindings, which the search keeps.
-func (s *Solver) search(p *Pool) (Assignment, bool) {
-	tb := append(table(nil), p.vars...)
-	var free []int
-	for i := range tb {
-		if !tb[i].bound {
-			free = append(free, i)
-		}
+// scratch is the working storage of one verdict or solve: a trial pool's
+// binding table, open list and constraint nodes, and the search's binding
+// table, free-variable order and candidate values. Buffers keep their
+// capacity between uses, so once they have grown to a search's pools a
+// verdict allocates nothing.
+type scratch struct {
+	vars  table
+	open  []*Constraint
+	nodes []node
+
+	tb     table
+	free   []int
+	keys   []byte
+	all    []keyed
+	cands  []ndlog.Value
+	budget int
+}
+
+// keyed is one candidate value; its key is scratch.keys[from:to].
+type keyed struct {
+	val      ndlog.Value
+	from, to int
+}
+
+// scratches recycles scratch storage; stream workers take verdicts
+// concurrently, and each call holds its own scratch.
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+func getScratch() *scratch { return scratches.Get().(*scratch) }
+
+// put returns the scratch for reuse, first dropping the pointers into
+// constraint lists it was handed, so a parked buffer keeps no pool alive.
+func (sc *scratch) put() {
+	clear(sc.open[:cap(sc.open)])
+	clear(sc.nodes)
+	scratches.Put(sc)
+}
+
+// trial returns p with cs added, built on the scratch buffers: the table
+// and open list are copies of p's, the new constraints' nodes link to p's
+// list without p ever pointing at them. The result lives only until the
+// scratch is reused.
+func (sc *scratch) trial(p *Pool, cs []Constraint) Pool {
+	q := Pool{
+		last:     p.last,
+		n:        p.n,
+		vars:     append(sc.vars[:0], p.vars...),
+		open:     append(sc.open[:0], p.open...),
+		mixed:    p.mixed,
+		conflict: p.conflict,
 	}
-	var cands []ndlog.Value
-	if len(free) > 0 {
-		sort.Slice(free, func(a, b int) bool { return tb[free[a]].name < tb[free[b]].name })
-		cands = p.candidates()
+	if cap(sc.nodes) < len(cs) {
+		sc.nodes = make([]node, len(cs))
 	}
-	budget := s.MaxBacktracks
-	if budget <= 0 {
-		budget = DefaultMaxBacktracks
+	nodes := sc.nodes[:len(cs)]
+	for i := range cs {
+		nodes[i].c = cs[i]
+		q.link(&nodes[i])
 	}
-	var dfs func(i int) bool
-	dfs = func(i int) bool {
-		if budget <= 0 {
-			return false
-		}
-		if i == len(free) {
-			for _, c := range p.open {
-				if ok, dec := tb.eval(c); !dec || !ok {
-					return false
-				}
-			}
-			return true
-		}
-		sl := &tb[free[i]]
-		for _, v := range cands {
-			sl.val, sl.bound = v, true
-			consistent := true
-			for _, c := range p.open {
-				if ok, dec := tb.eval(c); dec && !ok {
-					consistent = false
-					break
-				}
-			}
-			if consistent && dfs(i+1) {
-				return true
-			}
-			budget--
-			sl.bound = false
-		}
-		return false
-	}
-	if !dfs(0) {
-		return nil, false
-	}
+	sc.vars, sc.open = q.vars[:0], q.open[:0] // keep what the adds grew
+	return q
+}
+
+// assignment returns every variable of the table with its value; unbound
+// ones get the zero Value, the integer 0.
+func (tb table) assignment() Assignment {
 	asg := make(Assignment, len(tb))
 	for _, sl := range tb {
 		asg[sl.name] = sl.val
 	}
-	return asg, true
+	return asg
 }
 
-// candidates collects every constant in the pool and every bound value,
-// plus ±1 neighbours of integers (to satisfy strict inequalities),
-// deduplicated and ordered by value key.
-func (p *Pool) candidates() []ndlog.Value {
-	// Keys live back to back in one buffer; a candidate's key is
-	// keys[from:to].
-	type keyed struct {
-		val      ndlog.Value
-		from, to int
-	}
-	var (
-		all  []keyed
-		keys []byte
-	)
-	add1 := func(v ndlog.Value) {
-		from := len(keys)
-		keys = v.AppendKey(keys)
-		all = append(all, keyed{v, from, len(keys)})
-	}
-	add := func(v ndlog.Value) {
-		add1(v)
-		if v.Kind == ndlog.KindInt {
-			add1(ndlog.Int(v.Int + 1))
-			add1(ndlog.Int(v.Int - 1))
+// search backtracks over candidate values for the variables propagation
+// left free, in name order, and leaves the bindings it found in sc.tb.
+// Candidates for each variable are the constants appearing in the pool and
+// the bound values, plus off-by-one neighbours — the paper's observation
+// that real bugs are small edits (§3.5) makes these the natural repair
+// values. Only the open constraints need checking: the rest hold under the
+// bindings, which the search keeps.
+func (s *Solver) search(p *Pool, sc *scratch) bool {
+	sc.tb = append(sc.tb[:0], p.vars...)
+	sc.free = sc.free[:0]
+	for i := range sc.tb {
+		if !sc.tb[i].bound {
+			sc.free = append(sc.free, i)
 		}
 	}
-	var walk func(c *Constraint)
-	walk = func(c *Constraint) {
-		if c.L.Var == "" {
-			add(c.L.Val)
-		}
-		if c.R.Var == "" {
-			add(c.R.Val)
-		}
-		for i := range c.Cond {
-			walk(&c.Cond[i])
-		}
+	if len(sc.free) > 0 {
+		slices.SortFunc(sc.free, func(a, b int) int { return strings.Compare(sc.tb[a].name, sc.tb[b].name) })
+		sc.candidates(p)
 	}
+	sc.budget = s.MaxBacktracks
+	if sc.budget <= 0 {
+		sc.budget = DefaultMaxBacktracks
+	}
+	return sc.dfs(p.open, 0)
+}
+
+// dfs binds the free variables from the i-th on, keeping every open
+// constraint the bindings decide true.
+func (sc *scratch) dfs(open []*Constraint, i int) bool {
+	if sc.budget <= 0 {
+		return false
+	}
+	if i == len(sc.free) {
+		for _, c := range open {
+			if ok, dec := sc.tb.eval(c); !dec || !ok {
+				return false
+			}
+		}
+		return true
+	}
+	sl := &sc.tb[sc.free[i]]
+	for _, v := range sc.cands {
+		sl.val, sl.bound = v, true
+		consistent := true
+		for _, c := range open {
+			if ok, dec := sc.tb.eval(c); dec && !ok {
+				consistent = false
+				break
+			}
+		}
+		if consistent && sc.dfs(open, i+1) {
+			return true
+		}
+		sc.budget--
+		sl.bound = false
+	}
+	return false
+}
+
+// candidates collects into sc.cands every constant in the pool and every
+// bound value, plus ±1 neighbours of integers (to satisfy strict
+// inequalities), deduplicated and ordered by value key.
+func (sc *scratch) candidates(p *Pool) {
+	sc.keys, sc.all, sc.cands = sc.keys[:0], sc.all[:0], sc.cands[:0]
 	for nd := p.last; nd != nil; nd = nd.prev {
-		walk(&nd.c)
+		sc.walk(&nd.c)
 	}
 	for _, sl := range p.vars {
 		if sl.bound {
-			add(sl.val)
+			sc.add(sl.val)
 		}
 	}
-	if len(all) == 0 {
-		return []ndlog.Value{ndlog.Int(0)}
+	if len(sc.all) == 0 {
+		sc.cands = append(sc.cands, ndlog.Int(0))
+		return
 	}
-	key := func(k keyed) []byte { return keys[k.from:k.to] }
-	sort.Slice(all, func(i, j int) bool { return bytes.Compare(key(all[i]), key(all[j])) < 0 })
-	out := make([]ndlog.Value, 0, len(all))
-	for i, k := range all {
-		if i == 0 || !bytes.Equal(key(k), key(all[i-1])) {
-			out = append(out, k.val)
+	slices.SortFunc(sc.all, func(a, b keyed) int { return bytes.Compare(sc.key(a), sc.key(b)) })
+	for i, k := range sc.all {
+		if i == 0 || !bytes.Equal(sc.key(k), sc.key(sc.all[i-1])) {
+			sc.cands = append(sc.cands, k.val)
 		}
 	}
-	return out
+}
+
+func (sc *scratch) key(k keyed) []byte { return sc.keys[k.from:k.to] }
+
+// walk adds the constants of a constraint and of its conditions.
+func (sc *scratch) walk(c *Constraint) {
+	if c.L.Var == "" {
+		sc.add(c.L.Val)
+	}
+	if c.R.Var == "" {
+		sc.add(c.R.Val)
+	}
+	for i := range c.Cond {
+		sc.walk(&c.Cond[i])
+	}
+}
+
+// add adds a value and, for an integer, its two neighbours.
+func (sc *scratch) add(v ndlog.Value) {
+	sc.add1(v)
+	if v.Kind == ndlog.KindInt {
+		sc.add1(ndlog.Int(v.Int + 1))
+		sc.add1(ndlog.Int(v.Int - 1))
+	}
+}
+
+func (sc *scratch) add1(v ndlog.Value) {
+	from := len(sc.keys)
+	sc.keys = v.AppendKey(sc.keys)
+	sc.all = append(sc.all, keyed{v, from, len(sc.keys)})
 }
 
 // Check reports whether a full assignment satisfies the pool.

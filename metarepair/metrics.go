@@ -139,3 +139,36 @@ func (m *EngineMetrics) Record(session, report ndlog.EngineStats) {
 	}
 	m.deltaGroupJoins.Add(report.GroupJoins)
 }
+
+// SearchMetrics is the metaprov_* family both binaries expose beside
+// EngineMetrics: what finished runs' repair searches did, as
+// metaprov_search_total{outcome}. The outcomes are the search's exact
+// commit-loop counts (Report.Steps, Pruned, Extracted,
+// DuplicateSignatures, CappedStructures): committed vertex expansions, the
+// forks their pruning verdicts removed, complete trees extracted with a
+// valid repair, and those of them turned away as duplicate signatures or
+// over the per-structure cap. Like MetricsSink, create one per registry.
+type SearchMetrics struct {
+	outcomes *obsv.CounterVec
+}
+
+// NewSearchMetrics registers the metaprov_* family on reg.
+func NewSearchMetrics(reg *obsv.Registry) *SearchMetrics {
+	return &SearchMetrics{
+		outcomes: reg.CounterVec("metaprov_search_total",
+			"Repair-search work performed by finished runs, by outcome.", "outcome"),
+	}
+}
+
+// Record folds one finished run's search counts into the totals.
+func (m *SearchMetrics) Record(rep *Report) {
+	for _, c := range []struct {
+		outcome string
+		n       int
+	}{
+		{"steps", rep.Steps}, {"pruned", rep.Pruned}, {"extracted", rep.Extracted},
+		{"duplicate", rep.DuplicateSignatures}, {"capped", rep.CappedStructures},
+	} {
+		m.outcomes.With(c.outcome).Add(int64(c.n))
+	}
+}

@@ -1,6 +1,7 @@
 package metarepair_test
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/backtest"
+	"repro/internal/obsv"
 	"repro/metarepair"
 	"repro/scenario"
 )
@@ -345,5 +347,93 @@ func TestStreamingPipelineMatchesBarrier(t *testing.T) {
 	}
 	if stream.Batches != barrier.Batches {
 		t.Fatalf("batches: streaming %d, barrier %d", stream.Batches, barrier.Batches)
+	}
+}
+
+// TestSearchCountsPinned pins the exact counts of the repair search on the
+// benchmark's cells: steps, emitted candidates, extracted repairs, how
+// many of those were duplicate signatures or over the structure cap, and
+// the forks the pruning verdicts removed. The
+// stream-vs-sequential differential shares the expansion code and so
+// cannot see a verdict change; these counts can — a change that moves
+// them changed which repairs are found, not just how fast.
+func TestSearchCountsPinned(t *testing.T) {
+	wide := []metarepair.Option{
+		metarepair.WithMaxCandidates(64),
+		metarepair.WithBudget(metarepair.Budget{CostCutoff: 4.6, MaxPerStructure: 3}),
+	}
+	for _, c := range []struct {
+		name  string
+		flows int
+		opts  []metarepair.Option
+		want  [6]int // steps, candidates, extracted, duplicates, capped, pruned
+	}{
+		{"Q1/wide", 300, wide, [6]int{1417, 64, 354, 290, 0, 5985}},
+		{"Q1", 600, nil, [6]int{752, 13, 72, 58, 1, 1785}},
+		{"Q2", 600, nil, [6]int{285, 13, 58, 45, 0, 732}},
+		{"Q3", 600, nil, [6]int{379, 13, 53, 40, 0, 1245}},
+		{"Q4", 600, nil, [6]int{169, 3, 33, 30, 0, 32}},
+		{"Q5", 600, nil, [6]int{19, 4, 25, 21, 0, 120}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := scenario.Default().Instantiate(c.name[:2], scenario.Scale{Switches: 19, Flows: c.flows})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess, _, err := s.Diagnose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, err := sess.Explore(context.Background(), s.Symptom(), c.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := [6]int{ex.Steps, ex.Generated, ex.Extracted, ex.DuplicateSignatures, ex.CappedStructures, ex.Pruned}
+			if got != c.want {
+				t.Fatalf("steps/candidates/extracted/duplicates/capped/pruned = %v, want %v", got, c.want)
+			}
+		})
+	}
+}
+
+// TestSearchMetricsRecordReportCounts: metaprov_search_total{outcome}
+// carries finished runs' exact search counts, summed over the runs
+// recorded.
+func TestSearchMetricsRecordReportCounts(t *testing.T) {
+	s := scenario.Q1Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 300})
+	sess, _, err := s.Diagnose()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := sess.Repair(context.Background(), s.Symptom(), s.Backtest(),
+		metarepair.WithPipelineMode(metarepair.PipelineBarrier))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Steps == 0 || rep.Pruned == 0 || rep.Extracted == 0 {
+		t.Fatalf("search did nothing to count: %d steps, %d pruned, %d extracted", rep.Steps, rep.Pruned, rep.Extracted)
+	}
+	reg := obsv.NewRegistry()
+	m := metarepair.NewSearchMetrics(reg)
+	m.Record(rep)
+	m.Record(rep)
+	var buf bytes.Buffer
+	if err := reg.WriteText(&buf); err != nil {
+		t.Fatal(err)
+	}
+	sc, err := obsv.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if typ := sc.Types["metaprov_search_total"]; typ != "counter" {
+		t.Fatalf("metaprov_search_total: TYPE %q, want counter", typ)
+	}
+	for outcome, n := range map[string]int{
+		"steps": rep.Steps, "pruned": rep.Pruned, "extracted": rep.Extracted,
+		"duplicate": rep.DuplicateSignatures, "capped": rep.CappedStructures,
+	} {
+		if got, ok := sc.Value("metaprov_search_total", map[string]string{"outcome": outcome}); !ok || got != float64(2*n) {
+			t.Errorf("metaprov_search_total{outcome=%s} = %v (present %v), want %d", outcome, got, ok, 2*n)
+		}
 	}
 }

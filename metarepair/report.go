@@ -82,9 +82,11 @@ type Report struct {
 	// always reported, never silent.
 	Dropped int
 	// Batches is how many shared runs evaluated the candidate set; Steps
-	// counts explorer vertex expansions.
+	// counts explorer vertex expansions and Pruned the forks they did not
+	// build because the pruning verdict found them unsatisfiable.
 	Batches int
 	Steps   int
+	Pruned  int
 	// Extracted, DuplicateSignatures and CappedStructures are the search's
 	// commit-loop counts (see Exploration): how many repairs the explorer
 	// extracted to emit the Generated ones.

@@ -187,8 +187,10 @@ type Exploration struct {
 	Generated int
 	Filtered  int
 	Dropped   int
-	// Steps counts vertex expansions (the Figure 9 evaluation metric).
-	Steps int
+	// Steps counts vertex expansions (the Figure 9 evaluation metric) and
+	// Pruned the forks they did not build because the pruning verdict
+	// found them unsatisfiable.
+	Steps, Pruned int
 	// Extracted counts the complete trees the search committed with a
 	// valid repair; DuplicateSignatures of them repeated an earlier
 	// candidate's changes and CappedStructures exceeded the per-structure
@@ -203,7 +205,7 @@ type Exploration struct {
 // finish records the finished search's counters and stage times.
 func (e *Exploration) finish(ex *metaprov.Explorer, th *timedHistory, start time.Time) {
 	stats := ex.Stats()
-	e.Steps = stats.Steps
+	e.Steps, e.Pruned = stats.Steps, stats.Pruned
 	e.Extracted, e.DuplicateSignatures, e.CappedStructures = stats.Extracted, stats.DuplicateSignatures, stats.CappedStructures
 	e.historyTime = th.total()
 	e.solveTime = stats.SolveTime
@@ -588,6 +590,7 @@ func (s *Session) runPipeline(ctx context.Context, bt Backtest, o options, tr *t
 		Dropped:      expl.Dropped,
 		Batches:      pr.Batches,
 		Steps:        expl.Steps,
+		Pruned:       expl.Pruned,
 		EarlyStopped: pr.EarlyStopped,
 		Evaluated:    len(suggestions),
 		evaluated:    pr.Evaluated,

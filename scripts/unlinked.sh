@@ -6,13 +6,22 @@
 # symbol, collects the binaries' repro/... text symbols with go tool nm,
 # and prints each declared function missing from them, then the count.
 #
-# The list is a report, not a gate: public API, test oracles and test
-# helpers stay on it by design. Anything else on it is a capability no
-# program reaches.
+# Public API, test oracles and test helpers stay on the list by design.
+# Anything else on it is a capability no program reaches. With --max N the
+# script is a ratchet: it exits 1 when more than N functions are unlinked.
 #
-# Usage: scripts/unlinked.sh    (about 10 s; needs only the Go toolchain)
+# Usage: scripts/unlinked.sh [--max N]   (about 10 s; needs only the Go toolchain)
 set -euo pipefail
 export LC_ALL=C # one collation for sort and comm
+
+max=
+case "${1:-}" in
+--max)
+    [[ "${2:-}" =~ ^[0-9]+$ ]] || { echo "usage: $0 [--max N]" >&2; exit 2; }
+    max=$2 ;;
+"") ;;
+*) echo "usage: $0 [--max N]" >&2; exit 2 ;;
+esac
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 work=$(mktemp -d)
@@ -50,4 +59,9 @@ go list -C "$root" -f '{{if ne .Name "main"}}{{$p := .ImportPath}}{{range .GoFil
     done | sort -u >"$work/declared"
 
 comm -23 "$work/declared" "$work/linked" | tee "$work/unlinked"
-echo "unlinked: $(wc -l <"$work/unlinked") of $(wc -l <"$work/declared") declared functions"
+count=$(wc -l <"$work/unlinked")
+echo "unlinked: $count of $(wc -l <"$work/declared") declared functions"
+if [[ -n $max && $count -gt $max ]]; then
+    echo "unlinked: $count functions no binary links, more than the $max allowed" >&2
+    exit 1
+fi
