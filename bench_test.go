@@ -356,10 +356,15 @@ func BenchmarkReplaySource(b *testing.B) {
 // and bytes it reports walks/op — the injections that walked the flow
 // tables; the rest were applied from the previous traversal's record
 // (sdn.Network.Inject) — so entries/op − walks/op over entries/op is the
-// record's hit rate behind the ns/entry figure.
+// record's hit rate behind the ns/entry figure. Scan reads the store with
+// a no-op callback: the store read's own share of the Store figure.
 func BenchmarkReplayFlowRuns(b *testing.B) {
 	s := scenario.Q5Spec().MustInstantiate(scenario.Scale{Switches: 19, Flows: 6000})
 	st := captureToStore(b, s.Workload)
+	entries := func(b *testing.B) {
+		b.ReportMetric(float64(len(s.Workload)), "entries/op")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/(float64(b.N)*float64(len(s.Workload))), "ns/entry")
+	}
 	for _, from := range []struct {
 		name string
 		src  trace.Source
@@ -390,12 +395,24 @@ func BenchmarkReplayFlowRuns(b *testing.B) {
 				}
 				walks += net.Walks
 			}
-			entries := float64(b.N) * float64(len(s.Workload))
-			b.ReportMetric(float64(len(s.Workload)), "entries/op")
+			entries(b)
 			b.ReportMetric(float64(walks)/float64(b.N), "walks/op")
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/entries, "ns/entry")
 		})
 	}
+	b.Run("Scan", func(b *testing.B) {
+		b.ReportAllocs()
+		src := st.Source()
+		for i := 0; i < b.N; i++ {
+			n, err := src.Count()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if n != int64(len(s.Workload)) {
+				b.Fatalf("scanned %d of %d", n, len(s.Workload))
+			}
+		}
+		entries(b)
+	})
 }
 
 // BenchmarkSuiteMatrix measures the concurrent suite runner against a

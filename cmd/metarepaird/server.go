@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -140,7 +139,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "opening store: %v", err)
 		return
 	}
-	br := bufio.NewReader(r.Body)
+	dec := codec.NewDecoder(r.Body)
 	batch := make([]trace.Entry, 0, 1024)
 	ingested := 0
 	flush := func() error {
@@ -156,7 +155,8 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	var bad error
 	for {
-		e, err := codec.ReadRecord(br)
+		var e trace.Entry
+		err := dec.Next(&e)
 		if err == io.EOF {
 			break
 		}

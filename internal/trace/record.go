@@ -3,8 +3,6 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
-
-	"repro/internal/sdn"
 )
 
 // RecordSize is the fixed on-disk size of one binary log record: the
@@ -50,36 +48,38 @@ func AppendRecord(dst []byte, e Entry) ([]byte, error) {
 // DecodeRecord decodes one fixed-width binary record. It reads rec in
 // place and keeps no reference to it: every field of the entry is a value
 // and SrcHost is a string of its own, so the caller may reuse rec's
-// memory (a reader's buffer, say) as soon as the call returns.
-func DecodeRecord(rec []byte) (Entry, error) { return DecodeRecordAfter(rec, "") }
+// memory as soon as the call returns.
+func DecodeRecord(rec []byte) (Entry, error) {
+	var e Entry
+	host, err := DecodeRecordFields(rec, &e)
+	if err != nil {
+		return Entry{}, err
+	}
+	e.SrcHost = string(host)
+	return e, nil
+}
 
-// DecodeRecordAfter is DecodeRecord for a reader of consecutive records:
-// prevHost is the SrcHost of the record decoded before this one, and when
-// this record names the same host the entry shares that string instead of
-// allocating an equal one. A trace is runs of packets from one host, so
-// nearly every record does; sharing is safe because entries are values
-// and strings are immutable.
-func DecodeRecordAfter(rec []byte, prevHost string) (Entry, error) {
+// DecodeRecordFields decodes every field of a binary record but the
+// source host into e, leaving e.SrcHost as it was, and returns the host's
+// bytes where they lie in rec. A reader of many records decodes through
+// it so that it can give equal hosts one string; the returned slice
+// aliases rec.
+func DecodeRecordFields(rec []byte, e *Entry) (host []byte, err error) {
 	if len(rec) < RecordSize {
-		return Entry{}, fmt.Errorf("trace: short record (%d of %d bytes)", len(rec), RecordSize)
+		return nil, fmt.Errorf("trace: short record (%d of %d bytes)", len(rec), RecordSize)
 	}
 	n := int(rec[recHostLen])
 	if n > MaxHostLen {
-		return Entry{}, fmt.Errorf("trace: corrupt record: host length %d", n)
+		return nil, fmt.Errorf("trace: corrupt record: host length %d", n)
 	}
-	host := prevHost
-	if string(rec[recHost:recHost+n]) != host { // the conversion in a comparison does not allocate
-		host = string(rec[recHost : recHost+n])
-	}
-	return Entry{
-		Time:    int64(binary.BigEndian.Uint64(rec[recTime:])),
-		SrcHost: host,
-		Pkt: sdn.Packet{
-			SrcIP:   int64(binary.BigEndian.Uint64(rec[recSrcIP:])),
-			DstIP:   int64(binary.BigEndian.Uint64(rec[recDstIP:])),
-			SrcPort: int64(binary.BigEndian.Uint64(rec[recSrcPort:])),
-			DstPort: int64(binary.BigEndian.Uint64(rec[recDstPort:])),
-			Proto:   int64(binary.BigEndian.Uint64(rec[recProto:])),
-		},
-	}, nil
+	// Field by field: a composite literal is built on the stack and
+	// copied, and the copy's wide loads stall on the narrow stores.
+	e.Time = int64(binary.BigEndian.Uint64(rec[recTime:]))
+	e.Pkt.SrcIP = int64(binary.BigEndian.Uint64(rec[recSrcIP:]))
+	e.Pkt.DstIP = int64(binary.BigEndian.Uint64(rec[recDstIP:]))
+	e.Pkt.SrcPort = int64(binary.BigEndian.Uint64(rec[recSrcPort:]))
+	e.Pkt.DstPort = int64(binary.BigEndian.Uint64(rec[recDstPort:]))
+	e.Pkt.Proto = int64(binary.BigEndian.Uint64(rec[recProto:]))
+	e.Pkt.Tags = 0
+	return rec[recHost : recHost+n], nil
 }

@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -19,12 +18,16 @@ import (
 
 // How a stream of binary records ends.
 const (
-	endClean   = "clean"   // io.EOF between records
-	endTorn    = "torn"    // the input stops inside a record
-	endCorrupt = "corrupt" // a whole record that does not decode
+	endClean   = "clean"      // io.EOF between records
+	endTorn    = "torn"       // the input stops inside a record
+	endCorrupt = "corrupt"    // a whole record that does not decode
+	endRead    = "read error" // the reader failed
 )
 
-// decodeSlices is the reference the in-place reader is held to:
+// errRead is the failure of a reader that breaks after its data.
+var errRead = errors.New("read failed")
+
+// decodeSlices is the reference the block decoder is held to:
 // trace.DecodeRecord applied to successive RecordSize-byte slices. good is
 // the length of the intact prefix.
 func decodeSlices(data []byte) (entries []trace.Entry, end string, good int64) {
@@ -51,27 +54,50 @@ func endOf(err error) string {
 		return endClean
 	case errors.Is(err, io.ErrUnexpectedEOF):
 		return endTorn
+	case errors.Is(err, errRead):
+		return endRead
 	}
 	return endCorrupt
 }
 
-// readAll drains r through the binary codec.
-func readAll(r *bufio.Reader) (entries []trace.Entry, end string) {
+// readAll drains a decoder. An ending that a second call does not repeat
+// is reported as a mismatch.
+func readAll(dec Decoder) (entries []trace.Entry, end string) {
 	for {
-		e, err := Binary.ReadRecord(r)
-		if err != nil {
-			return entries, endOf(err)
+		var e trace.Entry
+		if err := dec.Next(&e); err != nil {
+			end = endOf(err)
+			if again := endOf(dec.Next(&e)); again != end {
+				return entries, end + " then " + again
+			}
+			return entries, end
 		}
 		entries = append(entries, e)
 	}
 }
 
+// chunkReader returns at most n bytes per Read.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c chunkReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
 // FuzzBinarySegmentRead feeds arbitrary bytes — what a segment file or an
-// ingest body may hold — to the in-place reader, through buffers that
-// split records at every possible offset, and to segment recovery. Both
-// must see exactly what slice-by-slice decoding sees: the same entries,
-// the same kind of ending, and the same intact prefix, with a torn tail
-// truncated and a corrupt record refused.
+// ingest body may hold — to the block decoder and to segment recovery.
+// The decoder reads them whole, a byte at a time, and in reads of every
+// length up to two records into blocks of one to three records, so reads
+// and refills split records at every offset. Every way must see exactly
+// what slice-by-slice decoding sees: the same entries, the same kind of
+// ending, and Consumed at the end of the intact prefix; a reader that
+// fails after the data must deliver the same entries before its error.
+// Recovery must truncate a torn tail and refuse a corrupt record.
 func FuzzBinarySegmentRead(f *testing.F) {
 	// FuzzBinaryRecord's corpus, encoded, alone and in the shapes a
 	// segment takes: a run, a torn tail, a corrupt middle record.
@@ -98,18 +124,37 @@ func FuzzBinarySegmentRead(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, size uint16) {
 		want, wantEnd, good := decodeSlices(data)
 
-		// A buffer barely larger than a record makes Peek slide and refill
-		// inside records; the one-byte reader makes every refill short.
-		bufSize := trace.RecordSize + int(size)%512
-		for name, r := range map[string]io.Reader{
-			"whole reads":    bytes.NewReader(data),
-			"one-byte reads": iotest.OneByteReader(bytes.NewReader(data)),
+		blockLen := (1 + int(size)%3) * trace.RecordSize
+		readLen := 1 + int(size/3)%(2*trace.RecordSize)
+		for _, way := range []struct {
+			name string
+			dec  Decoder
+		}{
+			{"whole reads", Binary.NewDecoder(bytes.NewReader(data))},
+			{"one-byte reads", Binary.NewDecoder(iotest.OneByteReader(bytes.NewReader(data)))},
+			{"data with EOF", Binary.NewDecoder(iotest.DataErrReader(bytes.NewReader(data)))},
+			{"split reads", &binaryDecoder{
+				r:   chunkReader{bytes.NewReader(data), readLen},
+				buf: make([]byte, blockLen),
+			}},
 		} {
-			got, end := readAll(bufio.NewReaderSize(r, bufSize))
-			if end != wantEnd || !slices.Equal(got, want) {
-				t.Fatalf("%s, buffer %d: %d entries ending %s, want %d ending %s",
-					name, bufSize, len(got), end, len(want), wantEnd)
+			got, end := readAll(way.dec)
+			if end != wantEnd || !slices.Equal(got, want) || way.dec.Consumed() != good {
+				t.Fatalf("%s (block %d, reads of %d): %d entries ending %s, consumed %d; want %d ending %s, consumed %d",
+					way.name, blockLen, readLen, len(got), end, way.dec.Consumed(), len(want), wantEnd, good)
 			}
+		}
+		// A corrupt record comes before the failure; any other ending is
+		// the failure, since the data did not end there.
+		brokenEnd := endRead
+		if wantEnd == endCorrupt {
+			brokenEnd = endCorrupt
+		}
+		broken := Binary.NewDecoder(io.MultiReader(bytes.NewReader(data), iotest.ErrReader(errRead)))
+		got, end := readAll(broken)
+		if end != brokenEnd || !slices.Equal(got, want) || broken.Consumed() != good {
+			t.Fatalf("reader failing after the data: %d entries ending %s, consumed %d; want %d ending %s, consumed %d",
+				len(got), end, broken.Consumed(), len(want), brokenEnd, good)
 		}
 
 		path := filepath.Join(t.TempDir(), "seg-00000001.bin")
@@ -152,11 +197,12 @@ func TestBinaryRecordInTwoWrites(t *testing.T) {
 		pw.Write(rec[:50])
 		pw.Close()
 	}()
-	r := bufio.NewReader(pr)
-	if got, err := Binary.ReadRecord(r); err != nil || got != want {
+	dec := Binary.NewDecoder(pr)
+	var got trace.Entry
+	if err := dec.Next(&got); err != nil || got != want {
 		t.Fatalf("record in two writes: %+v, %v; want %+v", got, err, want)
 	}
-	if _, err := Binary.ReadRecord(r); !errors.Is(err, io.ErrUnexpectedEOF) {
+	if err := dec.Next(&got); !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("half a record then EOF: %v, want io.ErrUnexpectedEOF", err)
 	}
 }

@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"bufio"
 	"io"
 	"math"
 
@@ -10,9 +9,9 @@ import (
 
 // View is a time-windowed, streaming read of the store. It implements
 // trace.Source, so it plugs directly into backtesting as a workload:
-// segments stream one record at a time through a fixed-size buffer, and
+// segments stream through one pooled read buffer of whole records, and
 // the per-segment time index skips segments outside the window — replay
-// memory is O(one record), independent of trace length.
+// memory is that buffer, independent of trace length.
 type View struct {
 	st       *Store
 	from, to int64
@@ -38,9 +37,9 @@ func (v *View) Window(from, to int64) *View {
 	return &w
 }
 
-// keep applies the time window to one record.
-func (v *View) keep(e trace.Entry) bool {
-	return e.Time >= v.from && e.Time <= v.to
+// keep applies the time window to one record's timestamp.
+func (v *View) keep(t int64) bool {
+	return t >= v.from && t <= v.to
 }
 
 // skipSegment applies the time window to one segment's index.
@@ -80,16 +79,17 @@ func (v *View) Count() (int64, error) {
 // scanSegment streams one snapshot segment, bounded to the byte extent
 // the snapshot recorded (concurrent appends past it are invisible).
 func scanSegment(seg openSegment, codec Codec, v *View, fn func(trace.Entry) error) error {
-	r := bufio.NewReaderSize(io.LimitReader(seg.f, seg.info.Bytes), 64<<10)
+	dec := codec.NewDecoder(io.LimitReader(seg.f, seg.info.Bytes))
+	var e trace.Entry
 	for {
-		e, err := codec.ReadRecord(r)
+		err := dec.Next(&e)
 		if err == io.EOF {
 			return nil
 		}
 		if err != nil {
 			return err
 		}
-		if !v.keep(e) {
+		if !v.keep(e.Time) {
 			continue
 		}
 		if err := fn(e); err != nil {

@@ -14,19 +14,6 @@ import (
 	"repro/internal/trace"
 )
 
-// countingReader tracks bytes consumed from the underlying reader, so
-// recovery can compute the exact offset of the last intact record.
-type countingReader struct {
-	r io.Reader
-	n int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.r.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
 // MaxIndexedHosts bounds the per-segment host index; a segment touched
 // by more distinct hosts records none (HostsOverflow).
 const MaxIndexedHosts = 512
@@ -154,12 +141,10 @@ func (sw *segmentWriter) seal(dir string) (SegmentInfo, error) {
 }
 
 // snapshotInfo is the active segment's current metadata, for readers
-// that stream while capture is still running.
+// that stream while capture is still running. It leaves Hosts nil:
+// sorting the host set is work only Segments' callers want.
 func (sw *segmentWriter) snapshotInfo() SegmentInfo {
 	info := sw.info
-	if !info.HostsOverflow {
-		info.Hosts = sortedHosts(sw.hosts)
-	}
 	if info.Entries == 0 {
 		info.MinTime, info.MaxTime = 0, 0
 	}
@@ -215,11 +200,10 @@ func rebuildIndex(path string, id uint64, c Codec) (SegmentInfo, error) {
 	defer f.Close()
 	info := SegmentInfo{ID: id, MinTime: math.MaxInt64, MaxTime: math.MinInt64, path: path}
 	hosts := make(map[string]struct{})
-	cr := &countingReader{r: f}
-	r := bufio.NewReaderSize(cr, 64<<10)
-	var good int64
+	dec := c.NewDecoder(f)
+	var e trace.Entry
 	for {
-		e, err := c.ReadRecord(r)
+		err := dec.Next(&e)
 		if err == io.EOF {
 			break
 		}
@@ -231,14 +215,13 @@ func rebuildIndex(path string, id uint64, c Codec) (SegmentInfo, error) {
 			// that would turn one bad byte into a lost segment, so
 			// recovery refuses and surfaces the error instead.
 			if !errors.Is(err, io.ErrUnexpectedEOF) {
-				return SegmentInfo{}, fmt.Errorf("tracestore: segment %s corrupt at offset %d: %w", path, good, err)
+				return SegmentInfo{}, fmt.Errorf("tracestore: segment %s corrupt at offset %d: %w", path, dec.Consumed(), err)
 			}
-			if terr := os.Truncate(path, good); terr != nil {
+			if terr := os.Truncate(path, dec.Consumed()); terr != nil {
 				return SegmentInfo{}, fmt.Errorf("tracestore: truncating torn segment %s: %v (after %v)", path, terr, err)
 			}
 			break
 		}
-		good = cr.n - int64(r.Buffered())
 		info.Entries++
 		if e.Time < info.MinTime {
 			info.MinTime = e.Time
@@ -254,7 +237,7 @@ func rebuildIndex(path string, id uint64, c Codec) (SegmentInfo, error) {
 			}
 		}
 	}
-	info.Bytes = good
+	info.Bytes = dec.Consumed()
 	if !info.HostsOverflow {
 		info.Hosts = sortedHosts(hosts)
 	}

@@ -237,6 +237,9 @@ func (s *Store) Segments() []SegmentInfo {
 	out := append([]SegmentInfo(nil), s.sealed...)
 	if s.active != nil {
 		ai := s.active.snapshotInfo()
+		if !ai.HostsOverflow {
+			ai.Hosts = sortedHosts(s.active.hosts)
+		}
 		out = append(out, ai)
 	}
 	return out
@@ -255,27 +258,33 @@ type Stats struct {
 	Rotations int64
 }
 
+// add folds one segment's index into the aggregate.
+func (st *Stats) add(si SegmentInfo) {
+	st.Segments++
+	st.Entries += si.Entries
+	st.Bytes += si.Bytes
+	if si.Entries == 0 {
+		return
+	}
+	first := st.Entries == si.Entries // no earlier segment held a record
+	if first || si.MinTime < st.MinTime {
+		st.MinTime = si.MinTime
+	}
+	if first || si.MaxTime > st.MaxTime {
+		st.MaxTime = si.MaxTime
+	}
+}
+
 // Stats summarizes the store from its segment indexes.
 func (s *Store) Stats() Stats {
-	var st Stats
 	s.mu.Lock()
-	st.Rotations = s.rotations
-	s.mu.Unlock()
-	first := true
-	for _, si := range s.Segments() {
-		st.Segments++
-		st.Entries += si.Entries
-		st.Bytes += si.Bytes
-		if si.Entries == 0 {
-			continue
-		}
-		if first || si.MinTime < st.MinTime {
-			st.MinTime = si.MinTime
-		}
-		if first || si.MaxTime > st.MaxTime {
-			st.MaxTime = si.MaxTime
-		}
-		first = false
+	defer s.mu.Unlock()
+	st := Stats{Rotations: s.rotations}
+	for _, si := range s.sealed {
+		st.add(si)
+	}
+	if s.active != nil {
+		st.add(s.active.snapshotInfo())
 	}
 	return st
 }

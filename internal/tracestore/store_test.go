@@ -3,6 +3,7 @@ package tracestore
 import (
 	"math/rand"
 	"os"
+	"slices"
 	"sync"
 	"testing"
 
@@ -338,4 +339,65 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := st.Append(testEntries(1, 1)...); err == nil {
 		t.Fatal("append after close succeeded")
 	}
+}
+
+// The active segment's host list is built for Segments, its one reader,
+// and is sorted like a sealed segment's.
+func TestSegmentsListsActiveHosts(t *testing.T) {
+	st, err := Open(t.TempDir(), Options{SegmentEntries: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if err := st.Append(testEntries(6, 0)...); err != nil {
+		t.Fatal(err)
+	}
+	segs := st.Segments()
+	if len(segs) != 2 || segs[1].Sealed {
+		t.Fatalf("segments %+v, want one sealed and the active one", segs)
+	}
+	if got := segs[1].Hosts; !slices.Equal(got, []string{"h2", "h3"}) {
+		t.Fatalf("active segment hosts %v, want [h2 h3]", got)
+	}
+	if s := st.Stats(); s.Entries != 6 || s.Segments != 2 || s.MinTime != 0 || s.MaxTime != 5 {
+		t.Fatalf("stats = %+v", s)
+	}
+}
+
+// A scan allocates per segment, never per record: a sealed two-segment
+// store of 50 000 records costs what one of 2 000 does, with the source
+// host changing at every record.
+func TestScanAllocationsDoNotGrowWithTheTrace(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector makes sync.Pool drop buffers")
+	}
+	allocs := func(n int) float64 {
+		st, err := Open(t.TempDir(), Options{SegmentEntries: n / 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(testEntries(n, 0)...); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if segs := st.Segments(); len(segs) != 2 {
+			t.Fatalf("%d records in %d segments, want 2", n, len(segs))
+		}
+		src := st.Source()
+		if got, err := src.Count(); err != nil || got != int64(n) {
+			t.Fatalf("scanned %d of %d records: %v", got, n, err)
+		}
+		return testing.AllocsPerRun(5, func() {
+			if err := src.Scan(func(trace.Entry) error { return nil }); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(2000), allocs(50000)
+	if small != large {
+		t.Fatalf("a scan allocates %v times at 2 000 records and %v at 50 000", small, large)
+	}
+	t.Logf("%v allocations per scan", small)
 }

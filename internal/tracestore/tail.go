@@ -1,7 +1,6 @@
 package tracestore
 
 import (
-	"bufio"
 	"context"
 	"io"
 	"sync/atomic"
@@ -179,18 +178,18 @@ func (t *Tail) readSegment(seg openSegment, codec Codec, fn func(trace.Entry) er
 	if _, err := seg.f.Seek(start, io.SeekStart); err != nil {
 		return 0, err
 	}
-	cr := &countingReader{r: io.LimitReader(seg.f, seg.info.Bytes-start)}
-	r := bufio.NewReaderSize(cr, 64<<10)
+	dec := codec.NewDecoder(io.LimitReader(seg.f, seg.info.Bytes-start))
 	delivered := 0
+	var e trace.Entry
 	for {
-		e, err := codec.ReadRecord(r)
+		err := dec.Next(&e)
 		if err == io.EOF {
 			return delivered, nil
 		}
 		if err != nil {
 			return delivered, err
 		}
-		t.pos.Offset = start + cr.n - int64(r.Buffered())
+		t.pos.Offset = start + dec.Consumed()
 		t.entries.Add(1)
 		delivered++
 		if err := fn(e); err != nil {
