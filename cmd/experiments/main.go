@@ -56,7 +56,6 @@ func main() {
 	}
 
 	total := time.Now()
-	fmt.Print(experiments.ModelStats())
 
 	if run("table1") {
 		rows, err := experiments.Table1(ctx, sc)

@@ -140,6 +140,7 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	dec := codec.NewDecoder(r.Body)
+	var scratch []byte
 	batch := make([]trace.Entry, 0, 1024)
 	ingested := 0
 	flush := func() error {
@@ -159,6 +160,12 @@ func (s *server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		err := dec.Next(&e)
 		if err == io.EOF {
 			break
+		}
+		if err == nil && codec != st.Codec() {
+			// A record another codec decoded may not fit the store's (a
+			// binary record holds a host ID of at most 63 bytes): that is
+			// a bad record too, not a failed append.
+			scratch, err = st.Codec().AppendRecord(scratch[:0], e)
 		}
 		if err != nil {
 			bad = err

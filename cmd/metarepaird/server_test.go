@@ -11,8 +11,10 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -445,6 +447,134 @@ func TestIngestBadRecordKeepsDurablePrefix(t *testing.T) {
 	if want := int64(5 * trace.RecordSize); fi.Size() != want {
 		t.Fatalf("segment on disk holds %d bytes before Close, want %d", fi.Size(), want)
 	}
+}
+
+// FuzzIngest posts arbitrary bodies to the ingest handler under both
+// formats. The answer is 200 or 400, never a panic or a 500. On 200 every
+// record of the body is ingested; on 400 the record the error names is
+// the length of the body's intact prefix, and the store holds exactly
+// that prefix, in order. The prefix is read without the store's decoders:
+// trace.DecodeRecord over 120-byte slices, json.Unmarshal over lines.
+func FuzzIngest(f *testing.F) {
+	sc := scenario.Q1Spec().MustInstantiate(testScale)
+	var bin, lines []byte
+	for _, e := range sc.Workload[:5] {
+		var err error
+		if bin, err = tracestore.Binary.AppendRecord(bin, e); err != nil {
+			f.Fatal(err)
+		}
+		if lines, err = tracestore.JSONL.AppendRecord(lines, e); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(false, append(bytes.Clone(bin), bytes.Repeat([]byte{0xAB}, 30)...)) // TestIngestBadRecordKeepsDurablePrefix's body
+	f.Add(false, bin)
+	f.Add(true, append(bytes.Clone(lines), `{"t":1,"h":"h1"`...))
+	f.Add(true, lines)
+	f.Add(true, []byte(`{"h":"`+strings.Repeat("x", trace.MaxHostLen+1)+`"}`+"\n"))
+
+	tenants, err := tracestore.OpenTenants(f.TempDir(), tracestore.Options{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	srv := newServer(scenario.NewRegistry(), tenants, jobs.Config{Workers: 1}, false)
+	f.Cleanup(func() {
+		srv.engine.Close()
+		tenants.CloseAll()
+	})
+	var traces atomic.Int64
+	f.Fuzz(func(t *testing.T, jsonl bool, body []byte) {
+		format, prefix := "binary", binaryPrefix
+		if jsonl {
+			format, prefix = "jsonl", jsonlPrefix
+		}
+		want, whole := prefix(body)
+		name := fmt.Sprintf("t%d", traces.Add(1))
+		w := httptest.NewRecorder()
+		srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost,
+			"/v1/tenants/fuzz/traces/"+name+"?format="+format, bytes.NewReader(body)))
+		switch w.Code {
+		case http.StatusOK:
+			var resp ingestResponse
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("200 body %q: %v", w.Body, err)
+			}
+			if !whole || resp.Ingested != len(want) {
+				t.Fatalf("200 ingested %d records; the body holds %d intact (whole: %v)", resp.Ingested, len(want), whole)
+			}
+		case http.StatusBadRequest:
+			var resp struct{ Error string }
+			if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
+				t.Fatalf("400 body %q: %v", w.Body, err)
+			}
+			var named int
+			if _, err := fmt.Sscanf(resp.Error, "record %d:", &named); err != nil {
+				t.Fatalf("400 %q names no record", resp.Error)
+			}
+			if whole || named != len(want) {
+				t.Fatalf("400 names record %d; the body's intact prefix is %d (whole: %v)", named, len(want), whole)
+			}
+		default:
+			t.Fatalf("ingest answered %d: %s", w.Code, w.Body)
+		}
+		st, err := tenants.Lookup("fuzz", name)
+		if err != nil || st == nil {
+			t.Fatalf("store after ingest: %v, %v", st, err)
+		}
+		defer st.Close()
+		var got []trace.Entry
+		if err := st.Source().Scan(func(e trace.Entry) error {
+			got = append(got, e)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("store holds %d entries %v, want the intact prefix %v", len(got), got, want)
+		}
+	})
+}
+
+// binaryPrefix decodes body's leading whole binary records and reports
+// whether they are all of it.
+func binaryPrefix(body []byte) (entries []trace.Entry, whole bool) {
+	for len(body) >= trace.RecordSize {
+		e, err := trace.DecodeRecord(body[:trace.RecordSize])
+		if err != nil {
+			return entries, false
+		}
+		entries = append(entries, e)
+		body = body[trace.RecordSize:]
+	}
+	return entries, len(body) == 0
+}
+
+// jsonlPrefix decodes body's leading JSON lines the daemon's binary store
+// can hold and reports whether they are all of it.
+func jsonlPrefix(body []byte) (entries []trace.Entry, whole bool) {
+	for len(body) > 0 {
+		line, rest, ok := bytes.Cut(body, []byte{'\n'})
+		if !ok {
+			return entries, false
+		}
+		var r struct {
+			T   int64  `json:"t"`
+			H   string `json:"h"`
+			SIP int64  `json:"sip"`
+			DIP int64  `json:"dip"`
+			SPT int64  `json:"spt"`
+			DPT int64  `json:"dpt"`
+			PR  int64  `json:"pr"`
+		}
+		if json.Unmarshal(line, &r) != nil || len(r.H) > trace.MaxHostLen {
+			return entries, false
+		}
+		e := trace.Entry{Time: r.T, SrcHost: r.H}
+		e.Pkt.SrcIP, e.Pkt.DstIP, e.Pkt.SrcPort, e.Pkt.DstPort, e.Pkt.Proto = r.SIP, r.DIP, r.SPT, r.DPT, r.PR
+		entries = append(entries, e)
+		body = rest
+	}
+	return entries, true
 }
 
 // readSSE consumes an SSE stream to EOF and decodes each data: line.

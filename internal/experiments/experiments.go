@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/backtest"
 	"repro/internal/bench"
-	"repro/internal/meta"
 	"repro/internal/metaprov"
 	"repro/internal/ndlog"
 	"repro/internal/tracestore"
@@ -588,12 +587,4 @@ func SuiteMatrix(ctx context.Context, scales []scenario.Scale, parallel int) (*s
 		return m, err
 	}
 	return m, m.Err()
-}
-
-// ModelStats reports the meta-model sizes for the three languages (§3.2,
-// §5.8 report the paper's counts; ours follow from the transcribed
-// Figure 4 model and the translator-based front-ends).
-func ModelStats() string {
-	tuples, rules := meta.MetaTupleKinds()
-	return fmt.Sprintf("µDlog meta model: %d meta-tuple kinds, %d meta rules (paper: 13/15)\n", tuples, rules)
 }

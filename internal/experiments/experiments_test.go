@@ -103,9 +103,3 @@ func TestCandidateTableFormats(t *testing.T) {
 		t.Fatal("verdict marks missing")
 	}
 }
-
-func TestModelStats(t *testing.T) {
-	if !strings.Contains(ModelStats(), "15 meta rules") {
-		t.Fatalf("stats = %q", ModelStats())
-	}
-}

@@ -185,12 +185,3 @@ f2 Learn(@Swi,Sip2) :- Pkt(@Swi,Sip), Sip2 := *.
 		t.Fatalf("assign = %q", got)
 	}
 }
-
-func TestCostOfOrdering(t *testing.T) {
-	cheap := CostOf([]Change{SetConst{}})
-	mid := CostOf([]Change{SetOper{}})
-	exp := CostOf([]Change{DropBodyPred{}})
-	if !(cheap < mid && mid < exp) {
-		t.Fatalf("cost ordering broken: %v %v %v", cheap, mid, exp)
-	}
-}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"repro/internal/cost"
 	"repro/internal/ndlog"
 )
 
@@ -33,7 +32,6 @@ type Patch struct {
 // reach a rule only through Patch.Edit.
 type Change interface {
 	ApplyTo(p *Patch) error
-	Kind() cost.Kind
 	String() string
 }
 
@@ -75,10 +73,11 @@ func (p *Patch) Dropped() []string { return p.dropped }
 // returns the patch. Rule additions apply first (so follow-up edits can
 // target the new rule), then updates and rule deletions in the order
 // given, then deletions of indexed elements (DropSel, DropBodyPred) in
-// descending index order — so every index and path addresses the rule as
-// written, whatever the list deletes from it. Only the rules the patch
-// edited or added are validated: the caller vouches that the base program
-// is valid (Validate it once; Model does so at construction).
+// descending index order, each element once — so every index and path
+// addresses the rule as written, whatever the list deletes from it. Only
+// the rules the patch edited or added are validated: the caller vouches
+// that the base program is valid (Validate it once; Model does so at
+// construction).
 func Apply(prog *ndlog.Program, changes []Change) (*Patch, error) {
 	p := &Patch{Prog: &ndlog.Program{Name: prog.Name, Decls: prog.Decls, Rules: slices.Clone(prog.Rules)}}
 	for _, c := range applyOrder(changes) {
@@ -94,7 +93,8 @@ func Apply(prog *ndlog.Program, changes []Change) (*Patch, error) {
 	return p, nil
 }
 
-// applyOrder sorts a change list into Apply's order of application.
+// applyOrder sorts a change list into Apply's order of application. An
+// indexed deletion listed twice names one element, so it is kept once.
 func applyOrder(changes []Change) []Change {
 	ordered := slices.Clone(changes)
 	slices.SortStableFunc(ordered, func(a, b Change) int {
@@ -102,7 +102,15 @@ func applyOrder(changes []Change) []Change {
 		rb, ib := precedence(b)
 		return cmp.Or(cmp.Compare(ra, rb), cmp.Compare(ib, ia))
 	})
-	return ordered
+	kept := ordered[:0]
+	for _, c := range ordered {
+		// c is then a DropSel or a DropBodyPred, both comparable; against
+		// a change of another type == is false without comparing values.
+		if rank, _ := precedence(c); rank < 2 || !slices.Contains(kept, c) {
+			kept = append(kept, c)
+		}
+	}
+	return kept
 }
 
 // precedence ranks a change: additions, updates, then indexed deletions.
@@ -116,15 +124,6 @@ func precedence(c Change) (rank, index int) {
 		return 2, c.BodyIdx
 	}
 	return 1, 0
-}
-
-// CostOf sums the cost of a change list.
-func CostOf(changes []Change) float64 {
-	var total float64
-	for _, c := range changes {
-		total += cost.Of(c.Kind())
-	}
-	return total
 }
 
 // SetConst updates the constant at Path in rule RuleID to New (the
@@ -153,9 +152,6 @@ func (c SetConst) ApplyTo(p *Patch) error {
 	return nil
 }
 
-// Kind implements Change.
-func (c SetConst) Kind() cost.Kind { return cost.ChangeConstant }
-
 func (c SetConst) String() string {
 	return fmt.Sprintf("change constant %s in %s (%s) to %s", c.Old, c.RuleID, c.Path, c.New)
 }
@@ -181,9 +177,6 @@ func (c SetOper) ApplyTo(p *Patch) error {
 	r.Sels[c.SelIdx].Op = c.New
 	return nil
 }
-
-// Kind implements Change.
-func (c SetOper) Kind() cost.Kind { return cost.ChangeOperator }
 
 func (c SetOper) String() string {
 	return fmt.Sprintf("change operator %s to %s in %s (%s)", c.Old, c.New, c.RuleID, c.Sel)
@@ -212,9 +205,6 @@ func (c SetExpr) ApplyTo(p *Patch) error {
 	return nil
 }
 
-// Kind implements Change.
-func (c SetExpr) Kind() cost.Kind { return cost.ChangeVariable }
-
 func (c SetExpr) String() string {
 	return fmt.Sprintf("change %s in %s (%s) to %s", c.Old, c.RuleID, c.Path, c.New.String())
 }
@@ -238,9 +228,6 @@ func (c DropSel) ApplyTo(p *Patch) error {
 	r.Sels = append(r.Sels[:c.SelIdx], r.Sels[c.SelIdx+1:]...)
 	return nil
 }
-
-// Kind implements Change.
-func (c DropSel) Kind() cost.Kind { return cost.DeleteSelection }
 
 func (c DropSel) String() string {
 	return fmt.Sprintf("delete %s in %s", c.Sel, c.RuleID)
@@ -271,9 +258,6 @@ func (c DropBodyPred) ApplyTo(p *Patch) error {
 	return nil
 }
 
-// Kind implements Change.
-func (c DropBodyPred) Kind() cost.Kind { return cost.DeleteBodyPredicate }
-
 func (c DropBodyPred) String() string {
 	return fmt.Sprintf("delete predicate %s in %s", c.Pred, c.RuleID)
 }
@@ -298,12 +282,9 @@ func (c DropRule) ApplyTo(p *Patch) error {
 	return fmt.Errorf("meta: no rule %s", c.RuleID)
 }
 
-// Kind implements Change.
-func (c DropRule) Kind() cost.Kind { return cost.DeleteRule }
-
 func (c DropRule) String() string { return fmt.Sprintf("delete rule %s", c.RuleID) }
 
-// AddRule inserts a new rule (the highest-cost program change).
+// AddRule inserts a new rule.
 type AddRule struct{ Rule *ndlog.Rule }
 
 // ApplyTo implements Change.
@@ -320,9 +301,6 @@ func (c AddRule) ApplyTo(p *Patch) error {
 	p.added++
 	return nil
 }
-
-// Kind implements Change.
-func (c AddRule) Kind() cost.Kind { return cost.AddRule }
 
 func (c AddRule) String() string { return fmt.Sprintf("add rule %s", c.Rule.String()) }
 
@@ -344,9 +322,6 @@ func (c SetHeadTable) ApplyTo(p *Patch) error {
 	return nil
 }
 
-// Kind implements Change.
-func (c SetHeadTable) Kind() cost.Kind { return cost.ChangeVariable }
-
 func (c SetHeadTable) String() string {
 	return fmt.Sprintf("change the head of %s to %s", c.RuleID, c.New)
 }
@@ -361,9 +336,6 @@ func (c InsertTuple) ApplyTo(p *Patch) error {
 	return nil
 }
 
-// Kind implements Change.
-func (c InsertTuple) Kind() cost.Kind { return cost.InsertBaseTuple }
-
 func (c InsertTuple) String() string {
 	return fmt.Sprintf("manually insert %s", c.Tuple)
 }
@@ -376,9 +348,6 @@ func (c DeleteTuple) ApplyTo(p *Patch) error {
 	p.Deletes = append(p.Deletes, c.Tuple.Clone())
 	return nil
 }
-
-// Kind implements Change.
-func (c DeleteTuple) Kind() cost.Kind { return cost.DeleteBaseTuple }
 
 func (c DeleteTuple) String() string {
 	return fmt.Sprintf("manually delete %s", c.Tuple)

@@ -5,6 +5,19 @@
 // (meta-tuple insertions, deletions, and updates) fold program changes back
 // into an AST. The meta provenance forest (package metaprov) reasons over
 // these tuples; the repair generator emits them as concrete fixes.
+//
+// Model and Apply are the package's only meta model: hand-written Go over
+// the AST, not meta rules. The paper's executable meta models serve as
+// test oracles or not at all:
+//   - Figure 4's µDlog meta model lives in the tests, where
+//     TestPatchMatchesMetaModel encodes generated programs as its meta
+//     tuples, edits those tuples, and requires the meta model to derive
+//     what ndlog.Engine derives from Apply's patched program.
+//   - Appendix B's full-NDlog model (Figure 11, with Table 4's template
+//     expansion) is not transcribed. A partial transcription without its
+//     head-derivation rule (h2) and multi-predicate join derived no rule's
+//     output, so it checked nothing; a complete one would be a second meta
+//     model that no repair runs on.
 package meta
 
 import (

@@ -330,16 +330,6 @@ func (e *Engine) InsertInto(t Tuple, buf []Tuple) []Tuple {
 	return e.run(e.seedBuf[:], buf)
 }
 
-// InsertAll inserts a batch of base tuples under a single logical timestamp
-// per tuple, returning all appearances.
-func (e *Engine) InsertAll(ts []Tuple) []Tuple {
-	var out []Tuple
-	for _, t := range ts {
-		out = append(out, e.Insert(t)...)
-	}
-	return out
-}
-
 // Delete removes one base support from a state tuple and propagates
 // underivations. Deleting an absent tuple is a no-op.
 func (e *Engine) Delete(t Tuple) {
